@@ -32,6 +32,7 @@ from .geometry import (
     boundary_pieces,
     contains,
     hausdorff,
+    random_rounded_set,
     rounded_area,
     rounded_centroid,
     rounded_perimeter,
@@ -116,6 +117,7 @@ __all__ = [
     "optimal_subset",
     "perimeter_of_area",
     "polygon_erode",
+    "random_rounded_set",
     "raster_area",
     "raster_dilate",
     "raster_erode",

@@ -20,7 +20,12 @@ import numpy as np
 from . import raster as ras
 from .errors import BadConfigError, ShrinksetError
 from .evolution import compute_cost, reconstruct_set, simulate
-from .geometry import RoundedSet, rounded_area, rounded_perimeter
+from .geometry import (
+    RoundedSet,
+    random_rounded_set,
+    rounded_area,
+    rounded_perimeter,
+)
 from .isoperimetric import free_arc_turning, optimal_subset, perimeter_of_area
 from .morphology import dilate, erode, opening
 from .serialize import (
@@ -192,21 +197,6 @@ def cmd_one_step(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _random_sets(rng: np.random.Generator, n: int) -> list[RoundedSet]:
-    from scipy.spatial import ConvexHull
-
-    sets = []
-    while len(sets) < n:
-        pts = rng.random((int(rng.integers(4, 10)), 2)) * 2.0
-        radius = float(rng.random() * 0.5)
-        try:
-            hull = ConvexHull(pts)
-            sets.append(RoundedSet.from_polygon(pts[hull.vertices], radius))
-        except Exception:
-            continue
-    return sets
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     suites = args.suite or ["raster", "invariants"]
@@ -218,7 +208,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     rows: list[tuple[str, bool]] = []
 
     if "invariants" in suites:
-        for i, s in enumerate(_random_sets(rng, 10)):
+        sets = [random_rounded_set(rng) for _ in range(10)]
+        for i, s in enumerate(sets):
             r = float(rng.random() + 0.1)
             grown = dilate(s, r)
             want = rounded_area(s) + r * rounded_perimeter(s) + math.pi * r * r
@@ -240,7 +231,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         )
 
     if "raster" in suites:
-        for i, s in enumerate(_random_sets(rng, 5)):
+        sets = [random_rounded_set(rng) for _ in range(5)]
+        for i, s in enumerate(sets):
             h = 2e-3 * s.diameter
             r = float(rng.random() * 0.4 * s.diameter + h)
             grid = ras.rasterize(s, h)

@@ -19,10 +19,11 @@ from scipy.optimize import brentq
 
 from .errors import BadConfigError, OutOfRangeError
 from .geometry import RoundedSet, contains, rounded_area
-from .isoperimetric import BALL, _Scene, optimal_subset, perimeter_of_area
-from .morphology import dilate
+from .isoperimetric import optimal_subset, perimeter_of_area
+from .morphology import BALL, _profile, dilate
 
 _EVENT_TIME_TOL = 1e-10
+_GROWTH_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,12 @@ class EvolutionTrace:
 def area_rate(omega0: RoundedSet, t: float, a: float, M: float) -> float:
     """Instantaneous growth rate of the controlled area at time t."""
     return perimeter_of_area(dilate(omega0, t), a) - M
+
+
+def _escaped(a: float, M: float) -> bool:
+    """Isoperimetric escape: every set of area a has perimeter at least
+    2*sqrt(pi*a), so past M the rate stays positive and a keeps growing."""
+    return 2.0 * math.sqrt(math.pi * max(a, 0.0)) > M * (1.0 + _GROWTH_SLACK)
 
 
 def default_step(omega0: RoundedSet) -> float:
@@ -76,7 +83,7 @@ def simulate(
     if not (dt > 0 and math.isfinite(dt)):
         raise BadConfigError(f"dt must be positive and finite, got {dt}")
 
-    scene = _Scene(omega0.kernel)
+    prof = _profile(omega0.kernel)
     c0 = omega0.radius
     a0 = rounded_area(omega0)
     band = 1e-11 * max(1.0, a0)
@@ -90,9 +97,9 @@ def simulate(
         if a <= 0.0:
             return -M
         c = c0 + t
-        if a >= scene.area_full(c) - snap:
-            return scene.perim0 + 2.0 * math.pi * c - M
-        return scene.query(c, a)[0] - M
+        if a >= prof.area_full(c) - snap:
+            return prof.perim0 + 2.0 * math.pi * c - M
+        return prof.query(c, a)[0] - M
 
     def rk4(t: float, a: float, h: float) -> float:
         k1 = rate(t, a)
@@ -103,11 +110,11 @@ def simulate(
 
     # signed distances to the two regime boundaries (kinks of the rate)
     def psi_ball(t: float, a: float) -> float:
-        r = scene.rbar(c0 + t)
+        r = prof.rbar(c0 + t)
         return a - math.pi * r * r
 
     def psi_hat(t: float, a: float) -> float:
-        return a - scene.area_hat(c0 + t)
+        return a - prof.area_hat(c0 + t)
 
     def bisect(t: float, a: float, h: float, fun, f0: float) -> float:
         lo, hi = 0.0, h
@@ -127,8 +134,8 @@ def simulate(
         if a <= 0.0:
             perim, regime, rho, r = 0.0, BALL, 0.0, -M
         else:
-            a = min(a, scene.area_full(c0 + t))
-            perim, regime, rho, _ = scene.query(c0 + t, a)
+            a = min(a, prof.area_full(c0 + t))
+            perim, regime, rho, _ = prof.query(c0 + t, a)
             r = perim - M
         ts.append(t)
         areas.append(max(a, 0.0))
@@ -169,7 +176,7 @@ def simulate(
     t, a = 0.0, a0
     record(t, a)
     while t < horizon - 1e-15:
-        if stop_when_growing and 2.0 * math.sqrt(math.pi * a) > M * (1.0 + 1e-9):
+        if stop_when_growing and _escaped(a, M):
             break
         if psi_ball(t, a) <= 0.0 and 2.0 * math.sqrt(math.pi * a) < M:
             ball_tail(t, a)

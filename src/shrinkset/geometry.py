@@ -150,8 +150,11 @@ class ConvexPolygon:
         v = self.vertices
         if len(v) <= 1:
             return 0.0
-        d = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((d * d).sum(-1)).max())
+        best = 0.0
+        for i in range(0, len(v), 256):  # row blocks bound the memory
+            d = v[i : i + 256, None, :] - v[None, :, :]
+            best = max(best, float(np.sqrt((d * d).sum(-1)).max()))
+        return best
 
     def edge_normals(self) -> np.ndarray:
         """Unit outward normals, one per edge (both directions for a segment)."""
@@ -218,8 +221,8 @@ class RoundedSet:
     __slots__ = ("kernel", "radius")
 
     def __init__(self, kernel: ConvexPolygon, radius: float):
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not (radius >= 0 and math.isfinite(radius)):
+            raise ValueError("radius must be finite and nonnegative")
         self.kernel = kernel
         self.radius = float(radius)
 
@@ -249,6 +252,20 @@ class RoundedSet:
 
     def __repr__(self) -> str:
         return f"RoundedSet(kernel={self.kernel!r}, radius={self.radius!r})"
+
+
+def random_rounded_set(rng: np.random.Generator) -> RoundedSet:
+    """Convex hull of 4 to 9 uniform points in [0, 2]^2, rounded by a radius
+    uniform in [0, 0.5); the random sets of the tests and of `validate`."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    while True:
+        pts = rng.random((int(rng.integers(4, 10)), 2)) * 2.0
+        try:
+            hull = ConvexHull(pts)
+        except QhullError:
+            continue
+        return RoundedSet.from_polygon(pts[hull.vertices], float(rng.random() * 0.5))
 
 
 def rounded_area(s: RoundedSet) -> float:

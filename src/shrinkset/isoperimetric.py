@@ -21,25 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AreaExceedsDomainError,
-    EmptySetError,
-    NonpositiveAreaError,
-    OutOfRegimeError,
+from .errors import OutOfRegimeError
+from .geometry import RoundedSet, rounded_perimeter
+from .morphology import (
+    _AREA_REL_TOL,
+    BALL,
+    OPENING,
+    STADIUM,
+    ErosionProfile,
+    _profile,
+    opening,
+    polygon_erode,
 )
-from .geometry import (
-    ConvexPolygon,
-    Point2,
-    RoundedSet,
-    rounded_perimeter,
-)
-from .morphology import InnerBallLocus, _profile, opening, polygon_erode
 
-BALL = "Ball"
-STADIUM = "Stadium"
-OPENING = "Opening"
-
-_AREA_REL_TOL = 1e-12
+# perfbench/run.py traces the one-step query under this older name
+_Scene = ErosionProfile
 
 
 @dataclass(frozen=True)
@@ -52,131 +48,21 @@ class IsoperimetricSolution:
     rho: float
 
 
-class _Scene:
-    """Closed forms for one kernel polygon, any total rounding radius c.
-
-    The same kernel is queried repeatedly during an evolution while only the
-    rounding radius grows (dilation leaves the kernel untouched), so all the
-    combinatorial work is hoisted here and each query is O(#pieces).
-    """
-
-    def __init__(self, kernel: ConvexPolygon):
-        if len(kernel) == 0:
-            raise EmptySetError("scene needs a nonempty kernel")
-        self.kernel = kernel
-        if len(kernel) >= 3:
-            prof = _profile(kernel)
-            self.pieces = prof.pieces
-            self.d_max = prof.d_max
-            self.locus_poly = prof.locus
-            self.area0 = prof.pieces[0].area0
-            self.perim0 = prof.pieces[0].perim0
-        else:
-            self.pieces = []
-            self.d_max = 0.0
-            self.locus_poly = kernel
-            self.area0 = 0.0
-            v = kernel.vertices
-            self.perim0 = (
-                0.0 if len(v) < 2 else 2.0 * float(np.linalg.norm(v[1] - v[0]))
-            )
-        lv = self.locus_poly.vertices
-        if len(lv) == 2:
-            mid = 0.5 * (lv[0] + lv[1])
-            e = lv[1] - lv[0]
-            length = float(np.linalg.norm(e))
-            self.locus_center = Point2(*mid)
-            self.locus_dir = Point2(*(e / length))
-            self.locus_len = length
-        else:
-            self.locus_center = Point2(*lv[0])
-            self.locus_dir = Point2(1.0, 0.0)
-            self.locus_len = 0.0
-
-    def locus(self, c: float) -> InnerBallLocus:
-        return InnerBallLocus(
-            self.rbar(c), self.locus_center, self.locus_dir, 0.5 * self.locus_len
-        )
-
-    def rbar(self, c: float) -> float:
-        return c + self.d_max
-
-    def area_full(self, c: float) -> float:
-        return self.area0 + c * self.perim0 + math.pi * c * c
-
-    def area_hat(self, c: float) -> float:
-        r = self.rbar(c)
-        return 2.0 * r * self.locus_len + math.pi * r * r
-
-    def _opening_depth(self, c: float, a: float) -> tuple[float, float]:
-        """Erosion depth d with area(opening at rho=c+d) == a, and that area's
-        perimeter.  Valid for area_hat <= a <= area_full."""
-        for p in self.pieces:
-            t = p.tan_sum - math.pi  # > 0: opening area strictly decreases
-            b = c + p.d0
-            f0 = p.area0 + b * p.perim0 + math.pi * b * b
-            x1 = p.d1 - p.d0
-            f1 = f0 - t * (x1 * x1 + 2.0 * b * x1)
-            if a >= f1 or p is self.pieces[-1]:
-                x = -b + math.sqrt(max(b * b + (f0 - a) / t, 0.0))
-                x = min(max(x, 0.0), x1)
-                d = p.d0 + x
-                perim = p.perim0 - 2.0 * p.tan_sum * x + 2.0 * math.pi * (c + d)
-                return d, perim
-        # degenerate kernel: opening is the whole set at every depth
-        return 0.0, self.perim0 + 2.0 * math.pi * c
-
-    def query(self, c: float, a: float) -> tuple[float, str, float, float]:
-        """(perimeter, regime, rho, erosion depth) of the optimal subset."""
-        a_full = self.area_full(c)
-        tol = _AREA_REL_TOL * a_full
-        if a <= 0.0:
-            raise NonpositiveAreaError(f"target area {a} is not positive")
-        if a > a_full + tol:
-            raise AreaExceedsDomainError(
-                f"target area {a} exceeds domain area {a_full}"
-            )
-        rbar = self.rbar(c)
-        a_ball = math.pi * rbar * rbar
-        if a >= a_full - tol:
-            if not self.pieces and self.locus_len == 0.0:
-                # the whole set is a ball: report it as one
-                return self.perim0 + 2.0 * math.pi * c, BALL, rbar, 0.0
-            # plateau: largest rho whose opening still fills the set
-            rho = c if self.pieces else rbar
-            return self.perim0 + 2.0 * math.pi * c, OPENING, rho, 0.0
-        if a >= self.area_hat(c) - tol:
-            d, perim = self._opening_depth(c, a)
-            return perim, OPENING, c + d, d
-        if a >= a_ball - tol and self.locus_len > 0.0:
-            length = max((a - a_ball) / (2.0 * rbar), 0.0)
-            return 2.0 * length + 2.0 * math.pi * rbar, STADIUM, rbar, self.d_max
-        r = math.sqrt(a / math.pi)
-        return 2.0 * math.sqrt(math.pi * a), BALL, r, self.d_max
-
-
-def _scene(s: RoundedSet) -> _Scene:
-    if s.is_empty:
-        raise EmptySetError("one-step problem on the empty set")
-    return _Scene(s.kernel)
-
-
 def optimal_subset(s: RoundedSet, a: float) -> IsoperimetricSolution:
     """Least-perimeter subset of s with area a (ties broken canonically).
 
     Ball-regime solutions are centered at the centroid of the maximal
     opening, i.e. at the midpoint of the inscribed-ball locus.
     """
-    sc = _scene(s)
-    c = s.radius
-    perim, regime, rho, d = sc.query(c, a)
-    center = sc.locus_center
+    prof = _profile(s.kernel)
+    perim, regime, rho, d = prof.query(s.radius, a)
+    center = prof.locus_center
     if regime == BALL:
         sub = RoundedSet.ball(center, rho)
     elif regime == STADIUM:
         length = max((a - math.pi * rho * rho) / (2.0 * rho), 0.0)
-        half = 0.5 * min(length, sc.locus_len)
-        e = np.array(sc.locus_dir)
+        half = 0.5 * min(length, prof.locus_len)
+        e = np.array(prof.locus_dir)
         p = np.array(center)
         sub = RoundedSet.stadium(p - half * e, p + half * e, rho)
     else:
@@ -194,7 +80,7 @@ def optimal_subset(s: RoundedSet, a: float) -> IsoperimetricSolution:
 
 def perimeter_of_area(s: RoundedSet, a: float) -> float:
     """Perimeter of the optimal subset, without building the set."""
-    return _scene(s).query(s.radius, a)[0]
+    return _profile(s.kernel).query(s.radius, a)[0]
 
 
 def invert_opening_area(s: RoundedSet, a: float) -> float:
@@ -203,26 +89,22 @@ def invert_opening_area(s: RoundedSet, a: float) -> float:
     On the plateau a == area(s) the largest such rho is returned.  Exact
     (piecewise-quadratic inversion), no iteration.
     """
-    sc = _scene(s)
+    prof = _profile(s.kernel)
     c = s.radius
-    a_full = sc.area_full(c)
+    a_full = prof.area_full(c)
     tol = _AREA_REL_TOL * a_full
-    if a > a_full + tol or a < sc.area_hat(c) - tol:
+    if not prof.area_hat(c) - tol <= a <= a_full + tol:
         raise OutOfRegimeError(
             f"area {a} outside the opening range "
-            f"[{sc.area_hat(c)}, {a_full}]"
+            f"[{prof.area_hat(c)}, {a_full}]"
         )
-    if a >= a_full - tol:
-        return c if sc.pieces else sc.rbar(c)
-    d, _ = sc._opening_depth(c, min(a, a_full))
-    return c + d
+    return prof.query(c, a)[2]
 
 
 def free_arc_turning(s: RoundedSet, rho: float) -> float:
     """Total turning excess sum_i (2 tan(theta_i/2) - theta_i) of the free
     arcs of opening(s, rho); equals -d(perimeter)/d(rho)."""
-    sc = _scene(s)
-    rbar = sc.rbar(s.radius)
+    rbar = _profile(s.kernel).rbar(s.radius)
     if not (s.radius < rho < rbar):
         raise OutOfRegimeError(
             f"rho {rho} outside the corner-rounding range ({s.radius}, {rbar})"

@@ -6,7 +6,8 @@ combinatorial events as d grows are edges vanishing, so the whole erosion
 family can be precomputed once as a small piecewise-linear "profile".
 The profile also yields the maximal erosion depth and the locus of centers
 of maximal inscribed balls (a point or a segment), plus closed forms for
-the area and perimeter of every eroded polygon.
+the area and perimeter of every eroded polygon, and with them every answer
+of the one-step least-perimeter problem (see ErosionProfile.query).
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySetError
+from .errors import AreaExceedsDomainError, EmptySetError, NonpositiveAreaError
 from .geometry import (
     ConvexPolygon,
+    _bbox_scale,
     _merge_close,
-    cross2,
     Point2,
     RoundedSet,
     hausdorff,
@@ -28,7 +29,13 @@ from .geometry import (
     polygon_perimeter,
 )
 
+BALL = "Ball"
+STADIUM = "Stadium"
+OPENING = "Opening"
+
 _DEPTH_REL_TOL = 1e-12
+_AREA_REL_TOL = 1e-12
+_ULP = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -56,25 +63,32 @@ class _Piece:
 
 
 class ErosionProfile:
-    """Piecewise description of d -> erode(polygon, d) for d in [0, d_max]."""
+    """Piecewise description of d -> erode(kernel, d) for d in [0, d_max],
+    with closed forms for the kernel dilated by any rounding radius c.
 
-    def __init__(self, poly: ConvexPolygon):
-        if len(poly) < 3:
-            raise ValueError("erosion profile needs a nondegenerate polygon")
+    The same kernel is queried repeatedly during an evolution while only the
+    rounding radius grows (dilation leaves the kernel untouched), so all the
+    combinatorial work is done once per kernel (see _profile) and each query
+    is O(#pieces).  A point or segment kernel has no pieces and is its own
+    locus.
+    """
+
+    def __init__(self, kernel: ConvexPolygon):
+        if len(kernel) == 0:
+            raise EmptySetError("erosion profile needs a nonempty kernel")
         self.pieces: list[_Piece] = []
-        scale = poly.diameter
-        v = poly.vertices.copy()
-        d = 0.0
-        while True:
-            n = len(v)
-            normals = ConvexPolygon(v).edge_normals()
+        self.area0 = polygon_area(kernel)
+        self.perim0 = polygon_perimeter(kernel)
+        scale = kernel.diameter
+        self.tol = _DEPTH_REL_TOL * max(scale, 1.0)
+        poly, d = kernel, 0.0
+        while len(poly) >= 3:
+            v = poly.vertices
+            normals = poly.edge_normals()
             nprev = np.roll(normals, 1, axis=0)
-            theta = np.arctan2(cross2(nprev, normals), (nprev * normals).sum(axis=1))
             # vertex i slides so it stays on both adjacent offset lines
-            w = np.empty_like(v)
-            for i in range(n):
-                a = np.array([nprev[i], normals[i]])
-                w[i] = np.linalg.solve(a, np.ones(2))
+            lines = np.stack([nprev, normals], axis=1)
+            w = np.linalg.solve(lines, np.ones((len(v), 2, 1)))[..., 0]
             edges = np.roll(v, -1, axis=0) - v
             lengths = np.linalg.norm(edges, axis=1)
             units = edges / lengths[:, None]
@@ -88,22 +102,32 @@ class ErosionProfile:
                     d1=d + step,
                     vertices=v,
                     velocities=w,
-                    area0=polygon_area(ConvexPolygon(v)),
-                    perim0=polygon_perimeter(ConvexPolygon(v)),
-                    tan_sum=float(np.tan(0.5 * theta).sum()),
+                    area0=polygon_area(poly),
+                    perim0=polygon_perimeter(poly),
+                    tan_sum=float(np.tan(0.5 * poly.exterior_angles()).sum()),
                 )
             )
             d += step
+            u = v - step * w
+            # a simultaneous collapse scatters its n vertices over up to ~n^2
+            # ulps of the scale: a remainder that small is a point
+            if _bbox_scale(u) <= len(u) ** 2 * _ULP * scale:
+                u = u[:1]
             # merge at the parent scale: a collapse event leaves clusters of
             # float noise that the polygon's own bbox tolerance cannot see
-            nxt = ConvexPolygon(
-                _merge_close(v - step * w, _DEPTH_REL_TOL * max(scale, 1.0))
-            )
-            if len(nxt) < 3:
-                self.d_max = d
-                self.locus = nxt
-                break
-            v = nxt.vertices.copy()
+            poly = ConvexPolygon(_merge_close(u, self.tol))
+        self.d_max = d
+        self.locus = poly
+        lv = poly.vertices
+        if len(lv) == 2:
+            e = lv[1] - lv[0]
+            self.locus_len = float(np.linalg.norm(e))
+            self.locus_center = Point2(*(0.5 * (lv[0] + lv[1])))
+            self.locus_dir = Point2(*(e / self.locus_len))
+        else:
+            self.locus_len = 0.0
+            self.locus_center = Point2(*lv[0])
+            self.locus_dir = Point2(1.0, 0.0)
 
     def _piece_at(self, d: float) -> _Piece:
         for piece in self.pieces:
@@ -119,18 +143,64 @@ class ErosionProfile:
         p = self._piece_at(d)
         return ConvexPolygon(p.vertices - (d - p.d0) * p.velocities)
 
-    def area_at(self, d: float) -> float:
-        if d >= self.d_max:
-            return 0.0
-        p = self._piece_at(d)
-        x = d - p.d0
-        return p.area0 - x * p.perim0 + x * x * p.tan_sum
+    def rbar(self, c: float) -> float:
+        """Inner radius of the kernel rounded by c."""
+        return c + self.d_max
 
-    def perimeter_at(self, d: float) -> float:
-        if d >= self.d_max:
-            return polygon_perimeter(self.locus)
-        p = self._piece_at(d)
-        return p.perim0 - 2.0 * p.tan_sum * (d - p.d0)
+    def area_full(self, c: float) -> float:
+        return self.area0 + c * self.perim0 + math.pi * c * c
+
+    def area_hat(self, c: float) -> float:
+        """Area of the maximal opening (the stadium over the whole locus)."""
+        r = self.rbar(c)
+        return 2.0 * r * self.locus_len + math.pi * r * r
+
+    def _opening_depth(self, c: float, a: float) -> tuple[float, float]:
+        """Erosion depth d with area(opening at rho=c+d) == a, and that area's
+        perimeter.  Valid for area_hat <= a <= area_full."""
+        for p in self.pieces:
+            t = p.tan_sum - math.pi  # > 0: opening area strictly decreases
+            b = c + p.d0
+            f0 = p.area0 + b * p.perim0 + math.pi * b * b
+            x1 = p.d1 - p.d0
+            f1 = f0 - t * (x1 * x1 + 2.0 * b * x1)
+            if a >= f1 or p is self.pieces[-1]:
+                x = -b + math.sqrt(max(b * b + (f0 - a) / t, 0.0))
+                x = min(max(x, 0.0), x1)
+                d = p.d0 + x
+                perim = p.perim0 - 2.0 * p.tan_sum * x + 2.0 * math.pi * (c + d)
+                return d, perim
+        # degenerate kernel: opening is the whole set at every depth
+        return 0.0, self.perim0 + 2.0 * math.pi * c
+
+    def query(self, c: float, a: float) -> tuple[float, str, float, float]:
+        """(perimeter, regime, rho, erosion depth) of the least-perimeter
+        subset with area a of the kernel rounded by c."""
+        a_full = self.area_full(c)
+        tol = _AREA_REL_TOL * a_full
+        if not a > 0.0:
+            raise NonpositiveAreaError(f"target area {a} is not positive")
+        if a > a_full + tol:
+            raise AreaExceedsDomainError(
+                f"target area {a} exceeds domain area {a_full}"
+            )
+        rbar = self.rbar(c)
+        a_ball = math.pi * rbar * rbar
+        if a >= a_full - tol:
+            if not self.pieces and self.locus_len == 0.0:
+                # the whole set is a ball: report it as one
+                return self.perim0 + 2.0 * math.pi * c, BALL, rbar, 0.0
+            # plateau: largest rho whose opening still fills the set
+            rho = c if self.pieces else rbar
+            return self.perim0 + 2.0 * math.pi * c, OPENING, rho, 0.0
+        if a >= self.area_hat(c) - tol:
+            d, perim = self._opening_depth(c, a)
+            return perim, OPENING, c + d, d
+        if a >= a_ball - tol and self.locus_len > 0.0:
+            length = max((a - a_ball) / (2.0 * rbar), 0.0)
+            return 2.0 * length + 2.0 * math.pi * rbar, STADIUM, rbar, self.d_max
+        r = math.sqrt(a / math.pi)
+        return 2.0 * math.sqrt(math.pi * a), BALL, r, self.d_max
 
 
 def _profile(poly: ConvexPolygon) -> ErosionProfile:
@@ -141,8 +211,8 @@ def _profile(poly: ConvexPolygon) -> ErosionProfile:
 
 def dilate(s: RoundedSet, r: float) -> RoundedSet:
     """Minkowski sum with the disk of radius r (kernel unchanged)."""
-    if r < 0:
-        raise ValueError("dilation radius must be nonnegative")
+    if not (r >= 0.0 and math.isfinite(r)):
+        raise ValueError("dilation radius must be finite and nonnegative")
     if s.is_empty:
         return s
     return RoundedSet(s.kernel, s.radius + r)
@@ -158,18 +228,17 @@ def polygon_erode(poly: ConvexPolygon, d: float) -> ConvexPolygon:
     if len(poly) < 3:
         raise ValueError("polygon_erode needs at least 3 vertices")
     prof = _profile(poly)
-    tol = _DEPTH_REL_TOL * max(poly.diameter, 1.0)
-    if d > prof.d_max + tol:
+    if d > prof.d_max + prof.tol:
         return ConvexPolygon.empty()
-    if d >= prof.d_max - tol:
+    if d >= prof.d_max - prof.tol:
         return prof.locus
     return prof.polygon_at(d)
 
 
 def erode(s: RoundedSet, r: float) -> RoundedSet:
     """Adjoint of dilate: erode(s, r) = {x : B_r(x) inside s}."""
-    if r < 0:
-        raise ValueError("erosion radius must be nonnegative")
+    if not (r >= 0.0 and math.isfinite(r)):
+        raise ValueError("erosion radius must be finite and nonnegative")
     if s.is_empty or r == 0.0:
         return s
     if r <= s.radius:
@@ -198,23 +267,11 @@ def inner_radius(s: RoundedSet) -> tuple[float, InnerBallLocus]:
     """Radius of the largest inscribed ball and the locus of its centers."""
     if s.is_empty:
         raise EmptySetError("inner radius of empty set")
-    if len(s.kernel) < 3:
-        locus_poly = s.kernel
-        depth = 0.0
-    else:
-        prof = _profile(s.kernel)
-        locus_poly = prof.locus
-        depth = prof.d_max
-    rbar = s.radius + depth
-    v = locus_poly.vertices
-    if len(v) == 1:
-        locus = InnerBallLocus(rbar, Point2(*v[0]), Point2(1.0, 0.0), 0.0)
-    else:
-        mid = 0.5 * (v[0] + v[1])
-        e = v[1] - v[0]
-        half = 0.5 * float(np.linalg.norm(e))
-        e = e / (2.0 * half)
-        locus = InnerBallLocus(rbar, Point2(*mid), Point2(*e), half)
+    prof = _profile(s.kernel)
+    rbar = prof.rbar(s.radius)
+    locus = InnerBallLocus(
+        rbar, prof.locus_center, prof.locus_dir, 0.5 * prof.locus_len
+    )
     return rbar, locus
 
 

@@ -105,11 +105,3 @@ def raster_opening(grid: RasterGrid, rho: float) -> RasterGrid:
 def raster_area(grid: RasterGrid) -> float:
     return float(grid.occupancy.sum()) * grid.h * grid.h
 
-
-def dump_pgm(grid: RasterGrid, path: str) -> None:
-    """Binary PGM snapshot of the mask, for eyeballing."""
-    ny, nx = grid.occupancy.shape
-    data = np.where(grid.occupancy[::-1], 255, 0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{nx} {ny}\n255\n".encode())
-        f.write(data.tobytes())

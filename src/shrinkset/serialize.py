@@ -43,10 +43,6 @@ def dump_geometry(s: RoundedSet, extra: dict | None = None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def load_geometry(text: str) -> RoundedSet:
-    return set_from_dict(json.loads(text))
-
-
 def trace_to_csv(trace: EvolutionTrace) -> str:
     lines = ["t,a,perimeter,regime,rho"]
     for i in range(len(trace)):

@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateDomainError, NotCriticalError
-from .evolution import EvolutionTrace, default_step, simulate
+from .evolution import EvolutionTrace, _escaped, default_step, simulate
 from .geometry import RoundedSet, rounded_area
 
 EXTINCT = "Extinct"
 GROWS = "Grows"
 UNDETERMINED = "Undetermined"
 
-_GROWTH_SLACK = 1e-9
 _PROBE_BUDGET = 1e-6
 
 
@@ -29,10 +28,6 @@ class Outcome:
     kind: str  # Extinct | Grows | Undetermined
     time: float  # extinction time / escape time / horizon
     trace: EvolutionTrace
-
-
-def _escaped(a: float, M: float) -> bool:
-    return 2.0 * math.sqrt(math.pi * max(a, 0.0)) > M * (1.0 + _GROWTH_SLACK)
 
 
 def classify(

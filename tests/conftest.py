@@ -1,22 +1,7 @@
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
-
-from shrinkset import RoundedSet
 
 SEED = 20260826
-
-
-def random_rounded_set(rng, max_radius=0.5, scale=2.0):
-    """Random convex hull of a handful of points, with a random rounding."""
-    while True:
-        pts = rng.random((int(rng.integers(4, 10)), 2)) * scale
-        try:
-            hull = ConvexHull(pts)
-        except Exception:
-            continue
-        radius = float(rng.random() * max_radius)
-        return RoundedSet.from_polygon(pts[hull.vertices], radius)
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from conftest import random_rounded_set
 from shrinkset import (
     RoundedSet,
     boundary_length_in_disk,
@@ -25,6 +24,7 @@ from shrinkset import (
     opening,
     optimal_subset,
     perimeter_of_area,
+    random_rounded_set,
     raster_area,
     raster_dilate,
     raster_erode,

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_rounded_set
 from shrinkset import (
     ConvexPolygon,
     EmptySetError,
@@ -12,6 +11,7 @@ from shrinkset import (
     contains,
     dilate,
     hausdorff,
+    random_rounded_set,
     rounded_area,
     rounded_centroid,
     rounded_perimeter,
@@ -82,6 +82,11 @@ class TestRoundedMeasures:
         assert rounded_area(RoundedSet.empty()) == 0.0
         assert rounded_perimeter(RoundedSet.empty()) == 0.0
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+    def test_nonfinite_or_negative_radius_rejected(self, radius):
+        with pytest.raises(ValueError):
+            RoundedSet(ConvexPolygon(SQUARE), radius)
+
 
 class TestCentroid:
     def test_square_any_radius(self):
@@ -99,7 +104,7 @@ class TestCentroid:
 
     def test_matches_polygon_centroid_at_zero_radius(self, rng):
         for _ in range(20):
-            s = random_rounded_set(rng, max_radius=0.0)
+            s = RoundedSet(random_rounded_set(rng).kernel, 0.0)
             c = rounded_centroid(s)
             assert np.allclose(c, polygon_centroid(s.kernel), atol=1e-12)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from conftest import random_rounded_set
 from shrinkset import (
     AreaExceedsDomainError,
     NonpositiveAreaError,
@@ -19,6 +18,7 @@ from shrinkset import (
     opening,
     optimal_subset,
     perimeter_of_area,
+    random_rounded_set,
     rounded_area,
     rounded_perimeter,
 )
@@ -91,6 +91,10 @@ class TestRegimes:
         with pytest.raises(AreaExceedsDomainError):
             optimal_subset(sq(), 2.0)
 
+    def test_nan_area_rejected(self):
+        with pytest.raises(NonpositiveAreaError):
+            optimal_subset(sq(), math.nan)
+
 
 class TestInvertOpeningArea:
     def test_square_closed_form(self):
@@ -108,6 +112,10 @@ class TestInvertOpeningArea:
         with pytest.raises(OutOfRegimeError):
             invert_opening_area(sq(), 0.5)
 
+    def test_nan_area_rejected(self):
+        with pytest.raises(OutOfRegimeError):
+            invert_opening_area(sq(), math.nan)
+
     def test_roundtrip(self, rng):
         for _ in range(30):
             s = random_rounded_set(rng)
@@ -124,6 +132,10 @@ class TestPerimeterOfArea:
         assert perimeter_of_area(sq(), 1.0) == pytest.approx(4.0)
         rho = math.sqrt(0.1 / (4 - math.pi))
         assert perimeter_of_area(sq(), 0.9) == pytest.approx(4 - 2 * (4 - math.pi) * rho)
+
+    def test_nan_area_rejected(self):
+        with pytest.raises(NonpositiveAreaError):
+            perimeter_of_area(sq(), math.nan)
 
     def test_monotone_nondecreasing(self, rng):
         for _ in range(10):

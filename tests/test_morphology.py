@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_rounded_set
 from shrinkset import (
     ConvexPolygon,
     EmptySetError,
@@ -16,6 +15,7 @@ from shrinkset import (
     inner_radius,
     opening,
     polygon_erode,
+    random_rounded_set,
     rounded_area,
 )
 from shrinkset.geometry import polygon_area, polygon_perimeter
@@ -42,6 +42,11 @@ class TestDilate:
 
     def test_empty(self):
         assert dilate(RoundedSet.empty(), 1.0).is_empty
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_nonfinite_radius_rejected(self, r):
+        with pytest.raises(ValueError):
+            dilate(sq(), r)
 
 
 class TestPolygonErode:
@@ -183,14 +188,49 @@ class TestDuality:
 
 class TestErosionProfile:
     def test_matches_direct_erosion(self, rng):
+        # the opening at rho = d of a sharp kernel is its d-erosion dilated
+        # by d: querying that area must give back depth d and the closed-form
+        # perimeter of the eroded polygon
         for _ in range(10):
-            s = random_rounded_set(rng, max_radius=0.0)
+            s = RoundedSet(random_rounded_set(rng).kernel, 0.0)
             prof = ErosionProfile(s.kernel)
             for d in np.linspace(0, prof.d_max * 0.999, 7):
-                e = polygon_erode(s.kernel, float(d))
-                assert prof.area_at(float(d)) == pytest.approx(
-                    polygon_area(e), abs=1e-10
-                )
-                assert prof.perimeter_at(float(d)) == pytest.approx(
+                d = float(d)
+                e = polygon_erode(s.kernel, d)
+                a = polygon_area(e) + d * polygon_perimeter(e) + math.pi * d * d
+                perim, regime, rho, depth = prof.query(0.0, a)
+                assert regime == "Opening"
+                assert depth == pytest.approx(d, abs=1e-10)
+                assert rho == pytest.approx(d, abs=1e-10)
+                assert perim - 2.0 * math.pi * d == pytest.approx(
                     polygon_perimeter(e), abs=1e-10
                 )
+
+    def test_velocities_match_per_vertex_solve(self, rng):
+        # the batched solve must equal solving each vertex's 2x2 system
+        for _ in range(10):
+            prof = ErosionProfile(random_rounded_set(rng).kernel)
+            for piece in prof.pieces:
+                n = ConvexPolygon(piece.vertices).edge_normals()
+                nprev = np.roll(n, 1, axis=0)
+                want = [
+                    np.linalg.solve(np.array([nprev[i], n[i]]), np.ones(2))
+                    for i in range(len(n))
+                ]
+                assert np.array_equal(piece.velocities, np.array(want))
+
+    @pytest.mark.parametrize("n", [512, 1024, 4096])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_regular_polygon_collapses_in_one_event(self, n, moved):
+        # every edge of a regular n-gon vanishes at the same depth, the
+        # apothem; float noise must not split that event or break the build
+        t = 2.0 * math.pi * np.arange(n) / n
+        v = np.stack([np.cos(t), np.sin(t)], axis=1)
+        if moved:
+            c, s = math.cos(0.7142223654075871), math.sin(0.7142223654075871)
+            v = v @ np.array([[c, s], [-s, c]])
+            v += (-0.21754361900867591, 0.03348036524272735)
+        prof = ErosionProfile(ConvexPolygon(v))
+        assert len(prof.pieces) == 1
+        assert len(prof.locus) == 1
+        assert prof.d_max == pytest.approx(math.cos(math.pi / n), rel=1e-9)

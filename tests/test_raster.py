@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_rounded_set
 from shrinkset import (
     RasterGrid,
     RoundedSet,
     dilate,
     erode,
     opening,
+    random_rounded_set,
     raster_area,
     raster_dilate,
     raster_erode,
