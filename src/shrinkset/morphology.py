@@ -187,12 +187,11 @@ class ErosionProfile:
         rbar = self.rbar(c)
         a_ball = math.pi * rbar * rbar
         if a >= a_full - tol:
-            if not self.pieces and self.locus_len == 0.0:
-                # the whole set is a ball: report it as one
-                return self.perim0 + 2.0 * math.pi * c, BALL, rbar, 0.0
-            # plateau: largest rho whose opening still fills the set
-            rho = c if self.pieces else rbar
-            return self.perim0 + 2.0 * math.pi * c, OPENING, rho, 0.0
+            # plateau: largest rho whose opening still fills the set is c
+            # (== rbar without pieces); a set that is one ball is reported
+            # as a ball
+            regime = OPENING if self.pieces or self.locus_len > 0.0 else BALL
+            return self.perim0 + 2.0 * math.pi * c, regime, c, 0.0
         if a >= self.area_hat(c) - tol:
             d, perim = self._opening_depth(c, a)
             return perim, OPENING, c + d, d
