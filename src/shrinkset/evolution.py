@@ -15,7 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+
+# perfbench/run.py traces the former tail root-finder under this name; the
+# closed-form tail no longer calls it
+from scipy.optimize import brentq  # noqa: F401
+from scipy.special import lambertw
 
 from .errors import BadConfigError, OutOfRangeError
 from .geometry import RoundedSet, contains, rounded_area
@@ -24,6 +28,9 @@ from .morphology import BALL, _profile, dilate
 
 _EVENT_TIME_TOL = 1e-10
 _GROWTH_SLACK = 1e-9
+# least float argument of the principal Lambert W: the float nearest -1/e
+# lies just past the branch point, where scipy's lambertw returns nan
+_W_BRANCH = float(np.nextafter(-math.exp(-1.0), 0.0))
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,25 @@ def _escaped(a: float, M: float) -> bool:
     """Isoperimetric escape: every set of area a has perimeter at least
     2*sqrt(pi*a), so past M the rate stays positive and a keeps growing."""
     return 2.0 * math.sqrt(math.pi * max(a, 0.0)) > M * (1.0 + _GROWTH_SLACK)
+
+
+def _free_ball_radius(
+    t: np.ndarray, t0: float, r0: float, rstar: float
+) -> np.ndarray:
+    """Radius at times t >= t0 of a free ball, r' = 1 - rstar/r, of radius
+    r0 < rstar at t0.
+
+    Closed form r = rstar*(1 + W0(-(u0/rstar)*exp((t - t0 - u0)/rstar))) with
+    u0 = rstar - r0 (Corless et al., "On the Lambert W function", 1996).  The
+    argument is negative and reaches the branch point -1/e at extinction;
+    clamping it to the branch and the radius to [0, r0] keeps a time at or
+    past extinction real and finite (there the radius is at most ~1.3e-8
+    rstar, the float resolution of W at its branch point).
+    """
+    u0 = rstar - r0
+    z = -(u0 / rstar) * np.exp((np.asarray(t, dtype=float) - t0 - u0) / rstar)
+    w = lambertw(np.maximum(z, _W_BRANCH)).real
+    return np.clip(rstar * (1.0 + w), 0.0, r0)
 
 
 def default_step(omega0: RoundedSet) -> float:
@@ -144,43 +170,41 @@ def simulate(
         rhos.append(rho)
         rates.append(r)
 
-    def ball_tail(t0: float, ab: float) -> None:
-        # inside the ball regime with 2*sqrt(pi*a) < M the set is a shrinking
-        # free ball, r' = 1 - M/(2*pi*r); its implicit solution is exact, so
-        # sample it directly instead of chasing the sqrt(T-t) tail with RK4
+    def ball_tail(t0: float, r0: float) -> tuple[np.ndarray, ...]:
+        # inside the ball regime with r0 < rstar the set is a shrinking free
+        # ball whose radius has a closed form, so the rest of the trace is
+        # written in bulk instead of chasing the sqrt(T-t) tail with RK4.
+        # Sample times are summed in sequence (t0 + dt + dt + ...), like the
+        # RK4 grid, with two spare steps for the rounding of the sum; the rows
+        # repeat the ball branch of ErosionProfile.query.
         nonlocal T_star
-        rstar = M / (2.0 * math.pi)
-        r0 = math.sqrt(ab / math.pi)
         t_end = t0 - r0 - rstar * math.log1p(-r0 / rstar)
-
-        def radius_at(tk: float) -> float:
-            def g(r: float) -> float:
-                return (r - r0) + rstar * math.log(
-                    (rstar - r) / (rstar - r0)
-                ) - (tk - t0)
-
-            return brentq(g, 0.0, r0, xtol=1e-15)
-
-        tk = t0 + dt
-        while tk < min(t_end, horizon) - 1e-15:
-            r = radius_at(tk)
-            record(tk, math.pi * r * r)
-            tk += dt
+        stop = min(t_end, horizon) - 1e-15
+        steps = np.full(int((stop - t0) / dt) + 2, dt)
+        steps[0] = t0 + dt
+        tk = np.add.accumulate(steps)
+        tk = np.append(tk[tk < stop], min(t_end, horizon))
+        r = _free_ball_radius(tk, t0, r0, rstar)
         if t_end <= horizon:
             T_star = t_end
-            record(t_end, 0.0)
-        else:
-            r = radius_at(horizon)
-            record(horizon, math.pi * r * r)
+            r[-1] = 0.0
+        area = math.pi * r * r
+        perim = 2.0 * np.sqrt(math.pi * area)
+        return tk, area, perim, np.sqrt(area / math.pi), perim - M
 
+    rstar = M / (2.0 * math.pi)
+    tail = ((),) * 5  # columns t, a, perimeter, rho, rate of the ball tail
     t, a = 0.0, a0
     record(t, a)
     while t < horizon - 1e-15:
         if stop_when_growing and _escaped(a, M):
             break
-        if psi_ball(t, a) <= 0.0 and 2.0 * math.sqrt(math.pi * a) < M:
-            ball_tail(t, a)
-            break
+        if psi_ball(t, a) <= 0.0 and rstar > 0.0:
+            # the tail's own numbers must admit extinction: log1p(-r0/rstar)
+            r0 = math.sqrt(a / math.pi)
+            if r0 / rstar < 1.0:
+                tail = ball_tail(t, r0)
+                break
         h = min(dt, horizon - t)
         a1 = rk4(t, a, h)
         events = []  # (time offset, kind)
@@ -203,15 +227,20 @@ def simulate(
         if T_dagger is None and psi_ball(t, a) <= 0.0:
             T_dagger = t
 
+    regime = tuple(regimes) + (BALL,) * len(tail[0])
+    ts, areas, perims, rhos, rates = (
+        np.concatenate((rows, bulk))
+        for rows, bulk in zip((ts, areas, perims, rhos, rates), tail)
+    )
     return EvolutionTrace(
         omega0=omega0,
         M=M,
-        t=np.asarray(ts),
-        a=np.asarray(areas),
-        perimeter=np.asarray(perims),
-        regime=tuple(regimes),
-        rho=np.asarray(rhos),
-        rate=np.asarray(rates),
+        t=ts,
+        a=areas,
+        perimeter=perims,
+        regime=regime,
+        rho=rhos,
+        rate=rates,
         T_star=T_star,
         T_dagger=T_dagger,
         horizon=horizon,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDomainError, NotCriticalError
+from .errors import BadConfigError, DegenerateDomainError, NotCriticalError
 from .evolution import EvolutionTrace, _escaped, default_step, simulate
 from .geometry import RoundedSet, rounded_area
 
@@ -52,10 +52,14 @@ def critical_budget(
     """Least budget that drives the set extinct, located by bisection.
 
     Returns the bracket midpoint; with full_output, also the final bracket
-    [lo, hi] and the number of bisection steps.  An Undetermined outcome
-    (near-critical slow dynamics) is retried once at double the horizon and
-    then assigned to the side its final trend indicates.
+    [lo, hi] and the number of bisection steps.  The bisection stops when the
+    bracket is at most tol wide or no float lies strictly inside it.  An
+    Undetermined outcome (near-critical slow dynamics) is retried once at
+    double the horizon and then assigned to the side its final trend
+    indicates.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise BadConfigError(f"tol must be positive and finite, got {tol}")
     if dt is None:
         dt = default_step(omega0)
     if classify(omega0, _PROBE_BUDGET, horizon, dt).kind != GROWS:
@@ -71,6 +75,8 @@ def critical_budget(
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         out = classify(omega0, mid, horizon, dt)
         if out.kind == UNDETERMINED:
             out = classify(omega0, mid, 2.0 * horizon, dt)

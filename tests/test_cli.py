@@ -163,6 +163,9 @@ class TestErrors:
         g.write_text(json.dumps({"kernel": "nope"}))
         assert main(["simulate", "--geometry", str(g), "--M", "1.0"]) == 1
 
+    def test_nan_tolerance(self, geom):
+        assert main(["threshold", "--geometry", str(geom), "--tol", "nan"]) == 1
+
     def test_unreadable_config(self, tmp_path, geom):
         assert main([
             "simulate", "--config", str(tmp_path / "missing.json"),

@@ -16,6 +16,7 @@ from shrinkset import (
     rounded_perimeter,
     simulate,
 )
+from shrinkset.evolution import _free_ball_radius
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -26,6 +27,44 @@ def sq(radius=0.0):
 
 def unit_ball(radius=1.0, center=(0.0, 0.0)):
     return RoundedSet.ball(center, radius)
+
+
+class TestFreeBallRadius:
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 0.999])
+    def test_matches_implicit_solution(self, ratio):
+        # oracle: the implicit solution (r - r0) + rstar*ln((rstar - r)/(rstar
+        # - r0)) = t - t0 solved at 50 digits for the same float inputs; the
+        # bound grows like 1/r near extinction, where the time input is ill
+        # conditioned
+        import mpmath
+
+        rstar = 4.0 / (2.0 * math.pi)
+        r0, t0 = ratio * rstar, 0.3
+        t_end = t0 - r0 - rstar * math.log1p(-r0 / rstar)
+        fractions = [0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1 - 1e-5, 1 - 1e-6, 1 - 1e-7]
+        times = np.array([t0 + f * (t_end - t0) for f in fractions])
+        radii = _free_ball_radius(times, t0, r0, rstar)
+        with mpmath.workdps(50):
+            rs, r0_ = mpmath.mpf(rstar), mpmath.mpf(r0)
+            for t, r in zip(times, radii):
+                elapsed = mpmath.mpf(float(t)) - mpmath.mpf(t0)
+
+                def g(x, elapsed=elapsed):
+                    return (x - r0_) + rs * mpmath.log((rs - x) / (rs - r0_)) - elapsed
+
+                exact = float(mpmath.findroot(g, (0, r0_), solver="anderson"))
+                assert abs(r - exact) <= 1e-14 * rstar * max(1.0, rstar / exact)
+
+    def test_real_and_bounded_at_extinction(self):
+        # the float nearest -1/e lies past the branch point of W0
+        rstar, r0, t0 = 0.5, 0.4, 0.0
+        t_end = t0 - r0 - rstar * math.log1p(-r0 / rstar)
+        times = np.array([t0, t_end, math.nextafter(t_end, math.inf), 2 * t_end])
+        radii = _free_ball_radius(times, t0, r0, rstar)
+        assert radii.dtype == np.float64 and np.all(np.isfinite(radii))
+        assert radii[0] == pytest.approx(r0, rel=1e-15)
+        assert np.all((radii >= 0.0) & (radii <= r0))
+        assert np.all(radii[1:] <= 1e-7 * rstar)
 
 
 class TestAreaRate:
@@ -74,12 +113,22 @@ class TestSimulate:
         assert trace.T_star == pytest.approx(euler_t_star(1e-6), abs=1e-4)
 
     def test_rate_column_matches_area_rate(self):
-        trace = simulate(sq(), 3.0, horizon=0.2)
-        for k in range(0, len(trace), 7):
-            t, a = float(trace.t[k]), float(trace.a[k])
-            if a <= 0:
-                continue
-            assert trace.rate[k] == pytest.approx(area_rate(sq(), t, a, 3.0), rel=1e-9)
+        # horizon 0.2 keeps to RK4 rows; M = 4 over horizon 5 becomes a ball
+        # at T_dagger and its rows after that are the closed-form ball tail
+        short = simulate(sq(), 3.0, horizon=0.2)
+        tail = simulate(sq(), 4.0, horizon=5.0)
+        assert tail.T_dagger < tail.T_star
+        cases = [
+            (short, range(0, len(short), 7)),
+            (tail, np.flatnonzero(tail.t > tail.T_dagger)),
+        ]
+        for trace, rows in cases:
+            for k in rows:
+                t, a = float(trace.t[k]), float(trace.a[k])
+                if a <= 0:
+                    continue
+                expected = area_rate(sq(), t, a, trace.M)
+                assert trace.rate[k] == pytest.approx(expected, rel=1e-9)
 
     def test_T_dagger_marks_ball_entry(self):
         trace = simulate(sq(), 4.0, horizon=5.0)
@@ -130,6 +179,14 @@ class TestSimulate:
         ]
         ratio = errs[0] / errs[1]
         assert 12 <= ratio <= 20
+
+    @pytest.mark.parametrize("M", [3.553543661971445, 3.553543661971455])
+    def test_ball_tail_entry_near_critical_budget(self, M):
+        # 2*sqrt(pi*a) < M but r0/rstar rounds to 1 or above: the tail must
+        # not be entered with numbers that do not admit extinction
+        trace = simulate(sq(), M, 50.0, stop_when_growing=True)
+        assert trace.T_dagger is not None
+        assert np.all(np.isfinite(trace.a)) and np.all(trace.a >= 0.0)
 
     def test_bad_config(self):
         with pytest.raises(BadConfigError):

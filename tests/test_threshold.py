@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shrinkset import (
+    BadConfigError,
     DegenerateDomainError,
     EXTINCT,
     GROWS,
@@ -97,6 +98,19 @@ class TestCriticalBudget:
         tr_lo = simulate(sq(), 2.5, horizon=0.5)
         a_hi = np.interp(tr_lo.t, tr_hi.t, tr_hi.a)
         assert np.all(a_hi <= tr_lo.a + 1e-8)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(BadConfigError):
+            critical_budget(sq(), tol=tol)
+
+    def test_tolerance_near_float_spacing(self):
+        # near M0 the ball tail's entry test decides at the last bits
+        m0, (lo, hi), _ = critical_budget(sq(), tol=1e-15, full_output=True)
+        assert lo <= m0 <= hi and hi - lo <= 1e-15
+        # below the spacing of M0 the bisection ends at adjacent floats
+        m0, (lo, hi), _ = critical_budget(sq(), tol=1e-17, full_output=True)
+        assert lo <= m0 <= hi and hi - lo <= 2 * math.ulp(hi)
 
     def test_degenerate_domain(self):
         with pytest.raises(DegenerateDomainError):
