@@ -50,26 +50,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Controlled shrinking of convex sets: simulation and analysis.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="JSON config file")
-    common.add_argument("--geometry", type=Path, help="geometry JSON file")
-    common.add_argument("--M", type=float, help="control budget")
-    common.add_argument("--dt", type=float, help="integration step")
-    common.add_argument("--horizon", type=float, help="time horizon")
-    common.add_argument("--tol", type=float, help="tolerance")
-    common.add_argument("--a", type=float, help="target area")
-    common.add_argument("--seed", type=int, help="RNG seed for randomized suites")
-    common.add_argument("--out", type=Path, help="output file (default stdout)")
-
-    s = sub.add_parser("simulate", parents=[common], help="integrate the area ODE")
+    # each command declares only the options it reads
+    s = sub.add_parser("simulate", help="integrate the area ODE")
+    t = sub.add_parser("threshold", help="locate the critical budget")
+    o = sub.add_parser("one-step", help="solve the one-step problem")
+    v = sub.add_parser("validate", help="self-check suites")
+    for cmd in (s, t, o, v):
+        cmd.add_argument("--config", type=Path, help="JSON config file")
+    for cmd in (s, t, o):
+        cmd.add_argument("--geometry", type=Path, help="geometry JSON file")
+    s.add_argument("--M", type=float, help="control budget")
+    for cmd in (s, t):
+        cmd.add_argument("--dt", type=float, help="integration step")
+        cmd.add_argument("--horizon", type=float, help="time horizon")
+    t.add_argument("--tol", type=float, help="tolerance")
+    o.add_argument("--a", type=float, help="target area")
+    v.add_argument("--seed", type=int, help="RNG seed for randomized suites")
     s.add_argument("--c1", type=float, help="running cost weight")
     s.add_argument("--c2", type=float, help="terminal cost weight")
     s.add_argument("--svg-every", type=float, help="SVG snapshot period")
-
-    sub.add_parser("threshold", parents=[common], help="locate the critical budget")
-    sub.add_parser("one-step", parents=[common], help="solve the one-step problem")
-
-    v = sub.add_parser("validate", parents=[common], help="self-check suites")
+    for cmd in (s, t, o, v):
+        cmd.add_argument("--out", type=Path, help="output file (default stdout)")
     v.add_argument(
         "--suite",
         action="append",
@@ -93,21 +94,16 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise BadConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise BadConfigError("config must be a JSON object")
-    if args.geometry is not None:
+    geometry = getattr(args, "geometry", None)
+    if geometry is not None:
         try:
-            cfg["geometry"] = json.loads(args.geometry.read_text())
+            cfg["geometry"] = json.loads(geometry.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise BadConfigError(f"cannot read geometry: {exc}") from exc
-    for key in ("M", "dt", "horizon", "tol", "a", "seed"):
+    for key in ("M", "dt", "horizon", "tol", "a", "seed", "c1", "c2", "svg_every"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    for key in ("c1", "c2"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "svg_every", None) is not None:
-        cfg["svg_every"] = args.svg_every
     return cfg
 
 
@@ -138,8 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = trace_to_csv(trace)
     c1, c2 = cfg.get("c1"), cfg.get("c2")
     if c1 is not None or c2 is not None:
-        t_cost = float(cfg.get("T", trace.t[-1]))
-        cost = compute_cost(trace, float(c1 or 0.0), float(c2 or 0.0), t_cost)
+        cost = compute_cost(trace, float(c1 or 0.0), float(c2 or 0.0), trace.t[-1])
         out += f"# J={fmt(cost)}\n"
     _emit(args, out)
     period = cfg.get("svg_every")
@@ -201,7 +196,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     suites = args.suite or ["raster", "invariants"]
     if "none" in suites:
-        print("no checks selected: PASS")
+        _emit(args, "no checks selected: PASS\n")
         return EXIT_OK
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     bias = 1e-2 if args.inject_perturbation else 0.0
@@ -246,17 +241,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 rows.append((f"raster-{name}-{i}", err <= tolerance))
 
     width = max(len(name) for name, _ in rows)
-    ok = True
-    for name, passed in rows:
-        print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}")
-        ok &= passed
-    print(f"{'overall':<{width}}  {'PASS' if ok else 'FAIL'}")
+    ok = all(passed for _, passed in rows)
+    report = "".join(
+        f"{name:<{width}}  {'PASS' if passed else 'FAIL'}\n"
+        for name, passed in rows + [("overall", ok)]
+    )
+    _emit(args, report)
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2, with the message on stderr,
+        # on a usage error; 2 is this program's numeric-failure code
+        return EXIT_OK if not exc.code else EXIT_USAGE
     handlers = {
         "simulate": cmd_simulate,
         "threshold": cmd_threshold,

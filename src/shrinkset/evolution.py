@@ -28,6 +28,8 @@ from .morphology import BALL, _profile, dilate
 
 _EVENT_TIME_TOL = 1e-10
 _GROWTH_SLACK = 1e-9
+# largest number of sample times check_admissible tests
+_ADMISSIBLE_CHECKS = 40
 # least float argument of the principal Lambert W: the float nearest -1/e
 # lies just past the branch point, where scipy's lambertw returns nan
 _W_BRANCH = float(np.nextafter(-math.exp(-1.0), 0.0))
@@ -248,23 +250,25 @@ def simulate(
     )
 
 
-def _hermite(trace: EvolutionTrace, t: float) -> float:
-    """Cubic Hermite interpolation of a(t) on the sample grid."""
+def _hermite(trace: EvolutionTrace, t: float | np.ndarray) -> float | np.ndarray:
+    """Cubic Hermite interpolation of a(t) on the sample grid, held at the
+    first and last sample outside it; t is a time or an array of times."""
     ts = trace.t
-    if t <= ts[0]:
-        return float(trace.a[0])
-    if t >= ts[-1]:
-        return float(trace.a[-1])
-    i = int(np.searchsorted(ts, t, side="right")) - 1
+    t = np.asarray(t, dtype=float)
+    a = np.where(t <= ts[0], trace.a[0], trace.a[-1])
+    inside = (t > ts[0]) & (t < ts[-1])
+    ti = t[inside]
+    i = np.searchsorted(ts, ti, side="right") - 1
     h = ts[i + 1] - ts[i]
-    s = (t - ts[i]) / h
+    s = (ti - ts[i]) / h
     a0, a1 = trace.a[i], trace.a[i + 1]
     f0, f1 = trace.rate[i], trace.rate[i + 1]
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
-    return float(h00 * a0 + h10 * h * f0 + h01 * a1 + h11 * h * f1)
+    a[inside] = h00 * a0 + h10 * h * f0 + h01 * a1 + h11 * h * f1
+    return a if a.ndim else float(a)
 
 
 def reconstruct_set(trace: EvolutionTrace, t: float) -> RoundedSet:
@@ -285,35 +289,27 @@ def reconstruct_set(trace: EvolutionTrace, t: float) -> RoundedSet:
 def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float:
     """Running cost c1*integral of a(t) over [0,T] plus terminal c2*a(T).
 
-    The integral uses composite Simpson on each sample interval with the
-    Hermite midpoint, which is exact for the cubic interpolant; a(t) is
-    identically zero past extinction."""
+    a(t) is the trace's cubic Hermite interpolant (held at its last sample,
+    zero after extinction) and the integral is exact: on each sample
+    interval [t_i, t_i + h_i] it is h_i times the Hermite basis
+    antiderivatives at s_i = clip((T - t_i)/h_i, 0, 1)."""
     t_end = float(trace.t[-1])
-    if T < 0.0 or (T > t_end + 1e-12 and trace.T_star is None):
+    if not (T >= 0.0 and (T <= t_end + 1e-12 or trace.T_star is not None)):
         raise OutOfRangeError(f"cost horizon {T} beyond the trace range")
-
-    def a_of(t: float) -> float:
-        if trace.T_star is not None and t >= trace.T_star:
-            return 0.0
-        return _hermite(trace, t)
-
-    total = 0.0
-    ts = trace.t
-    for i in range(len(ts) - 1):
-        lo, hi = float(ts[i]), min(float(ts[i + 1]), T)
-        if hi <= lo:
-            break
-        h = hi - lo
-        total += (h / 6.0) * (a_of(lo) + 4.0 * a_of(lo + 0.5 * h) + a_of(hi))
-    return c1 * total + c2 * a_of(T)
+    t0, h = trace.t[:-1], np.diff(trace.t)
+    # a zero-width interval gets s = 0 or 1 and contributes h*(...) = 0
+    s = np.clip((T - t0) / np.where(h > 0.0, h, 1.0), 0.0, 1.0)
+    s3 = s**3
+    integral = h * (
+        s * (1.0 + s * s * (0.5 * s - 1.0)) * trace.a[:-1]
+        + s * s * (0.5 + s * (0.25 * s - 2.0 / 3.0)) * h * trace.rate[:-1]
+        + s3 * (1.0 - 0.5 * s) * trace.a[1:]
+        + s3 * (0.25 * s - 1.0 / 3.0) * h * trace.rate[1:]
+    )
+    return c1 * float(integral.sum()) + c2 * _hermite(trace, T)
 
 
-def check_admissible(
-    trace: EvolutionTrace,
-    delta: float,
-    tol: float,
-    max_checks: int = 40,
-) -> bool:
+def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
     """Discrete admissibility: the set at t+delta fits in the delta-dilation
     of the set at t, and the area removed per unit time is the budget M."""
     t_end = float(trace.t[-1])
@@ -325,7 +321,7 @@ def check_admissible(
     dp = np.abs(np.diff(trace.perimeter))
     dtm = np.maximum(np.diff(trace.t), 1e-300)
     big_c = math.pi + float((dp / dtm).max(initial=0.0))
-    times = np.linspace(0.0, t_end - delta, min(max_checks, len(trace.t)))
+    times = np.linspace(0.0, t_end - delta, min(_ADMISSIBLE_CHECKS, len(trace.t)))
     for t in times:
         here = reconstruct_set(trace, float(t))
         if here.is_empty:

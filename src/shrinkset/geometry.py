@@ -391,8 +391,8 @@ def _support_values(s: RoundedSet, dirs: np.ndarray) -> np.ndarray:
     return (s.kernel.vertices @ dirs.T).max(axis=0) + s.radius
 
 
-def _probe_directions(a: RoundedSet, b: RoundedSet, grid: int) -> np.ndarray:
-    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+def _probe_directions(a: RoundedSet, b: RoundedSet) -> np.ndarray:
+    angles = np.linspace(0.0, 2.0 * math.pi, SUPPORT_GRID, endpoint=False)
     dirs = [np.stack([np.cos(angles), np.sin(angles)], axis=1)]
     for s in (a, b):
         n = s.kernel.edge_normals()
@@ -401,23 +401,23 @@ def _probe_directions(a: RoundedSet, b: RoundedSet, grid: int) -> np.ndarray:
     return np.concatenate(dirs)
 
 
-def contains(a: RoundedSet, b: RoundedSet, tol: float, grid: int = SUPPORT_GRID) -> bool:
+def contains(a: RoundedSet, b: RoundedSet, tol: float) -> bool:
     """b subset of a, up to tol, tested on support functions at the kernels'
     edge normals plus a uniform angular grid."""
     if b.is_empty:
         return True
     if a.is_empty:
         return False
-    dirs = _probe_directions(a, b, grid)
+    dirs = _probe_directions(a, b)
     return bool(np.all(_support_values(b, dirs) <= _support_values(a, dirs) + tol))
 
 
-def hausdorff(a: RoundedSet, b: RoundedSet, grid: int = SUPPORT_GRID) -> float:
+def hausdorff(a: RoundedSet, b: RoundedSet) -> float:
     """Hausdorff distance of convex bodies: sup-norm of the support gap,
     sampled at kernel normals plus a uniform angular grid."""
     if a.is_empty or b.is_empty:
         raise EmptySetError("hausdorff of empty set")
-    dirs = _probe_directions(a, b, grid)
+    dirs = _probe_directions(a, b)
     return float(np.abs(_support_values(a, dirs) - _support_values(b, dirs)).max())
 
 

@@ -15,6 +15,9 @@ from .errors import BadConfigError
 from .evolution import EvolutionTrace
 from .geometry import ConvexPolygon, RoundedSet, boundary_pieces
 
+# SVG outline width as a fraction of the drawing's larger side
+_STROKE_WIDTH = 0.005
+
 
 def fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -95,7 +98,7 @@ def _svg_path(s: RoundedSet) -> str:
     return " ".join(cmds)
 
 
-def render_svg(sets: Iterable[RoundedSet], stroke_width: float = 0.005) -> str:
+def render_svg(sets: Iterable[RoundedSet]) -> str:
     """Outline drawing of one or more sets, in their own coordinates."""
     sets = [s for s in sets if not s.is_empty]
     if not sets:
@@ -109,7 +112,7 @@ def render_svg(sets: Iterable[RoundedSet], stroke_width: float = 0.005) -> str:
     h = hi_y - lo_y + 2 * pad
     paths = "\n".join(
         f'  <path d="{_svg_path(s)}" fill="none" stroke="black" '
-        f'stroke-width="{fmt(stroke_width * max(w, h))}"/>'
+        f'stroke-width="{fmt(_STROKE_WIDTH * max(w, h))}"/>'
         for s in sets
     )
     return (

@@ -153,6 +153,14 @@ class TestValidate:
     def test_suite_none(self):
         assert main(["validate", "--suite", "none"]) == 0
 
+    def test_out_file(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        assert main(["validate", "--suite", "invariants", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("steiner-growth-0 ")
+        assert lines[-1].split() == ["overall", "PASS"]
+
 
 class TestErrors:
     def test_missing_geometry(self):
@@ -165,6 +173,29 @@ class TestErrors:
 
     def test_nan_tolerance(self, geom):
         assert main(["threshold", "--geometry", str(geom), "--tol", "nan"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--geometry", "square.json", "--M", "abc"],
+            ["simulate", "--geometry", "square.json", "--M", "1", "--no-such-option"],
+            # options the command does not read
+            ["one-step", "--geometry", "square.json", "--a", "0.3", "--dt", "7",
+             "--tol", "3", "--seed", "4", "--M", "9"],
+            ["threshold", "--geometry", "square.json", "--a", "7", "--M", "1"],
+            ["validate", "--suite", "none", "--geometry", "square.json"],
+            [],
+        ],
+    )
+    def test_usage_error(self, argv, geom, monkeypatch, capsys):
+        # exit 2 is reserved for numeric failure
+        monkeypatch.chdir(geom.parent)
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        assert "--svg-every" in capsys.readouterr().out
 
     def test_unreadable_config(self, tmp_path, geom):
         assert main([

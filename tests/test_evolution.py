@@ -16,7 +16,7 @@ from shrinkset import (
     rounded_perimeter,
     simulate,
 )
-from shrinkset.evolution import _free_ball_radius
+from shrinkset.evolution import _free_ball_radius, _hermite
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -248,6 +248,70 @@ class TestCost:
         trace = simulate(sq(), 3.0, horizon=0.5)
         with pytest.raises(OutOfRangeError):
             compute_cost(trace, 1.0, 0.0, 1.0)
+        with pytest.raises(OutOfRangeError):
+            compute_cost(trace, 1.0, 0.0, math.nan)
+
+    def test_zero_budget_partial_last_interval(self):
+        # at M = 0 the area 1 + 4t + pi*t^2 is a quadratic, which the Hermite
+        # interpolant reproduces, so a horizon strictly inside a sample
+        # interval has the exact running cost T + 2T^2 + pi*T^3/3
+        trace = simulate(sq(), 0.0, horizon=1.0)
+        for T in (0.3337, 0.5 + trace.dt / 3.0, 0.9999):
+            k = int(np.searchsorted(trace.t, T))
+            assert trace.t[k - 1] < T < trace.t[k]
+            exact = T + 2.0 * T**2 + math.pi * T**3 / 3.0
+            assert compute_cost(trace, 1.0, 0.0, T) == pytest.approx(exact, rel=1e-12)
+
+    def test_partial_interval_matches_quadrature(self):
+        # oracle: scipy's adaptive quadrature of the interpolant, interval by
+        # interval, up to a horizon inside the RK4 rows, inside the free-ball
+        # tail and past extinction (where a(t) and the terminal cost are 0)
+        from scipy.integrate import quad
+
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        assert trace.T_dagger < trace.T_star < 5.0
+        for T in (
+            0.5 * trace.T_dagger + 1e-4 * math.pi,
+            0.5 * (trace.T_dagger + trace.T_star) + 1e-4 * math.pi,
+            trace.T_star + 0.5,
+        ):
+            running = 0.0
+            for lo, hi in zip(trace.t[:-1], np.minimum(trace.t[1:], T)):
+                if hi > lo:
+                    running += quad(lambda t: _hermite(trace, t), lo, hi)[0]
+            terminal = _hermite(trace, T) if T < trace.T_star else 0.0
+            want = 0.5 * running + 2.0 * terminal
+            assert compute_cost(trace, 0.5, 2.0, T) == pytest.approx(want, rel=1e-12)
+
+    def test_one_row_trace(self):
+        # an escaped probe stops at t = 0 with a single sample
+        trace = simulate(sq(), 1.0, 50.0, stop_when_growing=True)
+        assert len(trace) == 1
+        assert compute_cost(trace, 3.0, 2.0, 0.0) == 2.0 * trace.a[0]
+
+    def test_hermite_array_matches_scalar_reference(self):
+        # reference: the interpolant one time at a time, same arithmetic
+        def hermite(tr, t):
+            if t <= tr.t[0]:
+                return tr.a[0]
+            if t >= tr.t[-1]:
+                return tr.a[-1]
+            i = int(np.searchsorted(tr.t, t, side="right")) - 1
+            h = tr.t[i + 1] - tr.t[i]
+            s = (t - tr.t[i]) / h
+            return (
+                (1 + 2 * s) * (1 - s) ** 2 * tr.a[i]
+                + s * (1 - s) ** 2 * h * tr.rate[i]
+                + s * s * (3 - 2 * s) * tr.a[i + 1]
+                + s * s * (s - 1) * h * tr.rate[i + 1]
+            )
+
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        mids = 0.5 * (trace.t[:-1] + trace.t[1:])
+        times = np.concatenate(([-1.0], trace.t, mids, [trace.t[-1] + 1.0]))
+        want = np.array([hermite(trace, t) for t in times])
+        assert _hermite(trace, times).tobytes() == want.tobytes()
+        assert [_hermite(trace, t) for t in times] == want.tolist()
 
 
 class TestAdmissibility:
