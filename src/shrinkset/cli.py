@@ -43,6 +43,9 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
 
+# values that a config file or a command's own option may give
+_OPTION_KEYS = ("M", "dt", "horizon", "tol", "a", "seed", "c1", "c2", "svg_every")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -94,13 +97,17 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise BadConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise BadConfigError("config must be a JSON object")
+        for key in cfg:
+            # a command reads "geometry" iff it declares --geometry
+            if key not in _OPTION_KEYS + ("geometry",) or not hasattr(args, key):
+                raise BadConfigError(f"config key {key!r} is not read by {args.command}")
     geometry = getattr(args, "geometry", None)
     if geometry is not None:
         try:
             cfg["geometry"] = json.loads(geometry.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise BadConfigError(f"cannot read geometry: {exc}") from exc
-    for key in ("M", "dt", "horizon", "tol", "a", "seed", "c1", "c2", "svg_every"):
+    for key in _OPTION_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -128,6 +135,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     omega0 = _geometry(cfg)
     if "M" not in cfg:
         raise BadConfigError("simulate needs a budget M")
+    period = cfg.get("svg_every")
+    if period is not None:
+        period = float(period)
+        if not (period > 0 and math.isfinite(period)):
+            raise BadConfigError(f"svg_every must be positive and finite, got {period}")
     trace = simulate(
         omega0, float(cfg["M"]), float(cfg.get("horizon", 10.0)), cfg.get("dt")
     )
@@ -137,7 +149,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cost = compute_cost(trace, float(c1 or 0.0), float(c2 or 0.0), trace.t[-1])
         out += f"# J={fmt(cost)}\n"
     _emit(args, out)
-    period = cfg.get("svg_every")
     if period is not None:
         stem = args.out if args.out is not None else Path("snapshot.svg")
         t = 0.0
@@ -145,7 +156,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             snap = reconstruct_set(trace, min(t, float(trace.t[-1])))
             path = stem.with_suffix(f".t{fmt(t)}.svg")
             path.write_text(render_svg([snap]))
-            t += float(period)
+            t += period
     return EXIT_OK
 
 

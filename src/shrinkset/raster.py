@@ -10,15 +10,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .geometry import Point2, RoundedSet
 
+# rasterize decides whole BLOCK x BLOCK tiles of cells from one distance at
+# the tile centre, and evaluates cells one by one only in tiles near the boundary
+BLOCK = 8
+
 
 @dataclass(frozen=True)
 class RasterGrid:
+    """A cell grid; occupancy is never mutated after construction, since
+    erosion masks are memoized on the grid."""
+
     origin: Point2  # center of cell [0, 0]
     h: float
     occupancy: np.ndarray  # bool, indexed [iy, ix]
@@ -27,12 +35,10 @@ class RasterGrid:
     def shape(self) -> tuple[int, int]:
         return self.occupancy.shape
 
-
-def _cell_centers(grid: RasterGrid) -> tuple[np.ndarray, np.ndarray]:
-    ny, nx = grid.occupancy.shape
-    xs = grid.origin.x + grid.h * np.arange(nx)
-    ys = grid.origin.y + grid.h * np.arange(ny)
-    return np.meshgrid(xs, ys)
+    @cached_property
+    def _erosions(self) -> dict[float, np.ndarray]:
+        # radius -> read-only erosion mask, shared by erode and opening
+        return {}
 
 
 def _dist_to_kernel(px: np.ndarray, py: np.ndarray, kernel) -> np.ndarray:
@@ -56,9 +62,16 @@ def _dist_to_kernel(px: np.ndarray, py: np.ndarray, kernel) -> np.ndarray:
 
 
 def rasterize(s: RoundedSet, h: float) -> RasterGrid:
-    """Occupancy mask of s on a cell grid of pitch h with a 2h margin."""
-    if h <= 0:
-        raise ValueError("cell size must be positive")
+    """Occupancy mask of s on a cell grid of pitch h with a 2h margin.
+
+    The distance to a convex set is 1-Lipschitz, so a tile whose centre
+    lies deeper than `reach` inside or outside the set is decided whole;
+    `reach` is the tile's half-diagonal plus one cell and a rounding term
+    for the coordinates' magnitude.  Every other cell gets the distance
+    from its own centre, so the mask equals the cell-by-cell one.
+    """
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("cell size must be finite and positive")
     if s.is_empty:
         return RasterGrid(Point2(0.0, 0.0), h, np.zeros((0, 0), dtype=bool))
     v = s.kernel.vertices
@@ -67,10 +80,26 @@ def rasterize(s: RoundedSet, h: float) -> RasterGrid:
     x1, y1 = v[:, 0].max() + margin, v[:, 1].max() + margin
     nx = int(math.ceil((x1 - x0) / h)) + 1
     ny = int(math.ceil((y1 - y0) / h)) + 1
-    grid = RasterGrid(Point2(x0, y0), h, np.zeros((ny, nx), dtype=bool))
-    px, py = _cell_centers(grid)
-    occ = _dist_to_kernel(px, py, s.kernel) <= s.radius
-    return RasterGrid(grid.origin, h, occ)
+    bx, by = -(-nx // BLOCK), -(-ny // BLOCK)
+    # cell centres over whole tiles (the first nx and ny are the grid's)
+    xs = (x0 + h * np.arange(bx * BLOCK)).reshape(bx, BLOCK)
+    ys = (y0 + h * np.arange(by * BLOCK)).reshape(by, BLOCK)
+    mid = (BLOCK - 1) / 2
+    cx, cy = np.meshgrid(
+        x0 + h * (BLOCK * np.arange(bx) + mid), y0 + h * (BLOCK * np.arange(by) + mid)
+    )
+    dc = _dist_to_kernel(cx, cy, s.kernel)
+    reach = (
+        h * (BLOCK - 1) / math.sqrt(2) + h
+        + 64 * np.finfo(float).eps * (abs(x0) + abs(y0) + abs(x1) + abs(y1))
+    )
+    tiles = np.zeros((by, bx, BLOCK, BLOCK), dtype=bool)
+    tiles[dc + reach < s.radius] = True
+    iy, ix = np.nonzero((dc + reach >= s.radius) & (dc - reach <= s.radius))
+    px, py = np.broadcast_arrays(xs[ix][:, None, :], ys[iy][:, :, None])
+    tiles[iy, ix] = _dist_to_kernel(px, py, s.kernel) <= s.radius
+    occ = tiles.transpose(0, 2, 1, 3).reshape(by * BLOCK, bx * BLOCK)[:ny, :nx]
+    return RasterGrid(Point2(x0, y0), h, np.ascontiguousarray(occ))
 
 
 def _pad(grid: RasterGrid, cells: int) -> RasterGrid:
@@ -83,6 +112,8 @@ def _pad(grid: RasterGrid, cells: int) -> RasterGrid:
 
 def raster_dilate(grid: RasterGrid, r: float) -> RasterGrid:
     """Mark every cell within distance r of an occupied cell."""
+    if not (r >= 0.0 and math.isfinite(r)):
+        raise ValueError("dilation radius must be finite and nonnegative")
     if grid.occupancy.size == 0 or not grid.occupancy.any():
         return grid
     g = _pad(grid, int(math.ceil(r / grid.h)) + 2)
@@ -91,17 +122,29 @@ def raster_dilate(grid: RasterGrid, r: float) -> RasterGrid:
 
 
 def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
-    """Keep cells at depth at least r inside the occupied region."""
+    """Keep occupied cells at depth at least r.
+
+    The mask is read-only and memoized per radius on the grid, so an
+    erosion and an opening by the same r share one distance transform.
+    """
+    if not (r >= 0.0 and math.isfinite(r)):
+        raise ValueError("erosion radius must be finite and nonnegative")
     if grid.occupancy.size == 0 or not grid.occupancy.any():
         return grid
-    dist = distance_transform_edt(grid.occupancy, sampling=grid.h)
-    return RasterGrid(grid.origin, grid.h, dist >= r)
+    mask = grid._erosions.get(r)
+    if mask is None:
+        depth = distance_transform_edt(grid.occupancy, sampling=grid.h)
+        mask = grid.occupancy & (depth >= r)
+        mask.flags.writeable = False
+        grid._erosions[r] = mask
+    return RasterGrid(grid.origin, grid.h, mask)
 
 
 def raster_opening(grid: RasterGrid, rho: float) -> RasterGrid:
+    if not rho > 0:
+        raise ValueError("opening radius must be positive")
     return raster_dilate(raster_erode(grid, rho), rho)
 
 
 def raster_area(grid: RasterGrid) -> float:
     return float(grid.occupancy.sum()) * grid.h * grid.h
-

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shrinkset
 from shrinkset.cli import main
 
 SQUARE_GEOM = {"kernel": [[0, 0], [1, 0], [1, 1], [0, 1]], "radius": 0.0}
@@ -82,6 +86,36 @@ class TestSimulate:
         svgs = sorted(tmp_path.glob("trace.t*.svg"))
         assert len(svgs) >= 2
         assert svgs[0].read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "option, config", [(["--svg-every", "0"], {}), ([], {"svg_every": -0.5})]
+    )
+    def test_svg_period_not_positive(self, geom, tmp_path, option, config):
+        # such a period once made the snapshot loop run for ever, so the
+        # command runs in a child process that a timeout can stop
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        src = os.path.dirname(os.path.dirname(shrinkset.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "shrinkset.cli", "simulate", "--config", str(cfg),
+             "--geometry", str(geom), "--M", "4", "--horizon", "1",
+             "--out", str(tmp_path / "t.csv"), *option],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "svg_every must be positive and finite" in done.stderr
+        assert not list(tmp_path.glob("*.svg"))
+
+    @pytest.mark.parametrize("period", ["nan", "inf"])
+    def test_svg_period_not_finite(self, geom, tmp_path, period, capsys):
+        out = tmp_path / "t.csv"
+        assert main([
+            "simulate", "--geometry", str(geom), "--M", "4", "--horizon", "1",
+            "--svg-every", period, "--out", str(out),
+        ]) == 1
+        assert "svg_every must be positive and finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.svg"))
 
     def test_config_file_with_override(self, geom, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -196,6 +230,26 @@ class TestErrors:
     def test_help(self, capsys):
         assert main(["simulate", "--help"]) == 0
         assert "--svg-every" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            # a deleted key, a threshold-only key and a misspelt one
+            ("simulate", {"M": 4, "horizon": 1, "T": 0.2, "tol": 5, "svg_evry": 1}, "'T'"),
+            ("simulate", {"M": 4, "horizon": 1, "tol": 5}, "'tol'"),
+            ("threshold", {"M": 4}, "'M'"),
+            ("one-step", {"a": 0.5, "out": "x.json"}, "'out'"),
+            ("validate", {"seed": 1, "geometry": SQUARE_GEOM}, "'geometry'"),
+        ],
+    )
+    def test_config_key_not_read(self, command, config, key, geom, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg)]
+        if command != "validate":
+            argv += ["--geometry", str(geom)]
+        assert main(argv) == 1
+        assert key in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path, geom):
         assert main([

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from shrinkset import (
     RasterGrid,
@@ -16,9 +18,9 @@ from shrinkset import (
     raster_opening,
     rasterize,
     rounded_area,
-
     rounded_perimeter,
 )
+from shrinkset import raster
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -145,3 +147,116 @@ class TestRasterOps:
             grid = rasterize(s, h)
             back = raster_erode(raster_dilate(grid, r), r + 2 * h)
             assert not (_embed(back, back) & ~_embed(grid, back)).any()
+
+
+def _full_grid(s, h):
+    """rasterize by the distance from every cell centre: the reference for
+    the tiled evaluation, with the same grid set-up."""
+    v = s.kernel.vertices
+    margin = s.radius + 2.5 * h
+    x0, y0 = v[:, 0].min() - margin, v[:, 1].min() - margin
+    x1, y1 = v[:, 0].max() + margin, v[:, 1].max() + margin
+    nx = int(math.ceil((x1 - x0) / h)) + 1
+    ny = int(math.ceil((y1 - y0) / h)) + 1
+    px, py = np.meshgrid(x0 + h * np.arange(nx), y0 + h * np.arange(ny))
+    return (x0, y0), raster._dist_to_kernel(px, py, s.kernel) <= s.radius
+
+
+@st.composite
+def sets_and_pitches(draw):
+    """Random hulls, and points and segments taken from them, at radius 0
+    or up to the kernel's size, moved by up to 1e9 and scaled by 1e-6..1e6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = random_rounded_set(rng).kernel.vertices
+    v = v[: draw(st.sampled_from([1, 2, len(v)]))]
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    offset = draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, -1e9, 1e9]))
+    radius = scale * draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    try:
+        s = RoundedSet.from_polygon(offset + scale * v, radius)
+    except ValueError:  # rounding at a large offset bent the hull
+        assume(False)
+    assume(s.diameter > 0)
+    return s, 10.0 ** draw(st.floats(-3.0, math.log10(5e-2))) * s.diameter
+
+
+class TestTiledRasterize:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sets_and_pitches())
+    @example((RoundedSet.from_polygon(SQUARE, 0.0), 1e-3))
+    @example((RoundedSet.ball((0.3, -0.2), 0.7), 2e-3))
+    @example((RoundedSet.from_polygon(1e9 + 1e-6 * np.array(SQUARE), 1e-7), 1e-8))
+    @example((RoundedSet.from_polygon(1e6 + 1e6 * np.array(SQUARE), 2e5), 5e3))
+    def test_matches_every_cell_evaluation(self, case):
+        s, h = case
+        grid = rasterize(s, h)
+        origin, occ = _full_grid(s, h)
+        assert tuple(grid.origin) == origin and grid.h == h
+        assert grid.occupancy.dtype == bool and grid.occupancy.flags.c_contiguous
+        assert np.array_equal(grid.occupancy, occ)
+
+    def test_one_edt_per_grid_and_radius(self, rng, monkeypatch):
+        edt = raster.distance_transform_edt
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return edt(*args, **kwargs)
+
+        s = random_rounded_set(rng)
+        h, r = 5e-3 * s.diameter, 0.15 * s.diameter
+        ops = (raster_dilate, raster_erode, raster_opening)
+        fresh = [op(rasterize(s, h), r) for op in ops]
+        monkeypatch.setattr(raster, "distance_transform_edt", counted)
+        grid = rasterize(s, h)
+        shared = [op(grid, r) for op in ops]
+        assert len(calls) == 3
+        for a, b in zip(shared, fresh):
+            assert a.origin == b.origin and np.array_equal(a.occupancy, b.occupancy)
+
+    def test_erode_mask_is_read_only(self):
+        grid = rasterize(sq(0.1), 0.01)
+        mask = raster_erode(grid, 0.15).occupancy
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
+        # the opening by the same radius reads the memoized mask
+        assert raster_area(raster_opening(grid, 0.15)) == pytest.approx(
+            rounded_area(opening(sq(0.1), 0.15)), abs=5 * 0.01 * 4.0
+        )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRadiusChecks:
+    @pytest.mark.parametrize(
+        "raster_op, exact_op, r, message",
+        [
+            (raster_dilate, dilate, -0.1, "finite and nonnegative"),
+            (raster_dilate, dilate, NAN, "finite and nonnegative"),
+            (raster_dilate, dilate, INF, "finite and nonnegative"),
+            (raster_erode, erode, -0.1, "finite and nonnegative"),
+            (raster_erode, erode, NAN, "finite and nonnegative"),
+            (raster_erode, erode, INF, "finite and nonnegative"),
+            (raster_opening, opening, 0.0, "positive"),
+            (raster_opening, opening, -0.1, "positive"),
+            (raster_opening, opening, NAN, "positive"),
+            (raster_opening, opening, INF, "finite and nonnegative"),
+        ],
+    )
+    def test_rejected_like_the_exact_layer(self, raster_op, exact_op, r, message):
+        s = sq(0.1)
+        with pytest.raises(ValueError):
+            exact_op(s, r)
+        with pytest.raises(ValueError, match=message):
+            raster_op(rasterize(s, 0.01), r)
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, NAN, INF])
+    def test_bad_cell_size(self, h):
+        with pytest.raises(ValueError, match="finite and positive"):
+            rasterize(sq(0.1), h)
+
+    def test_erode_by_zero_keeps_the_occupancy(self):
+        grid = rasterize(sq(0.1), 0.01)
+        assert grid.occupancy.size == 15876 and grid.occupancy.sum() == 14316
+        assert np.array_equal(raster_erode(grid, 0.0).occupancy, grid.occupancy)
