@@ -43,8 +43,17 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
 
-# values that a config file or a command's own option may give
-_OPTION_KEYS = ("M", "dt", "horizon", "tol", "a", "seed", "c1", "c2", "svg_every")
+# values that a config file or a command's own option may give, and the
+# converter that types them from either source
+_OPTION_TYPES = {
+    "M": float, "dt": float, "horizon": float, "tol": float, "a": float,
+    "seed": int, "c1": float, "c2": float, "svg_every": float,
+}
+
+
+def _option(cmd: argparse.ArgumentParser, key: str, text: str) -> None:
+    flag = "--" + key.replace("_", "-")
+    cmd.add_argument(flag, type=_OPTION_TYPES[key], help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,16 +71,16 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, help="JSON config file")
     for cmd in (s, t, o):
         cmd.add_argument("--geometry", type=Path, help="geometry JSON file")
-    s.add_argument("--M", type=float, help="control budget")
+    _option(s, "M", "control budget")
     for cmd in (s, t):
-        cmd.add_argument("--dt", type=float, help="integration step")
-        cmd.add_argument("--horizon", type=float, help="time horizon")
-    t.add_argument("--tol", type=float, help="tolerance")
-    o.add_argument("--a", type=float, help="target area")
-    v.add_argument("--seed", type=int, help="RNG seed for randomized suites")
-    s.add_argument("--c1", type=float, help="running cost weight")
-    s.add_argument("--c2", type=float, help="terminal cost weight")
-    s.add_argument("--svg-every", type=float, help="SVG snapshot period")
+        _option(cmd, "dt", "integration step")
+        _option(cmd, "horizon", "time horizon")
+    _option(t, "tol", "tolerance")
+    _option(o, "a", "target area")
+    _option(v, "seed", "RNG seed for randomized suites")
+    _option(s, "c1", "running cost weight")
+    _option(s, "c2", "terminal cost weight")
+    _option(s, "svg_every", "SVG snapshot period")
     for cmd in (s, t, o, v):
         cmd.add_argument("--out", type=Path, help="output file (default stdout)")
     v.add_argument(
@@ -97,17 +106,25 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise BadConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise BadConfigError("config must be a JSON object")
-        for key in cfg:
+        for key, val in cfg.items():
             # a command reads "geometry" iff it declares --geometry
-            if key not in _OPTION_KEYS + ("geometry",) or not hasattr(args, key):
+            if key not in (*_OPTION_TYPES, "geometry") or not hasattr(args, key):
                 raise BadConfigError(f"config key {key!r} is not read by {args.command}")
+            if key != "geometry":
+                convert = _OPTION_TYPES[key]
+                try:
+                    cfg[key] = convert(val)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise BadConfigError(
+                        f"config key {key!r} must be {convert.__name__}, got {val!r}"
+                    ) from exc
     geometry = getattr(args, "geometry", None)
     if geometry is not None:
         try:
             cfg["geometry"] = json.loads(geometry.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise BadConfigError(f"cannot read geometry: {exc}") from exc
-    for key in _OPTION_KEYS:
+    for key in _OPTION_TYPES:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -137,16 +154,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise BadConfigError("simulate needs a budget M")
     period = cfg.get("svg_every")
     if period is not None:
-        period = float(period)
         if not (period > 0 and math.isfinite(period)):
             raise BadConfigError(f"svg_every must be positive and finite, got {period}")
     trace = simulate(
-        omega0, float(cfg["M"]), float(cfg.get("horizon", 10.0)), cfg.get("dt")
+        omega0, cfg["M"], cfg.get("horizon", 10.0), cfg.get("dt")
     )
     out = trace_to_csv(trace)
     c1, c2 = cfg.get("c1"), cfg.get("c2")
     if c1 is not None or c2 is not None:
-        cost = compute_cost(trace, float(c1 or 0.0), float(c2 or 0.0), trace.t[-1])
+        cost = compute_cost(trace, c1 or 0.0, c2 or 0.0, trace.t[-1])
         out += f"# J={fmt(cost)}\n"
     _emit(args, out)
     if period is not None:
@@ -165,8 +181,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     omega0 = _geometry(cfg)
     m0, bracket, iterations = critical_budget(
         omega0,
-        tol=float(cfg.get("tol", 1e-3)),
-        horizon=float(cfg.get("horizon", 50.0)),
+        tol=cfg.get("tol", 1e-3),
+        horizon=cfg.get("horizon", 50.0),
         dt=cfg.get("dt"),
         full_output=True,
     )
@@ -174,7 +190,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         # probe the extinct end of the bracket: at a budget a hair below
         # critical the trajectory tips back to growth before the ball phase
         t_dagger = ball_time_at_critical(
-            omega0, bracket[1], horizon=float(cfg.get("horizon", 50.0)), dt=cfg.get("dt")
+            omega0, bracket[1], horizon=cfg.get("horizon", 50.0), dt=cfg.get("dt")
         )
     except ShrinksetError:
         t_dagger = None
@@ -187,7 +203,7 @@ def cmd_one_step(args: argparse.Namespace) -> int:
     omega0 = _geometry(cfg)
     if "a" not in cfg:
         raise BadConfigError("one-step needs a target area a")
-    sol = optimal_subset(omega0, float(cfg["a"]))
+    sol = optimal_subset(omega0, cfg["a"])
     _emit(
         args,
         dump_geometry(
@@ -209,7 +225,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if "none" in suites:
         _emit(args, "no checks selected: PASS\n")
         return EXIT_OK
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(cfg.get("seed", 0))
     bias = 1e-2 if args.inject_perturbation else 0.0
     rows: list[tuple[str, bool]] = []
 

@@ -68,16 +68,38 @@ def _collinear_extremes(v: np.ndarray) -> np.ndarray:
     return np.array([v[np.argmin(s)], v[np.argmax(s)]], float)
 
 
+def _diameter(v: np.ndarray) -> float:
+    """Largest vertex distance of a convex polygon (counterclockwise).
+
+    It is attained by an antipodal pair: an endpoint of some edge and the
+    vertex farthest behind that edge's line (rotating calipers; Shamos
+    1978).  That vertex is the one whose normal cone holds the edge's
+    inward normal, found by bisection on the unwrapped normal angles; its
+    two neighbours on each side are compared too, against rounding.
+    """
+    n = len(v)
+    if n < 3:
+        return float(np.sqrt(((v[0] - v[-1]) ** 2).sum())) if n else 0.0
+    d = np.roll(v, -1, axis=0) - v
+    phi = np.unwrap(np.arctan2(-d[:, 0], d[:, 1]))  # outward normal of edge i
+    far = np.searchsorted(np.concatenate([phi, phi + 2.0 * math.pi]), phi + math.pi)
+    ends = np.arange(n)[:, None] + np.array([0, 1])
+    near = far[:, None] + np.arange(-2, 3)
+    diff = v[ends[:, :, None] % n] - v[near[:, None, :] % n]
+    return float(np.sqrt((diff * diff).sum(-1)).max())
+
+
 class ConvexPolygon:
     """Counterclockwise convex polygon; 0, 1 or 2 vertices mean empty /
     point / segment.
 
     Construction canonicalizes: vertices closer than 1e-12 of the diameter
-    are merged and collinear vertices are dropped, so near-degenerate
-    erosion outputs collapse to their true shape.
+    are merged and vertices whose turn has a sine of at most 1e-12 are
+    dropped, so near-degenerate erosion outputs collapse to their true
+    shape while fine polygons keep every corner.
     """
 
-    __slots__ = ("vertices", "_profile")
+    __slots__ = ("vertices", "_profile", "_diameter")
 
     def __init__(self, vertices):
         v = np.asarray(vertices, float).reshape(-1, 2)
@@ -87,6 +109,7 @@ class ConvexPolygon:
         v.setflags(write=False)
         self.vertices = v
         self._profile = None  # lazily filled by morphology
+        self._diameter = None
 
     @staticmethod
     def _canonicalize(v: np.ndarray) -> np.ndarray:
@@ -98,8 +121,10 @@ class ConvexPolygon:
         v = _merge_close(v, MERGE_REL_TOL * scale)
         if len(v) <= 2:
             return v
-        area2 = float(cross2(v, np.roll(v, -1, axis=0)).sum())
-        if area2 < 0:
+        # orientation from coordinates relative to a vertex: a polygon far
+        # smaller than its distance to the origin cancels out otherwise
+        rel = v - v[0]
+        if float(cross2(rel, np.roll(rel, -1, axis=0)).sum()) < 0:
             v = v[::-1].copy()
         cross_tol = COLLINEAR_REL_TOL * scale * scale
         # a globally collinear point set is a segment, not a thin polygon
@@ -108,15 +133,19 @@ class ConvexPolygon:
         if np.all(np.abs(cross2(dvec, axis)) <= cross_tol):
             return _collinear_extremes(v)
         merged = v
-        # drop collinear vertices until stable
+        # drop collinear vertices until stable: a vertex turns by too little
+        # when the sine of its turn is at most COLLINEAR_REL_TOL, which keeps
+        # the real corners between the short edges of a fine polygon
         changed = True
         while changed and len(v) >= 3:
-            prev = np.roll(v, 1, axis=0)
-            nxt = np.roll(v, -1, axis=0)
-            cr = cross2(v - prev, nxt - v)
+            before = v - np.roll(v, 1, axis=0)
+            after = np.roll(before, -1, axis=0)
+            cr = cross2(before, after)
             if np.any(cr < -cross_tol):
                 raise ValueError("vertices do not describe a convex polygon")
-            keep = cr > cross_tol
+            keep = cr > COLLINEAR_REL_TOL * np.sqrt(
+                (before * before).sum(axis=1) * (after * after).sum(axis=1)
+            )
             changed = not keep.all()
             v = v[keep]
         if len(v) < 3:
@@ -147,14 +176,10 @@ class ConvexPolygon:
 
     @property
     def diameter(self) -> float:
-        v = self.vertices
-        if len(v) <= 1:
-            return 0.0
-        best = 0.0
-        for i in range(0, len(v), 256):  # row blocks bound the memory
-            d = v[i : i + 256, None, :] - v[None, :, :]
-            best = max(best, float(np.sqrt((d * d).sum(-1)).max()))
-        return best
+        """Largest distance between two vertices (computed once)."""
+        if self._diameter is None:
+            self._diameter = _diameter(self.vertices)
+        return self._diameter
 
     def edge_normals(self) -> np.ndarray:
         """Unit outward normals, one per edge (both directions for a segment)."""

@@ -12,6 +12,7 @@ of the one-step least-perimeter problem (see ErosionProfile.query).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import AreaExceedsDomainError, EmptySetError, NonpositiveAreaError
 from .geometry import (
+    COLLINEAR_REL_TOL,
     ConvexPolygon,
     _bbox_scale,
     _merge_close,
@@ -50,16 +52,19 @@ class InnerBallLocus:
 
 
 @dataclass(frozen=True)
-class _Piece:
-    """One combinatorial interval [d0, d1] of the erosion family."""
+class _Pieces:
+    """The combinatorial intervals [d0[p], d1[p]] of the erosion family, as
+    parallel lists of floats, with the eroded polygon's area, perimeter and
+    sum of tan(theta_i / 2) over its exterior angles at each d0[p]."""
 
-    d0: float
-    d1: float
-    vertices: np.ndarray  # polygon at depth d0
-    velocities: np.ndarray  # inward vertex velocities (per unit depth)
-    area0: float
-    perim0: float
-    tan_sum: float  # sum of tan(theta_i / 2) over exterior angles
+    d0: list[float]
+    d1: list[float]
+    area0: list[float]
+    perim0: list[float]
+    tan_sum: list[float]
+
+    def __len__(self) -> int:
+        return len(self.d0)
 
 
 class ErosionProfile:
@@ -69,56 +74,160 @@ class ErosionProfile:
     The same kernel is queried repeatedly during an evolution while only the
     rounding radius grows (dilation leaves the kernel untouched), so all the
     combinatorial work is done once per kernel (see _profile) and each query
-    is O(#pieces).  A point or segment kernel has no pieces and is its own
-    locus.
+    is O(log #pieces).  A point or segment kernel has no pieces and is its
+    own locus.
+
+    The build is an event queue over the kernel's edges, which traces the
+    straight skeleton of a convex polygon (Aichholzer et al. 1995) in
+    O(n log n): every edge keeps its offset line, and when edges vanish
+    only their two surviving neighbours get a new shared vertex and a new
+    collapse depth.  Each piece's area, perimeter and tan_sum follow from
+    the previous piece in closed form.  `death` holds the depth at which
+    each edge vanishes, and polygon_at rebuilds any eroded polygon from the
+    edges alive at its depth.
     """
 
     def __init__(self, kernel: ConvexPolygon):
         if len(kernel) == 0:
             raise EmptySetError("erosion profile needs a nonempty kernel")
-        self.pieces: list[_Piece] = []
+        self.pieces = pc = _Pieces([], [], [], [], [])
         self.area0 = polygon_area(kernel)
         self.perim0 = polygon_perimeter(kernel)
         scale = kernel.diameter
-        self.tol = _DEPTH_REL_TOL * max(scale, 1.0)
-        poly, d = kernel, 0.0
-        while len(poly) >= 3:
-            v = poly.vertices
-            normals = poly.edge_normals()
-            nprev = np.roll(normals, 1, axis=0)
-            # vertex i slides so it stays on both adjacent offset lines
-            lines = np.stack([nprev, normals], axis=1)
-            w = np.linalg.solve(lines, np.ones((len(v), 2, 1)))[..., 0]
+        self.tol = tol = _DEPTH_REL_TOL * max(scale, 1.0)
+        v = self._vertices = kernel.vertices
+        n = len(v)
+        if n < 3:
+            self.d_max, self.death, self.locus = 0.0, np.zeros(0), kernel
+        else:
+            normals = self._normals = kernel.edge_normals()
+            self._offsets = (normals * v).sum(axis=1)
+            _, w = self._corners(np.arange(n))
             edges = np.roll(v, -1, axis=0) - v
             lengths = np.linalg.norm(edges, axis=1)
             units = edges / lengths[:, None]
             shrink = ((np.roll(w, -1, axis=0) - w) * units).sum(axis=1)
             with np.errstate(divide="ignore"):
                 events = np.where(shrink > 1e-14, lengths / shrink, np.inf)
-            step = float(events.min())
-            self.pieces.append(
-                _Piece(
-                    d0=d,
-                    d1=d + step,
-                    vertices=v,
-                    velocities=w,
-                    area0=polygon_area(poly),
-                    perim0=polygon_perimeter(poly),
-                    tan_sum=float(np.tan(0.5 * poly.exterior_angles()).sum()),
-                )
-            )
-            d += step
-            u = v - step * w
-            # a simultaneous collapse scatters its n vertices over up to ~n^2
-            # ulps of the scale: a remainder that small is a point
+            tau = np.tan(0.5 * kernel.exterior_angles())
+            d, area, perim, tan_sum = 0.0, self.area0, self.perim0, float(tau.sum())
+            # per edge, as Python floats: its unit normal and direction; its
+            # start vertex, at (px, py) at depth pd and moving by -(wx, wy)
+            # per unit depth, and tan(theta / 2) there; the length it loses
+            # per unit depth (rate) and the depth where it vanishes (key);
+            # its neighbours in the ring of live edges
+            nx, ny = normals[:, 0].tolist(), normals[:, 1].tolist()
+            ux, uy = units[:, 0].tolist(), units[:, 1].tolist()
+            px, py, pd = v[:, 0].tolist(), v[:, 1].tolist(), [0.0] * n
+            wx, wy = w[:, 0].tolist(), w[:, 1].tolist()
+            tau, rate, key = tau.tolist(), shrink.tolist(), events.tolist()
+            prev, nxt = [n - 1, *range(n - 1)], [*range(1, n), 0]
+            death = [math.inf] * n
+            heap = [(k, e) for e, k in enumerate(key) if k < math.inf]
+            heapq.heapify(heap)
+            live = n
+
+            def length(g: int, depth: float) -> float:
+                h = nxt[g]
+                dx = px[h] - (depth - pd[h]) * wx[h] - px[g] + (depth - pd[g]) * wx[g]
+                dy = py[h] - (depth - pd[h]) * wy[h] - py[g] + (depth - pd[g]) * wy[g]
+                return dx * ux[g] + dy * uy[g]
+
+            def polygon_before(depth: float) -> np.ndarray:
+                # vertices at depth of the edges alive just before it
+                idx = np.flatnonzero(np.array(death) >= depth)
+                at = depth - np.array(pd)[idx, None]
+                return np.array([px, py]).T[idx] - at * np.array([wx, wy]).T[idx]
+
+            while True:
+                depth, e = heapq.heappop(heap)
+                if death[e] < math.inf or key[e] != depth:
+                    continue  # superseded entry
+                pc.d0.append(d)
+                pc.d1.append(depth)
+                pc.area0.append(area)
+                pc.perim0.append(perim)
+                pc.tan_sum.append(tan_sum)
+                # every edge no longer than tol at this depth vanishes with
+                # e, including neighbours that the collapse leaves that short
+                dying = [e]
+                death[e] = depth
+                while heap:
+                    k, f = heap[0]
+                    if death[f] == math.inf and key[f] == k:
+                        if length(f, depth) > tol:
+                            break
+                        dying.append(f)
+                        death[f] = depth
+                    heapq.heappop(heap)
+                for f in dying:
+                    a, c = prev[f], nxt[f]
+                    nxt[a], prev[c] = c, a
+                    for g in (a, c):
+                        if death[g] == math.inf and length(g, depth) <= tol:
+                            dying.append(g)
+                            death[g] = depth
+                live -= len(dying)
+                if live < 3:
+                    break
+                # a simultaneous collapse scatters its n vertices over up to
+                # ~n^2 ulps of the scale: a remainder that small is a point
+                if len(dying) >= live:
+                    u = polygon_before(depth)
+                    if _bbox_scale(u) <= len(u) ** 2 * _ULP * scale:
+                        break
+                # each run of vanished edges leaves one vertex, at the start
+                # of the surviving edge c that follows it
+                joins = {nxt[f] for f in dying if death[nxt[f]] == math.inf}
+                turn = {}
+                for c in joins:
+                    a = prev[c]
+                    turn[c] = (nx[a] * ny[c] - ny[a] * nx[c], nx[a] * nx[c] + ny[a] * ny[c])
+                if any(s <= COLLINEAR_REL_TOL for s, _ in turn.values()):
+                    break  # two antiparallel edges meet: a segment is left
+                x = depth - d
+                area = area - perim * x + tan_sum * x * x
+                perim = perim - 2.0 * tan_sum * x
+                tan_sum -= sum(tau[f] for f in dying)
+                for c, (s, co) in turn.items():
+                    a = prev[c]
+                    t = math.tan(0.5 * math.atan2(s, co))
+                    tan_sum += t - tau[c]
+                    tau[c] = t
+                    # c's old start vertex, slid along c onto a's line
+                    qx = px[c] - (depth - pd[c]) * wx[c]
+                    qy = py[c] - (depth - pd[c]) * wy[c]
+                    ax = px[a] - (depth - pd[a]) * wx[a]
+                    ay = py[a] - (depth - pd[a]) * wy[a]
+                    r = ((qx - ax) * nx[a] + (qy - ay) * ny[a]) / s
+                    px[c], py[c], pd[c] = qx + r * ux[c], qy + r * uy[c], depth
+                    # the same 2x2 system as the first piece's, by Cramer
+                    wx[c], wy[c] = (ny[c] - ny[a]) / s, (nx[a] - nx[c]) / s
+                for g in joins | {prev[c] for c in joins}:
+                    h = nxt[g]
+                    rate[g] = (wx[h] - wx[g]) * ux[g] + (wy[h] - wy[g]) * uy[g]
+                    if rate[g] > 1e-14:
+                        key[g] = depth + length(g, depth) / rate[g]
+                        heapq.heappush(heap, (key[g], g))
+                    else:
+                        key[g] = math.inf
+                d = depth
+            self.d_max = depth
+            u = polygon_before(depth)
+            self.death = np.minimum(np.array(death), depth)
             if _bbox_scale(u) <= len(u) ** 2 * _ULP * scale:
                 u = u[:1]
             # merge at the parent scale: a collapse event leaves clusters of
             # float noise that the polygon's own bbox tolerance cannot see
-            poly = ConvexPolygon(_merge_close(u, self.tol))
-        self.d_max = d
-        self.locus = poly
-        lv = poly.vertices
+            self.locus = ConvexPolygon(_merge_close(u, tol))
+        # area and perimeter of the sharp kernel's opening at rho = d1 of
+        # every piece but the last; rounded by c, that opening has area
+        # area + c * (perim + pi * c)
+        self._ends = [
+            (a1 + d1 * p1 + math.pi * d1 * d1, p1 + 2.0 * math.pi * d1)
+            for d1, a1, p1 in zip(pc.d1, pc.area0[1:], pc.perim0[1:])
+        ]
+        lv = self.locus.vertices
         if len(lv) == 2:
             e = lv[1] - lv[0]
             self.locus_len = float(np.linalg.norm(e))
@@ -129,19 +238,30 @@ class ErosionProfile:
             self.locus_center = Point2(*lv[0])
             self.locus_dir = Point2(1.0, 0.0)
 
-    def _piece_at(self, d: float) -> _Piece:
-        for piece in self.pieces:
-            if d <= piece.d1:
-                return piece
-        return self.pieces[-1]
+    def _corners(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vertices x and inward velocities w of the polygon bounded by the
+        offset lines of the edges idx (in ring order): its vertices at depth
+        d are x - d * w.  A vertex of the kernel keeps its coordinates; one
+        left by vanished edges is where the two lines cross at depth 0."""
+        normals = self._normals[idx]
+        lines = np.stack([np.roll(normals, 1, axis=0), normals], axis=1)
+        # vertex i slides so it stays on both adjacent offset lines
+        w = np.linalg.solve(lines, np.ones((len(idx), 2, 1)))[..., 0]
+        x = self._vertices[idx]
+        joined = np.roll(idx, 1) != (idx - 1) % len(self._vertices)
+        if joined.any():
+            c = self._offsets[idx]
+            rhs = np.stack([np.roll(c, 1), c], axis=1)[joined]
+            x[joined] = np.linalg.solve(lines[joined], rhs[..., None])[..., 0]
+        return x, w
 
     def polygon_at(self, d: float) -> ConvexPolygon:
         if d <= 0.0:
-            return ConvexPolygon(self.pieces[0].vertices)
+            return ConvexPolygon(self._vertices)
         if d >= self.d_max:
             return self.locus
-        p = self._piece_at(d)
-        return ConvexPolygon(p.vertices - (d - p.d0) * p.velocities)
+        x, w = self._corners(np.flatnonzero(self.death > d))
+        return ConvexPolygon(x - d * w)
 
     def rbar(self, c: float) -> float:
         """Inner radius of the kernel rounded by c."""
@@ -158,20 +278,29 @@ class ErosionProfile:
     def _opening_depth(self, c: float, a: float) -> tuple[float, float]:
         """Erosion depth d with area(opening at rho=c+d) == a, and that area's
         perimeter.  Valid for area_hat <= a <= area_full."""
-        for p in self.pieces:
-            t = p.tan_sum - math.pi  # > 0: opening area strictly decreases
-            b = c + p.d0
-            f0 = p.area0 + b * p.perim0 + math.pi * b * b
-            x1 = p.d1 - p.d0
-            f1 = f0 - t * (x1 * x1 + 2.0 * b * x1)
-            if a >= f1 or p is self.pieces[-1]:
-                x = -b + math.sqrt(max(b * b + (f0 - a) / t, 0.0))
-                x = min(max(x, 0.0), x1)
-                d = p.d0 + x
-                perim = p.perim0 - 2.0 * p.tan_sum * x + 2.0 * math.pi * (c + d)
-                return d, perim
-        # degenerate kernel: opening is the whole set at every depth
-        return 0.0, self.perim0 + 2.0 * math.pi * c
+        pc, ends = self.pieces, self._ends
+        if not pc.d0:
+            # degenerate kernel: opening is the whole set at every depth
+            return 0.0, self.perim0 + 2.0 * math.pi * c
+        # the opening area falls with depth: bisect for the first piece that
+        # ends at an area of at most a (or the last piece)
+        lo, hi = 0, len(ends)
+        while lo < hi:
+            p = (lo + hi) // 2
+            area, perim = ends[p]
+            if a >= area + c * (perim + math.pi * c):
+                hi = p
+            else:
+                lo = p + 1
+        d0, d1, tan_sum = pc.d0[lo], pc.d1[lo], pc.tan_sum[lo]
+        t = tan_sum - math.pi  # > 0: opening area strictly decreases
+        b = c + d0
+        f0 = pc.area0[lo] + b * pc.perim0[lo] + math.pi * b * b
+        x = -b + math.sqrt(max(b * b + (f0 - a) / t, 0.0))
+        x = min(max(x, 0.0), d1 - d0)
+        d = d0 + x
+        perim = pc.perim0[lo] - 2.0 * tan_sum * x + 2.0 * math.pi * (c + d)
+        return d, perim
 
     def query(self, c: float, a: float) -> tuple[float, str, float, float]:
         """(perimeter, regime, rho, erosion depth) of the least-perimeter

@@ -251,6 +251,27 @@ class TestErrors:
         assert main(argv) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("simulate", {"M": "abc", "horizon": 1}, "'M'"),
+            ("simulate", {"svg_every": "x", "M": 4, "horizon": 1}, "'svg_every'"),
+            ("threshold", {"tol": "x"}, "'tol'"),
+            ("one-step", {"a": [0.5]}, "'a'"),
+            ("validate", {"seed": "x"}, "'seed'"),
+        ],
+    )
+    def test_config_value_of_wrong_type(self, command, config, key, geom, tmp_path, capsys):
+        # typed like the command-line option: a usage error, not a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg)]
+        if command != "validate":
+            argv += ["--geometry", str(geom)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     def test_unreadable_config(self, tmp_path, geom):
         assert main([
             "simulate", "--config", str(tmp_path / "missing.json"),

@@ -26,6 +26,19 @@ def sq(radius=0.0):
     return RoundedSet.from_polygon(SQUARE, radius)
 
 
+def _ellipse(n):
+    t = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    return np.stack([1.5 * np.cos(t), np.sin(t)], axis=1)
+
+
+def _all_pairs_diameter(v):
+    best = 0.0
+    for i in range(0, len(v), 256):  # row blocks bound the memory
+        d = v[i : i + 256, None, :] - v[None, :, :]
+        best = max(best, float(np.sqrt((d * d).sum(-1)).max()))
+    return best
+
+
 class TestPolygonMeasures:
     def test_area(self):
         assert polygon_area(ConvexPolygon(SQUARE)) == 1.0
@@ -37,6 +50,20 @@ class TestPolygonMeasures:
         # a segment's boundary is traversed on both sides
         assert polygon_perimeter(ConvexPolygon.segment((0, 0), (1, 0))) == 2.0
         assert polygon_perimeter(ConvexPolygon.point((3, 4))) == 0.0
+
+    def test_diameter_matches_all_pairs(self, rng):
+        # the antipodal-pair search gives the bits of the O(n^2) maximum,
+        # once per polygon
+        polys = [random_rounded_set(rng).kernel for _ in range(50)]
+        polys += [ConvexPolygon(_ellipse(n)) for n in (100, 400, 800, 3200)]
+        polys += [ConvexPolygon(_ellipse(n) * 1e-6 + 1e3) for n in (7, 512)]
+        for n in (3, 4, 6, 64, 512, 4096):
+            t = 2.0 * math.pi * np.arange(n) / n + 0.7142223654075871
+            polys.append(ConvexPolygon(np.stack([np.cos(t), np.sin(t)], axis=1)))
+        polys += [ConvexPolygon.segment((0, 0), (3, 4)), ConvexPolygon.point((1, 2))]
+        for p in polys:
+            assert p.diameter == _all_pairs_diameter(p.vertices)
+            assert p.diameter is p.diameter
 
 
 class TestCanonicalization:
@@ -59,6 +86,21 @@ class TestCanonicalization:
     def test_collinear_points_become_segment(self):
         p = ConvexPolygon([(0, 0), (1, 1), (2, 2)])
         assert len(p) == 2
+
+    def test_fine_polygon_keeps_its_corners(self):
+        # each vertex turns by 6e-5 between edges 1e-4 long: far above the
+        # collinear tolerance relative to those edges
+        assert len(ConvexPolygon(_ellipse(100_000))) == 100_000
+
+    def test_tiny_polygon_far_from_origin(self):
+        # a triangle 4e-10 across at distance 1.4 from the origin
+        v = [
+            (0.8958193437258442, 1.0645000558282154),
+            (0.8958193433292115, 1.064500056001219),
+            (0.8958193433992416, 1.064500055845674),
+        ]
+        assert np.array_equal(ConvexPolygon(v).vertices, v)
+        assert np.array_equal(ConvexPolygon(v[::-1]).vertices, v)
 
 
 class TestRoundedMeasures:

@@ -18,11 +18,57 @@ from shrinkset import (
     random_rounded_set,
     rounded_area,
 )
-from shrinkset.geometry import polygon_area, polygon_perimeter
+from shrinkset.geometry import (
+    _bbox_scale,
+    _merge_close,
+    cross2,
+    polygon_area,
+    polygon_perimeter,
+)
 from shrinkset.morphology import ErosionProfile
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 RECT = [(0, 0), (2, 0), (2, 1), (0, 1)]
+TRIANGLE = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
+
+
+def _ellipse(n):
+    # inscribed 1.5:1 ellipse n-gon with an edge at each end of the minor
+    # axis: four-fold symmetric, so its edges vanish four at a time (two at
+    # the last event) and the family has exactly n/4 pieces
+    t = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    return np.stack([1.5 * np.cos(t), np.sin(t)], axis=1)
+
+
+def _reference_profile(kernel):
+    """The erosion family event by event, as the build computed it before
+    the event queue: after each event every vertex velocity, edge length and
+    collapse depth is recomputed from the moved vertices, and the clusters
+    the event leaves are merged (there is no collinear cut).  Returns the
+    rows (d0, d1, area0, perim0, tan_sum) and d_max."""
+    scale = kernel.diameter
+    tol = 1e-12 * max(scale, 1.0)
+    v = kernel.vertices
+    d, rows = 0.0, []
+    while len(v) >= 3:
+        edges = np.roll(v, -1, axis=0) - v
+        lengths = np.linalg.norm(edges, axis=1)
+        normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
+        nprev = np.roll(normals, 1, axis=0)
+        lines = np.stack([nprev, normals], axis=1)
+        w = np.linalg.solve(lines, np.ones((len(v), 2, 1)))[..., 0]
+        shrink = ((np.roll(w, -1, axis=0) - w) * edges / lengths[:, None]).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            step = float(np.where(shrink > 1e-14, lengths / shrink, np.inf).min())
+        turn = np.arctan2(cross2(nprev, normals), (nprev * normals).sum(axis=1))
+        area = 0.5 * float(cross2(v, np.roll(v, -1, axis=0)).sum())
+        rows.append((d, d + step, area, float(lengths.sum()), float(np.tan(0.5 * turn).sum())))
+        d += step
+        u = v - step * w
+        if _bbox_scale(u) <= len(u) ** 2 * np.finfo(float).eps * scale:
+            u = u[:1]
+        v = _merge_close(u, tol)
+    return np.array(rows).T, d
 
 
 def sq(radius=0.0):
@@ -190,9 +236,11 @@ class TestErosionProfile:
     def test_matches_direct_erosion(self, rng):
         # the opening at rho = d of a sharp kernel is its d-erosion dilated
         # by d: querying that area must give back depth d and the closed-form
-        # perimeter of the eroded polygon
-        for _ in range(10):
-            s = RoundedSet(random_rounded_set(rng).kernel, 0.0)
+        # perimeter of the eroded polygon (the ellipse's 100 pieces exercise
+        # the bisection for the piece)
+        kernels = [random_rounded_set(rng).kernel for _ in range(10)]
+        for k in kernels + [ConvexPolygon(_ellipse(400))]:
+            s = RoundedSet(k, 0.0)
             prof = ErosionProfile(s.kernel)
             for d in np.linspace(0, prof.d_max * 0.999, 7):
                 d = float(d)
@@ -207,17 +255,63 @@ class TestErosionProfile:
                 )
 
     def test_velocities_match_per_vertex_solve(self, rng):
-        # the batched solve must equal solving each vertex's 2x2 system
+        # the batched solve must equal solving each vertex's 2x2 system, for
+        # the polygon of every piece (the edges alive inside it)
         for _ in range(10):
             prof = ErosionProfile(random_rounded_set(rng).kernel)
-            for piece in prof.pieces:
-                n = ConvexPolygon(piece.vertices).edge_normals()
+            for d0, d1 in zip(prof.pieces.d0, prof.pieces.d1):
+                idx = np.flatnonzero(prof.death > 0.5 * (d0 + d1))
+                _, w = prof._corners(idx)
+                n = prof._normals[idx]
                 nprev = np.roll(n, 1, axis=0)
                 want = [
                     np.linalg.solve(np.array([nprev[i], n[i]]), np.ones(2))
                     for i in range(len(n))
                 ]
-                assert np.array_equal(piece.velocities, np.array(want))
+                assert np.array_equal(w, np.array(want))
+
+    def test_matches_per_event_reference(self, rng):
+        # depths and tan_sum to 1e-12 relative; each piece's area and
+        # perimeter to 1e-12 of the kernel's, since they inherit the
+        # absolute error of the depth they are taken at
+        kernels = [random_rounded_set(rng).kernel for _ in range(30)]
+        kernels += [ConvexPolygon(v) for v in (SQUARE, RECT, TRIANGLE)]
+        kernels += [ConvexPolygon(_ellipse(n)) for n in (100, 400)]
+        for k in kernels:
+            prof = ErosionProfile(k)
+            (d0, d1, area0, perim0, tan_sum), d_max = _reference_profile(k)
+            pc = prof.pieces
+            assert len(pc) == len(d0)
+            assert prof.d_max == pytest.approx(d_max, rel=1e-12)
+            for got, want, scale in (
+                (pc.d0, d0, d_max),
+                (pc.d1, d1, d_max),
+                (pc.area0, area0, area0[0]),
+                (pc.perim0, perim0, perim0[0]),
+            ):
+                assert got == pytest.approx(want, rel=0, abs=1e-12 * scale)
+            assert pc.tan_sum == pytest.approx(tan_sum, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 400, 800, 1600, 3200])
+    def test_symmetric_ellipse_has_quarter_as_many_pieces(self, n):
+        # every event drops only the edges whose collapse fired
+        prof = ErosionProfile(ConvexPolygon(_ellipse(n)))
+        assert len(prof.pieces) == n // 4
+        assert len(prof.locus) == 2
+
+    def test_polygon_perimeter_matches_piece_formula(self, rng):
+        # the polygon rebuilt from the edges alive at d keeps every corner,
+        # in mid-piece and just before each event
+        kernels = [random_rounded_set(rng).kernel for _ in range(30)]
+        kernels += [ConvexPolygon(_ellipse(n)) for n in (100, 400, 800, 1600, 3200)]
+        for k in kernels:
+            prof = ErosionProfile(k)
+            pc = prof.pieces
+            for d0, d1, perim0, tan_sum in zip(pc.d0, pc.d1, pc.perim0, pc.tan_sum):
+                for d in (0.5 * (d0 + d1), d1 - 1e-9 * (d1 - d0)):
+                    want = perim0 - 2.0 * tan_sum * (d - d0)
+                    got = polygon_perimeter(prof.polygon_at(d))
+                    assert got == pytest.approx(want, rel=0, abs=1e-12 * pc.perim0[0])
 
     @pytest.mark.parametrize("n", [512, 1024, 4096])
     @pytest.mark.parametrize("moved", [False, True])
@@ -234,3 +328,14 @@ class TestErosionProfile:
         assert len(prof.pieces) == 1
         assert len(prof.locus) == 1
         assert prof.d_max == pytest.approx(math.cos(math.pi / n), rel=1e-9)
+
+    def test_collapse_residue_is_a_point(self):
+        # far from the origin, float noise splits the regular polygon's
+        # collapse: most edges vanish together and the few left over span
+        # only a few ulps, which the build reads as the point they are
+        t = 2.0 * math.pi * np.arange(2048) / 2048 + 0.07631887441032356
+        v = 359.6860307111359 * np.stack([np.cos(t), np.sin(t)], axis=1)
+        prof = ErosionProfile(ConvexPolygon(v + (10639.717317528526, 7168.963725218581)))
+        assert len(prof.pieces) == 1
+        assert len(prof.locus) == 1
+        assert prof.d_max == pytest.approx(359.6860307111359 * math.cos(math.pi / 2048), rel=1e-9)
