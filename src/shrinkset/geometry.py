@@ -123,12 +123,12 @@ class ConvexPolygon:
             return v
         # orientation from coordinates relative to a vertex: a polygon far
         # smaller than its distance to the origin cancels out otherwise
-        rel = v - v[0]
-        if float(cross2(rel, np.roll(rel, -1, axis=0)).sum()) < 0:
+        dvec = v - v[0]
+        if float(cross2(dvec, np.roll(dvec, -1, axis=0)).sum()) < 0:
             v = v[::-1].copy()
+            dvec = v - v[0]
         cross_tol = COLLINEAR_REL_TOL * scale * scale
         # a globally collinear point set is a segment, not a thin polygon
-        dvec = v - v[0]
         axis = dvec[np.argmax((dvec * dvec).sum(axis=1))]
         if np.all(np.abs(cross2(dvec, axis)) <= cross_tol):
             return _collinear_extremes(v)
@@ -139,13 +139,13 @@ class ConvexPolygon:
         changed = True
         while changed and len(v) >= 3:
             before = v - np.roll(v, 1, axis=0)
-            after = np.roll(before, -1, axis=0)
-            cr = cross2(before, after)
+            cr = cross2(before, np.roll(before, -1, axis=0))
             if np.any(cr < -cross_tol):
                 raise ValueError("vertices do not describe a convex polygon")
-            keep = cr > COLLINEAR_REL_TOL * np.sqrt(
-                (before * before).sum(axis=1) * (after * after).sum(axis=1)
-            )
+            keep = cr > cross_tol
+            if not keep.all():  # the relative bound is the lower one
+                sq = (before * before).sum(axis=1)
+                keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * np.roll(sq, -1))
             changed = not keep.all()
             v = v[keep]
         if len(v) < 3:

@@ -12,6 +12,7 @@ of the one-step least-perimeter problem (see ErosionProfile.query).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -91,6 +92,7 @@ class ErosionProfile:
         if len(kernel) == 0:
             raise EmptySetError("erosion profile needs a nonempty kernel")
         self.pieces = pc = _Pieces([], [], [], [], [])
+        self._last_corners = (-1, None, None)  # see polygon_at
         self.area0 = polygon_area(kernel)
         self.perim0 = polygon_perimeter(kernel)
         scale = kernel.diameter
@@ -243,15 +245,14 @@ class ErosionProfile:
         offset lines of the edges idx (in ring order): its vertices at depth
         d are x - d * w.  A vertex of the kernel keeps its coordinates; one
         left by vanished edges is where the two lines cross at depth 0."""
-        normals = self._normals[idx]
-        lines = np.stack([np.roll(normals, 1, axis=0), normals], axis=1)
+        prv = np.concatenate([idx[-1:], idx[:-1]])
+        lines = np.stack([self._normals[prv], self._normals[idx]], axis=1)
         # vertex i slides so it stays on both adjacent offset lines
         w = np.linalg.solve(lines, np.ones((len(idx), 2, 1)))[..., 0]
         x = self._vertices[idx]
-        joined = np.roll(idx, 1) != (idx - 1) % len(self._vertices)
+        joined = prv != (idx - 1) % len(self._vertices)
         if joined.any():
-            c = self._offsets[idx]
-            rhs = np.stack([np.roll(c, 1), c], axis=1)[joined]
+            rhs = np.stack([self._offsets[prv], self._offsets[idx]], axis=1)[joined]
             x[joined] = np.linalg.solve(lines[joined], rhs[..., None])[..., 0]
         return x, w
 
@@ -260,7 +261,12 @@ class ErosionProfile:
             return ConvexPolygon(self._vertices)
         if d >= self.d_max:
             return self.locus
-        x, w = self._corners(np.flatnonzero(self.death > d))
+        # the edges alive past d are those of the first piece ending past d;
+        # consecutive calls mostly fall in one piece, whose corners are kept
+        p = bisect.bisect_right(self.pieces.d1, d)
+        if self._last_corners[0] != p:
+            self._last_corners = (p, *self._corners(np.flatnonzero(self.death > d)))
+        _, x, w = self._last_corners
         return ConvexPolygon(x - d * w)
 
     def rbar(self, c: float) -> float:
