@@ -143,10 +143,11 @@ class ConvexPolygon:
             if np.any(cr < -cross_tol):
                 raise ValueError("vertices do not describe a convex polygon")
             keep = cr > cross_tol
-            if not keep.all():  # the relative bound is the lower one
+            changed = not keep.all()
+            if changed:  # the relative bound is the lower one
                 sq = (before * before).sum(axis=1)
                 keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * np.roll(sq, -1))
-            changed = not keep.all()
+                changed = not keep.all()
             v = v[keep]
         if len(v) < 3:
             return _collinear_extremes(merged)

@@ -80,9 +80,10 @@ class ErosionProfile:
 
     The build is an event queue over the kernel's edges, which traces the
     straight skeleton of a convex polygon (Aichholzer et al. 1995) in
-    O(n log n): every edge keeps its offset line, and when edges vanish
-    only their two surviving neighbours get a new shared vertex and a new
-    collapse depth.  Each piece's area, perimeter and tan_sum follow from
+    O(n log n): every edge keeps its offset line and its start vertex, and
+    when edges vanish only their two surviving neighbours get a new shared
+    vertex (where their lines cross) and a new collapse depth, which the
+    queue orders.  Each piece's area, perimeter and tan_sum follow from
     the previous piece in closed form.  `death` holds the depth at which
     each edge vanishes, and polygon_at rebuilds any eroded polygon from the
     edges alive at its depth.
