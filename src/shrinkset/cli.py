@@ -111,10 +111,12 @@ def _load_config(args: argparse.Namespace) -> dict:
             if key not in (*_OPTION_TYPES, "geometry") or not hasattr(args, key):
                 raise BadConfigError(f"config key {key!r} is not read by {args.command}")
             if key != "geometry":
+                # the option's converter reads the value's text, as argparse
+                # does, so 1.7 is no int and true, null or a list no number
                 convert = _OPTION_TYPES[key]
                 try:
-                    cfg[key] = convert(val)
-                except (TypeError, ValueError, OverflowError) as exc:
+                    cfg[key] = convert(str(val))
+                except ValueError as exc:
                     raise BadConfigError(
                         f"config key {key!r} must be {convert.__name__}, got {val!r}"
                     ) from exc

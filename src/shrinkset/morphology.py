@@ -12,7 +12,6 @@ of the one-step least-perimeter problem (see ErosionProfile.query).
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -93,7 +92,6 @@ class ErosionProfile:
         if len(kernel) == 0:
             raise EmptySetError("erosion profile needs a nonempty kernel")
         self.pieces = pc = _Pieces([], [], [], [], [])
-        self._last_corners = (-1, None, None)  # see polygon_at
         self.area0 = polygon_area(kernel)
         self.perim0 = polygon_perimeter(kernel)
         scale = kernel.diameter
@@ -129,6 +127,7 @@ class ErosionProfile:
             heap = [(k, e) for e, k in enumerate(key) if k < math.inf]
             heapq.heapify(heap)
             live = n
+            mag = scale + float(np.abs(v).max())
 
             def length(g: int, depth: float) -> float:
                 h = nxt[g]
@@ -142,6 +141,7 @@ class ErosionProfile:
                 at = depth - np.array(pd)[idx, None]
                 return np.array([px, py]).T[idx] - at * np.array([wx, wy]).T[idx]
 
+            point = None
             while True:
                 depth, e = heapq.heappop(heap)
                 if death[e] < math.inf or key[e] != depth:
@@ -151,6 +151,17 @@ class ErosionProfile:
                 pc.area0.append(area)
                 pc.perim0.append(perim)
                 pc.tan_sum.append(tan_sum)
+                # a simultaneous collapse scatters its n vertices over up to
+                # ~n^2 ulps of the coordinates: a remainder that small is a
+                # point.  Only a remainder whose perimeter (in closed form,
+                # at most pi times its extent) allows it is built
+                x = depth - d
+                small = live * live * _ULP * mag
+                if perim - 2.0 * tan_sum * x <= 4.0 * small:
+                    u = polygon_before(depth)
+                    if _bbox_scale(u) <= small:
+                        point = u[:1]
+                        break
                 # every edge no longer than tol at this depth vanishes with
                 # e, including neighbours that the collapse leaves that short
                 dying = [e]
@@ -173,12 +184,6 @@ class ErosionProfile:
                 live -= len(dying)
                 if live < 3:
                     break
-                # a simultaneous collapse scatters its n vertices over up to
-                # ~n^2 ulps of the scale: a remainder that small is a point
-                if len(dying) >= live:
-                    u = polygon_before(depth)
-                    if _bbox_scale(u) <= len(u) ** 2 * _ULP * scale:
-                        break
                 # each run of vanished edges leaves one vertex, at the start
                 # of the surviving edge c that follows it
                 joins = {nxt[f] for f in dying if death[nxt[f]] == math.inf}
@@ -188,7 +193,6 @@ class ErosionProfile:
                     turn[c] = (nx[a] * ny[c] - ny[a] * nx[c], nx[a] * nx[c] + ny[a] * ny[c])
                 if any(s <= COLLINEAR_REL_TOL for s, _ in turn.values()):
                     break  # two antiparallel edges meet: a segment is left
-                x = depth - d
                 area = area - perim * x + tan_sum * x * x
                 perim = perim - 2.0 * tan_sum * x
                 tan_sum -= sum(tau[f] for f in dying)
@@ -216,10 +220,8 @@ class ErosionProfile:
                         key[g] = math.inf
                 d = depth
             self.d_max = depth
-            u = polygon_before(depth)
             self.death = np.minimum(np.array(death), depth)
-            if _bbox_scale(u) <= len(u) ** 2 * _ULP * scale:
-                u = u[:1]
+            u = polygon_before(depth) if point is None else point
             # merge at the parent scale: a collapse event leaves clusters of
             # float noise that the polygon's own bbox tolerance cannot see
             self.locus = ConvexPolygon(_merge_close(u, tol))
@@ -262,12 +264,7 @@ class ErosionProfile:
             return ConvexPolygon(self._vertices)
         if d >= self.d_max:
             return self.locus
-        # the edges alive past d are those of the first piece ending past d;
-        # consecutive calls mostly fall in one piece, whose corners are kept
-        p = bisect.bisect_right(self.pieces.d1, d)
-        if self._last_corners[0] != p:
-            self._last_corners = (p, *self._corners(np.flatnonzero(self.death > d)))
-        _, x, w = self._last_corners
+        x, w = self._corners(np.flatnonzero(self.death > d))
         return ConvexPolygon(x - d * w)
 
     def rbar(self, c: float) -> float:

@@ -259,6 +259,10 @@ class TestErrors:
             ("threshold", {"tol": "x"}, "'tol'"),
             ("one-step", {"a": [0.5]}, "'a'"),
             ("validate", {"seed": "x"}, "'seed'"),
+            ("validate", {"seed": 1.7}, "'seed'"),
+            ("validate", {"seed": 2.0}, "'seed'"),
+            ("simulate", {"M": True, "horizon": 1}, "'M'"),
+            ("threshold", {"tol": None}, "'tol'"),
         ],
     )
     def test_config_value_of_wrong_type(self, command, config, key, geom, tmp_path, capsys):

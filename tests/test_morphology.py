@@ -273,7 +273,8 @@ class TestErosionProfile:
     def test_matches_per_event_reference(self, rng):
         # depths and tan_sum to 1e-12 relative; each piece's area and
         # perimeter to 1e-12 of the kernel's, since they inherit the
-        # absolute error of the depth they are taken at
+        # absolute error of the depth they are taken at (late pieces are
+        # small: a 1e-14 relative depth error moves a 1e-5 area by 6e-9)
         kernels = [random_rounded_set(rng).kernel for _ in range(30)]
         kernels += [ConvexPolygon(v) for v in (SQUARE, RECT, TRIANGLE)]
         kernels += [ConvexPolygon(_ellipse(n)) for n in (100, 400)]
@@ -283,9 +284,9 @@ class TestErosionProfile:
             pc = prof.pieces
             assert len(pc) == len(d0)
             assert prof.d_max == pytest.approx(d_max, rel=1e-12)
+            assert pc.d0 == pytest.approx(d0, rel=1e-12)
+            assert pc.d1 == pytest.approx(d1, rel=1e-12)
             for got, want, scale in (
-                (pc.d0, d0, d_max),
-                (pc.d1, d1, d_max),
                 (pc.area0, area0, area0[0]),
                 (pc.perim0, perim0, perim0[0]),
             ):
@@ -339,3 +340,25 @@ class TestErosionProfile:
         assert len(prof.pieces) == 1
         assert len(prof.locus) == 1
         assert prof.d_max == pytest.approx(359.6860307111359 * math.cos(math.pi / 2048), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, radius, angle, offset, rel",
+        [
+            (100, 0.14364441141927917, 2.392451663226283, (-0.6802754715708924, 29.06838187649244), 1e-9),
+            (256, 354060.2058269977, 3.7839803444364, (-51709944.286331505, -3285.4173053875643), 1e-9),
+            (8192, 952.1191516501158, 1.1250840476855517, (-12197.251773986083, -2188.0213868350434), 5e-9),
+            (8192, 2182.6229287984374, 5.259321611121413, (19883.00701948878, 6729.76787504262), 5e-9),
+        ],
+    )
+    def test_moved_collapse_is_one_piece_and_a_point(self, n, radius, angle, offset, rel):
+        # the residue of a collapse is measured against the coordinates, not
+        # only the polygon's size: far from the origin the rounded vertices
+        # spread the collapse over ~n^2 ulps of them, and the build reads it
+        # at its first event (below the apothem by that spread) as a point
+        t = 2.0 * math.pi * np.arange(n) / n
+        c, s = math.cos(angle), math.sin(angle)
+        v = np.stack([np.cos(t), np.sin(t)], axis=1) @ np.array([[c, s], [-s, c]])
+        prof = ErosionProfile(ConvexPolygon(v * radius + offset))
+        assert len(prof.pieces) == 1
+        assert len(prof.locus) == 1
+        assert prof.d_max == pytest.approx(radius * math.cos(math.pi / n), rel=rel)
