@@ -330,31 +330,21 @@ class TestErosionProfile:
         assert len(prof.locus) == 1
         assert prof.d_max == pytest.approx(math.cos(math.pi / n), rel=1e-9)
 
-    def test_collapse_residue_is_a_point(self):
-        # far from the origin, float noise splits the regular polygon's
-        # collapse: most edges vanish together and the few left over span
-        # only a few ulps, which the build reads as the point they are
-        t = 2.0 * math.pi * np.arange(2048) / 2048 + 0.07631887441032356
-        v = 359.6860307111359 * np.stack([np.cos(t), np.sin(t)], axis=1)
-        prof = ErosionProfile(ConvexPolygon(v + (10639.717317528526, 7168.963725218581)))
-        assert len(prof.pieces) == 1
-        assert len(prof.locus) == 1
-        assert prof.d_max == pytest.approx(359.6860307111359 * math.cos(math.pi / 2048), rel=1e-9)
-
     @pytest.mark.parametrize(
         "n, radius, angle, offset, rel",
         [
             (100, 0.14364441141927917, 2.392451663226283, (-0.6802754715708924, 29.06838187649244), 1e-9),
             (256, 354060.2058269977, 3.7839803444364, (-51709944.286331505, -3285.4173053875643), 1e-9),
+            (2048, 359.6860307111359, 0.07631887441032356, (10639.717317528526, 7168.963725218581), 1e-9),
             (8192, 952.1191516501158, 1.1250840476855517, (-12197.251773986083, -2188.0213868350434), 5e-9),
             (8192, 2182.6229287984374, 5.259321611121413, (19883.00701948878, 6729.76787504262), 5e-9),
         ],
     )
-    def test_moved_collapse_is_one_piece_and_a_point(self, n, radius, angle, offset, rel):
-        # the residue of a collapse is measured against the coordinates, not
-        # only the polygon's size: far from the origin the rounded vertices
-        # spread the collapse over ~n^2 ulps of them, and the build reads it
-        # at its first event (below the apothem by that spread) as a point
+    def test_collapse_residue_is_a_point(self, n, radius, angle, offset, rel):
+        # far from the origin, float noise splits the regular polygon's
+        # collapse over ~n^2 ulps of the coordinates; the build reads the
+        # residue at the first event (below the apothem by that spread) as
+        # the point it is, whatever the polygon's size
         t = 2.0 * math.pi * np.arange(n) / n
         c, s = math.cos(angle), math.sin(angle)
         v = np.stack([np.cos(t), np.sin(t)], axis=1) @ np.array([[c, s], [-s, c]])
