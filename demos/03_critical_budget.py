@@ -21,14 +21,12 @@ shapes = {
 
 print(f"{'shape':<16} {'M0':>10} {'2*sqrt(pi*A)':>14} {'excess':>8} {'ball time':>10}")
 for name, s in shapes.items():
-    m0, (lo, hi), _ = critical_budget(s, tol=1e-4, full_output=True)
+    m0 = critical_budget(s, tol=1e-4)
     floor = 2 * math.sqrt(math.pi * rounded_area(s))
-    # probe the extinct side of the bracket; exactly-critical runs are
-    # numerically unstable by nature (they sit on a separatrix)
-    t_ball = ball_time_at_critical(s, hi)
+    t_ball = ball_time_at_critical(s, m0)
     print(f"{name:<16} {m0:10.5f} {floor:14.5f} {m0 - floor:8.5f} {t_ball:10.6f}")
 
 print()
-print("the 'ball time' column is when the near-critical trajectory first")
+print("the 'ball time' column is when the critical trajectory first")
 print("becomes a ball; from then on extinction is a one-dimensional race")
 print("between the shrinking radius and the budget.")

@@ -66,7 +66,6 @@ from .raster import (
 from .threshold import (
     EXTINCT,
     GROWS,
-    UNDETERMINED,
     Outcome,
     ball_time_at_critical,
     classify,
@@ -82,7 +81,6 @@ __all__ = [
     "DegenerateDomainError",
     "EXTINCT",
     "GROWS",
-    "UNDETERMINED",
     "EmptySetError",
     "ErosionProfile",
     "EvolutionTrace",

@@ -72,9 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (s, t, o):
         cmd.add_argument("--geometry", type=Path, help="geometry JSON file")
     _option(s, "M", "control budget")
-    for cmd in (s, t):
-        _option(cmd, "dt", "integration step")
-        _option(cmd, "horizon", "time horizon")
+    _option(s, "dt", "integration step")
+    _option(s, "horizon", "time horizon")
     _option(t, "tol", "tolerance")
     _option(o, "a", "target area")
     _option(v, "seed", "RNG seed for randomized suites")
@@ -181,21 +180,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_threshold(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     omega0 = _geometry(cfg)
-    m0, bracket, iterations = critical_budget(
-        omega0,
-        tol=cfg.get("tol", 1e-3),
-        horizon=cfg.get("horizon", 50.0),
-        dt=cfg.get("dt"),
-        full_output=True,
-    )
-    try:
-        # probe the extinct end of the bracket: at a budget a hair below
-        # critical the trajectory tips back to growth before the ball phase
-        t_dagger = ball_time_at_critical(
-            omega0, bracket[1], horizon=cfg.get("horizon", 50.0), dt=cfg.get("dt")
-        )
-    except ShrinksetError:
-        t_dagger = None
+    m0, bracket, iterations = critical_budget(omega0, cfg.get("tol", 1e-3), full_output=True)
+    t_dagger = ball_time_at_critical(omega0, m0)
     _emit(args, threshold_report(m0, bracket, iterations, t_dagger))
     return EXIT_OK
 
@@ -227,7 +213,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if "none" in suites:
         _emit(args, "no checks selected: PASS\n")
         return EXIT_OK
-    rng = np.random.default_rng(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
+    if seed < 0:
+        raise BadConfigError(f"'seed' must be a nonnegative integer, got {seed}")
+    rng = np.random.default_rng(seed)
     bias = 1e-2 if args.inject_perturbation else 0.0
     rows: list[tuple[str, bool]] = []
 

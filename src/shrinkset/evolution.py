@@ -27,7 +27,6 @@ from .isoperimetric import optimal_subset, perimeter_of_area
 from .morphology import BALL, _profile, dilate
 
 _EVENT_TIME_TOL = 1e-10
-_GROWTH_SLACK = 1e-9
 # largest number of sample times check_admissible tests
 _ADMISSIBLE_CHECKS = 40
 # least float argument of the principal Lambert W: the float nearest -1/e
@@ -59,12 +58,6 @@ def area_rate(omega0: RoundedSet, t: float, a: float, M: float) -> float:
     return perimeter_of_area(dilate(omega0, t), a) - M
 
 
-def _escaped(a: float, M: float) -> bool:
-    """Isoperimetric escape: every set of area a has perimeter at least
-    2*sqrt(pi*a), so past M the rate stays positive and a keeps growing."""
-    return 2.0 * math.sqrt(math.pi * max(a, 0.0)) > M * (1.0 + _GROWTH_SLACK)
-
-
 def _free_ball_radius(
     t: np.ndarray, t0: float, r0: float, rstar: float
 ) -> np.ndarray:
@@ -93,15 +86,9 @@ def simulate(
     M: float,
     horizon: float,
     dt: float | None = None,
-    stop_when_growing: bool = False,
 ) -> EvolutionTrace:
-    """Integrate the area ODE from the full initial area.
-
-    Stops at the horizon or at extinction, whichever comes first.  With
-    stop_when_growing the integration also stops as soon as the area is
-    large enough (2*sqrt(pi*a) > M) that it can only keep growing; the
-    threshold search uses this as an early exit.
-    """
+    """Integrate the area ODE from the full initial area until the horizon
+    or extinction, whichever comes first."""
     if M < 0 or not math.isfinite(M):
         raise BadConfigError(f"budget M must be finite and nonnegative, got {M}")
     if not (horizon > 0 and math.isfinite(horizon)):
@@ -199,8 +186,6 @@ def simulate(
     t, a = 0.0, a0
     record(t, a)
     while t < horizon - 1e-15:
-        if stop_when_growing and _escaped(a, M):
-            break
         if psi_ball(t, a) <= 0.0 and rstar > 0.0:
             # the tail's own numbers must admit extinction: log1p(-r0/rstar)
             r0 = math.sqrt(a / math.pi)

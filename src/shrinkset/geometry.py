@@ -211,11 +211,12 @@ class ConvexPolygon:
 
 
 def polygon_area(p: ConvexPolygon) -> float:
-    """Shoelace area; 0 for degenerate polygons."""
+    """Shoelace area, 0 for degenerate polygons; taken relative to the first
+    vertex, or a polygon far from the origin loses it to cancellation."""
     v = p.vertices
     if len(v) < 3:
         return 0.0
-    return 0.5 * float(cross2(v, np.roll(v, -1, axis=0)).sum())
+    return 0.5 * float(cross2(v[1:-1] - v[0], v[2:] - v[0]).sum())
 
 
 def polygon_perimeter(p: ConvexPolygon) -> float:

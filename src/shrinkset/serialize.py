@@ -61,7 +61,7 @@ def trace_to_csv(trace: EvolutionTrace) -> str:
 
 
 def threshold_report(
-    m0: float, bracket: tuple[float, float], iterations: int, t_dagger: float | None
+    m0: float, bracket: tuple[float, float], iterations: int, t_dagger: float
 ) -> str:
     doc = {
         "M0": m0,

@@ -60,10 +60,10 @@ SQUARE_T_DAGGER = SQUARE_M0 / (2 * math.pi) - 0.5
 
 def test_01_unit_square_critical_budget():
     start = time.monotonic()
-    m0 = critical_budget(sq(), tol=1e-3, horizon=50.0, dt=1e-3)
+    m0 = critical_budget(sq(), tol=1e-3)
     elapsed = time.monotonic() - start
     assert elapsed <= 60.0
-    assert m0 == pytest.approx(SQUARE_M0, abs=2e-3)
+    assert m0 == pytest.approx(SQUARE_M0, abs=1e-7)
 
 
 def test_02_unit_square_ball_time():

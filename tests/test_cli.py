@@ -135,7 +135,7 @@ class TestThreshold:
         out = tmp_path / "report.json"
         rc = main([
             "threshold", "--geometry", str(geom), "--tol", "0.01",
-            "--dt", "0.005", "--out", str(out),
+            "--out", str(out),
         ])
         assert rc == 0
         report = json.loads(out.read_text())
@@ -275,6 +275,17 @@ class TestErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("config", [None, {"seed": -1}])
+    def test_negative_seed(self, config, tmp_path, capsys):
+        argv = ["validate", "--seed", "-1"]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["validate", "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'seed'" in err
 
     def test_unreadable_config(self, tmp_path, geom):
         assert main([

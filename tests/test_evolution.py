@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from shrinkset import (
 from shrinkset.evolution import _free_ball_radius, _hermite
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+_COLUMNS = ("t", "a", "perimeter", "regime", "rho", "rate")
 
 
 def sq(radius=0.0):
@@ -184,7 +186,7 @@ class TestSimulate:
     def test_ball_tail_entry_near_critical_budget(self, M):
         # 2*sqrt(pi*a) < M but r0/rstar rounds to 1 or above: the tail must
         # not be entered with numbers that do not admit extinction
-        trace = simulate(sq(), M, 50.0, stop_when_growing=True)
+        trace = simulate(sq(), M, 1.0)
         assert trace.T_dagger is not None
         assert np.all(np.isfinite(trace.a)) and np.all(trace.a >= 0.0)
 
@@ -284,8 +286,12 @@ class TestCost:
             assert compute_cost(trace, 0.5, 2.0, T) == pytest.approx(want, rel=1e-12)
 
     def test_one_row_trace(self):
-        # an escaped probe stops at t = 0 with a single sample
-        trace = simulate(sq(), 1.0, 50.0, stop_when_growing=True)
+        # a trace cut to its first sample
+        trace = simulate(sq(), 1.0, 0.5)
+        trace = dataclasses.replace(
+            trace,
+            **{col: getattr(trace, col)[:1] for col in _COLUMNS},
+        )
         assert len(trace) == 1
         assert compute_cost(trace, 3.0, 2.0, 0.0) == 2.0 * trace.a[0]
 

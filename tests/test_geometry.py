@@ -45,6 +45,11 @@ class TestPolygonMeasures:
         assert polygon_area(ConvexPolygon.segment((0, 0), (1, 0))) == 0.0
         assert polygon_area(ConvexPolygon([(0, 0), (2, 0), (0, 2)])) == 2.0
 
+    def test_area_far_from_origin(self):
+        # at absolute coordinates the shoelace sum cancels to noise here
+        tiny = ConvexPolygon(1e3 + 1e-6 * np.array(SQUARE, float))
+        assert polygon_area(tiny) == pytest.approx(1e-12, rel=1e-8)
+
     def test_perimeter(self):
         assert polygon_perimeter(ConvexPolygon(SQUARE)) == 4.0
         # a segment's boundary is traversed on both sides

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from rk4_oracle import rk4_critical_budget
+from scipy.spatial import ConvexHull, QhullError
 
 from shrinkset import (
     BadConfigError,
@@ -13,12 +17,15 @@ from shrinkset import (
     ball_time_at_critical,
     classify,
     critical_budget,
+    random_rounded_set,
     rounded_area,
     simulate,
 )
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 RECT = [(0, 0), (2, 0), (2, 1), (0, 1)]
+# the unit square's closed form (see test_acceptance.py)
+SQUARE_M0 = (4 - math.pi) / math.log(4 / math.pi)
 
 
 def sq(radius=0.0):
@@ -27,26 +34,33 @@ def sq(radius=0.0):
 
 class TestClassify:
     def test_ball_above_critical_dies(self):
-        out = classify(RoundedSet.ball((0, 0), 1.0), 7.0, horizon=10.0)
+        out = classify(RoundedSet.ball((0, 0), 1.0), 7.0)
         assert out.kind == EXTINCT
         assert out.time is not None and out.time > 0
 
     def test_ball_below_critical_grows(self):
-        out = classify(RoundedSet.ball((0, 0), 1.0), 6.0, horizon=10.0)
+        out = classify(RoundedSet.ball((0, 0), 1.0), 6.0)
         assert out.kind == GROWS
         assert out.time is not None
 
     def test_square_at_isoperimetric_budget_grows(self):
         # The unit square survives budgets well above 2*sqrt(pi*area):
         # early growth raises the sustainable rate before shrinking bites.
-        out = classify(sq(), 2 * math.sqrt(math.pi), horizon=10.0)
+        out = classify(sq(), 2 * math.sqrt(math.pi))
         assert out.kind == GROWS
 
     def test_extinction_time_matches_simulation(self):
-        out = classify(sq(), 4.0, horizon=10.0)
-        trace = simulate(sq(), 4.0, horizon=10.0)
+        # the square's corners round at rho' = 1 + M/(2c rho), c = 4 - pi, so
+        # it is a ball of radius rho_b = (M/2c)(e^(c/M) - 1) at rho_b - 1/2;
+        # then the free-ball tail, r' = 1 - rstar/r, lives
+        # -rho_b - rstar ln(1 - rho_b/rstar)
+        M, c = 4.0, 4.0 - math.pi
+        rho_b = M / (2 * c) * math.expm1(c / M)
+        rstar = M / (2 * math.pi)
+        t_star = rho_b - 0.5 - rho_b - rstar * math.log1p(-rho_b / rstar)
+        out = classify(sq(), M)
         assert out.kind == EXTINCT
-        assert out.time == pytest.approx(trace.T_star, abs=1e-10)
+        assert out.time == pytest.approx(t_star, abs=1e-12)
 
 
 class TestCriticalBudget:
@@ -89,8 +103,8 @@ class TestCriticalBudget:
         assert lo <= m0 <= hi
         assert hi - lo <= 2e-3
         assert iterations > 0
-        assert classify(sq(), lo - 1e-3, horizon=50.0).kind == GROWS
-        assert classify(sq(), hi + 1e-3, horizon=50.0).kind == EXTINCT
+        assert classify(sq(), lo - 1e-3).kind == GROWS
+        assert classify(sq(), hi + 1e-3).kind == EXTINCT
 
     def test_monotone_in_budget(self):
         # More budget means less area at every shared time.
@@ -113,8 +127,16 @@ class TestCriticalBudget:
         assert lo <= m0 <= hi and hi - lo <= 2 * math.ulp(hi)
 
     def test_degenerate_domain(self):
-        with pytest.raises(DegenerateDomainError):
-            critical_budget(RoundedSet.ball((0, 0), 5e-8), tol=1e-4)
+        # a small ball is not degenerate: by homothety its M0 is 2 pi r
+        m0 = critical_budget(RoundedSet.ball((0, 0), 5e-8), tol=1e-4)
+        assert m0 == pytest.approx(2 * math.pi * 5e-8, rel=1e-12)
+        for s in (
+            RoundedSet.ball((0, 0), 0.0),
+            RoundedSet.from_polygon([(0, 0), (1, 0)]),
+            RoundedSet.empty(),
+        ):
+            with pytest.raises(DegenerateDomainError):
+                critical_budget(s, tol=1e-4)
 
 
 class TestBallTime:
@@ -129,13 +151,182 @@ class TestBallTime:
         assert t == pytest.approx(0.065563, abs=2e-3)
 
     def test_step_size_independence(self):
+        # RK4 runs at either step agree with the closed form
         rect = RoundedSet.from_polygon(RECT)
         _, (_, hi), _ = critical_budget(rect, tol=1e-4, full_output=True)
-        t1 = ball_time_at_critical(rect, hi, dt=2e-3)
-        t2 = ball_time_at_critical(rect, hi, dt=1e-3)
-        assert t1 > 0
-        assert t1 == pytest.approx(t2, abs=1e-4)
+        t = ball_time_at_critical(rect, hi)
+        assert t > 0
+        for dt in (2e-3, 1e-3):
+            assert simulate(rect, hi, 1.0, dt).T_dagger == pytest.approx(t, abs=1e-4)
 
     def test_subcritical_budget_rejected(self):
         with pytest.raises(NotCriticalError):
             ball_time_at_critical(sq(), 1.0)
+
+
+def _ellipse(n):
+    # 1.5:1, with an edge at each end of the minor axis
+    t = 2 * math.pi * (np.arange(n) + 0.5) / n
+    return np.stack([1.5 * np.cos(t), np.sin(t)], axis=1)
+
+
+def _oracle_sets():
+    sets = [
+        sq(),
+        RoundedSet.from_polygon(RECT),
+        sq(0.2),
+        RoundedSet.from_polygon(_ellipse(100)),
+        RoundedSet.from_polygon(_ellipse(400)),
+    ]
+    rng = np.random.default_rng(20260826)
+    return sets + [random_rounded_set(rng) for _ in range(6)]
+
+
+def _cross(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _tangential_m0(vertices):
+    """2r(T - pi)/ln(T/pi) of a polygon whose edges all touch its incircle,
+    r = 2 area / perimeter and T the sum of tan(theta_i / 2) over its
+    exterior angles."""
+    v = np.asarray(vertices, float)
+    e = np.roll(v, -1, axis=0) - v
+    area = 0.5 * float(_cross(v - v[0], np.roll(v, -1, axis=0) - v[0]).sum())
+    r = 2.0 * abs(area) / float(np.hypot(*e.T).sum())
+    ep = np.roll(e, 1, axis=0)
+    theta = np.abs(np.arctan2(_cross(ep, e), (ep * e).sum(axis=1)))
+    t = float(np.tan(0.5 * theta).sum())
+    return 2.0 * r * (t - math.pi) / math.log(t / math.pi)
+
+
+class TestAgainstRK4:
+    @pytest.mark.parametrize("index", range(11))
+    def test_critical_budget_matches_bisection_over_simulate(self, index):
+        s = _oracle_sets()[index]
+        m0 = critical_budget(s, tol=1e-9)
+        assert rk4_critical_budget(s) == pytest.approx(m0, rel=1e-5)
+
+    @pytest.mark.parametrize("shape", [sq(), RoundedSet.from_polygon(RECT), sq(0.2)])
+    @pytest.mark.parametrize("factor", [0.99, 1.01, 1.5, 3.0])
+    def test_times_match_fine_simulation(self, shape, factor):
+        m0 = critical_budget(shape, tol=1e-9)
+        M = factor * m0
+        out = classify(shape, M)
+        assert out.kind == (GROWS if factor < 1.0 else EXTINCT)
+        trace = simulate(shape, M, out.time + 0.5, dt=1e-4 / 8)
+        t_dagger = trace.T_dagger
+        if out.kind == EXTINCT:
+            assert out.time == pytest.approx(trace.T_star, rel=1e-6)
+        else:
+            assert out.time == pytest.approx(t_dagger, rel=1e-6)
+        if M >= 2 * math.sqrt(math.pi * rounded_area(shape)):
+            assert ball_time_at_critical(shape, M) == pytest.approx(t_dagger, rel=1e-6)
+
+
+@st.composite
+def hulls(draw):
+    pts = np.array(
+        draw(st.lists(st.tuples(st.floats(0, 2), st.floats(0, 2)), min_size=3, max_size=9))
+    )
+    try:
+        v = pts[ConvexHull(pts).vertices]
+    except QhullError:
+        assume(False)
+    s = RoundedSet.from_polygon(v, draw(st.floats(0, 0.5)))
+    assume(rounded_area(s) > 1e-3)
+    return s
+
+
+_properties = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestProperties:
+    @_properties
+    @given(hulls(), st.floats(-6, 6))
+    def test_homothety(self, s, exponent):
+        lam = 10.0**exponent
+        scaled = RoundedSet.from_polygon(lam * s.kernel.vertices, lam * s.radius)
+        m0 = critical_budget(s, tol=1e-9)
+        assert critical_budget(scaled, tol=1e-9 * lam) / lam == pytest.approx(m0, rel=1e-12)
+
+    @_properties
+    @given(hulls(), st.floats(0, 2 * math.pi), st.floats(-10, 10), st.floats(-10, 10))
+    def test_rigid_motion(self, s, angle, dx, dy):
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        moved = RoundedSet.from_polygon(s.kernel.vertices @ rot.T + (dx, dy), s.radius)
+        m0 = critical_budget(s, tol=1e-9)
+        assert critical_budget(moved, tol=1e-9) == pytest.approx(m0, rel=1e-10)
+
+    @_properties
+    @given(hulls(), st.integers(0, 8), st.integers(0, 8))
+    def test_vertex_rotation_or_duplication(self, s, shift, dup):
+        v = s.kernel.vertices
+        dup %= len(v)
+        rolled = np.roll(np.insert(v, dup, v[dup], axis=0), shift, axis=0)
+        m0 = critical_budget(s, tol=1e-9)
+        same = RoundedSet.from_polygon(rolled, s.radius)
+        assert critical_budget(same, tol=1e-9) == pytest.approx(m0, rel=1e-12)
+
+    @_properties
+    @given(hulls(), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_input_rejected(self, s, bad):
+        with pytest.raises(BadConfigError):
+            critical_budget(s, tol=bad)
+        with pytest.raises(BadConfigError):
+            classify(s, bad)
+        with pytest.raises(BadConfigError):
+            ball_time_at_critical(s, bad)
+        v = s.kernel.vertices.copy()
+        v[0, 1] = bad
+        with pytest.raises(ValueError):
+            RoundedSet.from_polygon(v)
+        with pytest.raises(ValueError):
+            RoundedSet.from_polygon(s.kernel.vertices, bad)
+
+    @_properties
+    @given(st.tuples(*[st.floats(-1, 1)] * 6))
+    def test_random_triangles_match_tangential_formula(self, xy):
+        v = np.reshape(xy, (3, 2))
+        assume(abs(_cross(v[1] - v[0], v[2] - v[0])) > 1e-3)
+        m0 = critical_budget(RoundedSet.from_polygon(v), tol=1e-12)
+        assert m0 == pytest.approx(_tangential_m0(v), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, 100, 1000])
+    def test_regular_polygons_match_tangential_formula(self, n):
+        t = 2 * math.pi * np.arange(n) / n
+        v = np.stack([np.cos(t), np.sin(t)], axis=1)
+        m0 = critical_budget(RoundedSet.from_polygon(v), tol=1e-12)
+        assert m0 == pytest.approx(_tangential_m0(v), rel=1e-9)
+
+
+class TestExtremes:
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(0, 0), (1, 0), (math.cos(1e-6), math.sin(1e-6))],
+            [(0, 0), (1e7, 0), (1e7, 1), (0, 1)],
+        ],
+        ids=["sliver-triangle", "rectangle-1e7"],
+    )
+    def test_finite_and_bracketed(self, vertices):
+        # e^(2kd/M) and e^(2L/M) overflow at the floor budget of both
+        s = RoundedSet.from_polygon(vertices)
+        m0, (lo, hi), _ = critical_budget(s, tol=1e-3, full_output=True)
+        assert math.isfinite(m0) and lo < hi and lo <= m0 <= hi
+        assert m0 > 2 * math.sqrt(math.pi * rounded_area(s))
+        assert math.isfinite(ball_time_at_critical(s, m0))
+        if len(vertices) == 3:
+            assert m0 == pytest.approx(_tangential_m0(vertices), rel=1e-5)
+
+    def test_tiny_square_far_from_origin(self):
+        s = RoundedSet.from_polygon(1e3 + 1e-6 * np.array(SQUARE, float))
+        m0 = critical_budget(s, tol=1e-12)
+        assert m0 / 1e-6 == pytest.approx(SQUARE_M0, rel=1e-8)
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e6])
+    def test_scaled_square(self, lam):
+        s = RoundedSet.from_polygon(lam * np.array(SQUARE, float))
+        assert critical_budget(s, tol=1e-3 * lam) / lam == pytest.approx(
+            critical_budget(sq(), tol=1e-3), rel=1e-12
+        )
