@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
     # each command declares only the options it reads
-    s = sub.add_parser("simulate", help="integrate the area ODE")
+    s = sub.add_parser("simulate", help="sample the exact area trajectory")
     t = sub.add_parser("threshold", help="locate the critical budget")
     o = sub.add_parser("one-step", help="solve the one-step problem")
     v = sub.add_parser("validate", help="self-check suites")
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (s, t, o):
         cmd.add_argument("--geometry", type=Path, help="geometry JSON file")
     _option(s, "M", "control budget")
-    _option(s, "dt", "integration step")
+    _option(s, "dt", "sample spacing")
     _option(s, "horizon", "time horizon")
     _option(t, "tol", "tolerance")
     _option(o, "a", "target area")

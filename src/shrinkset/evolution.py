@@ -1,12 +1,23 @@
-"""Optimal-strategy area ODE: a'(t) = perimeter(best subset of the grown
-domain at area a) - M.
+"""Optimal-strategy area ODE, a'(t) = perimeter(best subset of the grown
+domain at area a) - M, and its closed-form solution.
 
-The domain grows at unit speed (dilation), the controlled set is at every
-instant the least-perimeter subset of the grown domain with the current
-area.  Integration is classical RK4 with a fixed base step; the step is
-split exactly at regime-boundary crossings (where the rate has a kink) so
-the order-4 accuracy survives, and the extinction time T_star / first
-ball time T_dagger are localized by bisection on the final step.
+The domain grows at unit speed (dilation) and the controlled set is at every
+instant the opening of the grown domain at radius rho = c0 + t + d, d the
+erosion depth of the kernel.  Its trajectory has three phases:
+
+- opening: on a piece of the erosion profile, with k = tan_sum - pi > 0, the
+  ODE is d rho / dt = 1 + M / (2k rho).  With v = (2k rho + M) / M it
+  solves v - ln v = v_s - ln v_s + 2k (t - t_s) / M, so v = -W_-1(-e^(-y))
+  on the lower branch of Lambert W (Corless et al., "On the Lambert W
+  function", 1996).  In depth, the piece maps rho affinely:
+  rho_end = e^x rho_start + (M/2k) expm1(x), x = 2k (d1 - d0) / M;
+- stadium, on a segment locus of length L: R = c0 + t + d_max and the
+  straight part shrinks as L - (M/2) ln(R / R_s), so the set becomes a ball
+  at R_b = R_s e^(2L/M), at the time T† = R_b - c0 - d_max;
+- ball: r' = 1 - r*/r with r* = M / 2pi, so the set dies iff R_b < r*.
+
+simulate samples this trajectory and threshold reads R_b from it.  Logs
+carry the piece maps: e^x overflows at small M.
 """
 
 from __future__ import annotations
@@ -19,19 +30,22 @@ import numpy as np
 # perfbench/run.py traces the former tail root-finder under this name; the
 # closed-form tail no longer calls it
 from scipy.optimize import brentq  # noqa: F401
-from scipy.special import lambertw
+from scipy.special import lambertw, wrightomega
 
-from .errors import BadConfigError, OutOfRangeError
+from .errors import BadConfigError, DegenerateDomainError, OutOfRangeError
 from .geometry import RoundedSet, contains, rounded_area
 from .isoperimetric import optimal_subset, perimeter_of_area
-from .morphology import BALL, _profile, dilate
+from .morphology import BALL, OPENING, STADIUM, _profile, dilate
 
-_EVENT_TIME_TOL = 1e-10
 # largest number of sample times check_admissible tests
 _ADMISSIBLE_CHECKS = 40
 # least float argument of the principal Lambert W: the float nearest -1/e
 # lies just past the branch point, where scipy's lambertw returns nan
 _W_BRANCH = float(np.nextafter(-math.exp(-1.0), 0.0))
+# coefficients, highest first, of (v - 1) / p as a power series in
+# p = sqrt(2q) at the branch point q = 0 of v - ln v = 1 + q (the reversion
+# of w - ln(1 + w) = p^2 / 2)
+_BRANCH_SERIES = (1 / 204120, -139 / 5443200, 1 / 17010, 1 / 4320, -1 / 270, 1 / 36, 1 / 3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -58,27 +72,127 @@ def area_rate(omega0: RoundedSet, t: float, a: float, M: float) -> float:
     return perimeter_of_area(dilate(omega0, t), a) - M
 
 
+def _lower_branch(q: np.ndarray) -> np.ndarray:
+    """v - 1 for the root v >= 1 of v - ln v = 1 + q, q >= 0, which is
+    -W_-1(-e^(-1-q)) - 1.
+
+    scipy's lambertw loses the argument's distance to the branch point -1/e
+    at small q and underflows past q ~ 745, and wrightomega(-1 - q - i pi)
+    returns the other branch below q ~ 1.  So: the branch-point series below
+    q = 1e-3 (its next term is below 1e-16 relative there), lambertw up to
+    q = 2 and the Wright omega function past it.
+    """
+    v = np.empty_like(q)
+    near, far = q < 1e-3, q >= 2.0
+    mid = ~(near | far)
+    p = np.sqrt(2.0 * q[near])
+    v[near] = p * np.polyval(_BRANCH_SERIES, p)
+    v[mid] = -lambertw(-np.exp(-1.0 - q[mid]), -1).real - 1.0
+    v[far] = -wrightomega(-1.0 - q[far] - 1j * math.pi).real - 1.0
+    return v
+
+
 def _free_ball_radius(
     t: np.ndarray, t0: float, r0: float, rstar: float
 ) -> np.ndarray:
     """Radius at times t >= t0 of a free ball, r' = 1 - rstar/r, of radius
-    r0 < rstar at t0.
+    r0 at t0 (rstar > 0).
 
-    Closed form r = rstar*(1 + W0(-(u0/rstar)*exp((t - t0 - u0)/rstar))) with
-    u0 = rstar - r0 (Corless et al., "On the Lambert W function", 1996).  The
-    argument is negative and reaches the branch point -1/e at extinction;
-    clamping it to the branch and the radius to [0, r0] keeps a time at or
-    past extinction real and finite (there the radius is at most ~1.3e-8
-    rstar, the float resolution of W at its branch point).
+    With u0 = r0 - rstar, a dying ball (u0 < 0) has r = rstar*(1 +
+    W0((u0/rstar)*exp((t - t0 + u0)/rstar))) (Corless et al. 1996).  The
+    argument reaches the branch point -1/e at extinction; clamping it to the
+    branch and the radius to [0, r0] keeps a time at or past extinction real
+    and finite (there the radius is at most ~1.3e-8 rstar, the float
+    resolution of W at its branch point).  A growing ball (u0 > 0) has r =
+    rstar*(1 + omega(ln(u0/rstar) + (u0 + t - t0)/rstar)), omega the Wright
+    omega function; at u0 = 0 the ball is stationary.
     """
-    u0 = rstar - r0
-    z = -(u0 / rstar) * np.exp((np.asarray(t, dtype=float) - t0 - u0) / rstar)
-    w = lambertw(np.maximum(z, _W_BRANCH)).real
-    return np.clip(rstar * (1.0 + w), 0.0, r0)
+    s = np.asarray(t, dtype=float) - t0
+    u0 = r0 - rstar
+    if u0 < 0.0:
+        z = (u0 / rstar) * np.exp((s + u0) / rstar)
+        return np.clip(rstar * (1.0 + lambertw(np.maximum(z, _W_BRANCH)).real), 0.0, r0)
+    if u0 == 0.0:
+        return np.full_like(s, r0)
+    return rstar * (1.0 + wrightomega(math.log(u0 / rstar) + (u0 + s) / rstar))
+
+
+class _Trajectory:
+    """The budget-M evolution of one initial set, in closed form."""
+
+    def __init__(self, omega0: RoundedSet):
+        area = 0.0 if omega0.is_empty else rounded_area(omega0)
+        if not area > 0.0:
+            raise DegenerateDomainError("domain has zero area")
+        self.prof = prof = _profile(omega0.kernel)
+        pc, self.c0 = prof.pieces, omega0.radius
+        # rows d0, d1, area0, perim0, tan_sum; columns the pieces
+        self.pieces = np.array([pc.d0, pc.d1, pc.area0, pc.perim0, pc.tan_sum])
+        d0, d1, _, _, tan_sum = self.pieces
+        self.k2 = 2.0 * (tan_sum - math.pi)
+        self._log_k2 = np.log(self.k2)
+        self._growth = self.k2 * (d1 - d0)  # x * M per piece
+        self._log_c0 = math.log(self.c0) if self.c0 > 0.0 else -math.inf
+        self._two_l = 2.0 * prof.locus_len
+        self.rbar = prof.rbar(self.c0)  # c0 + d_max
+        self._log_rbar = math.log(self.rbar)
+        # isoperimetric floor: below it the area grows at all times
+        self.floor = 2.0 * math.sqrt(math.pi * area)
+        # here each phase's exponents sum to at most 1/2, so by Gronwall
+        # R_b <= e * rbar <= M / 2pi: the set dies
+        self.cap = 2.0 * max(self._two_l, float(self._growth.sum()), math.pi * math.e * self.rbar)
+
+    def log_radii(self, M: float) -> np.ndarray:
+        """ln rho at the start of the first piece and at the end of each;
+        the last is the radius at stadium entry."""
+        x = self._growth / M
+        before = np.concatenate(([0.0], np.cumsum(x)))  # exponent up to each end
+        # ln of what each piece adds at its end, (M/2k) expm1(x), over
+        # e^before; a zero-length piece adds 0
+        with np.errstate(divide="ignore"):
+            terms = math.log(M) - self._log_k2 + np.log(-np.expm1(-x)) - before[:-1]
+        return before + np.logaddexp.accumulate(np.concatenate(([self._log_c0], terms)))
+
+    def log_ball_radius(self, M: float) -> float:
+        return float(self.log_radii(M)[-1]) + self._two_l / M
+
+    def excess(self, M: float) -> float:
+        """ln R_b - ln(M / 2pi): negative iff the budget-M evolution dies."""
+        return self.log_ball_radius(M) - math.log(M / (2.0 * math.pi))
+
+    def time_at(self, log_r: float) -> float:
+        """The time t >= 0 with c0 + t + d_max = e^log_r after the opening
+        phase: 0 for a ball, inf past the float range."""
+        if log_r <= self._log_rbar:
+            return 0.0
+        try:
+            return max(math.exp(log_r) - self.rbar, 0.0)
+        except OverflowError:
+            return math.inf
+
+    def times(self, M: float) -> tuple[float, float, float | None]:
+        """(excess, T†, T*), T* None if the set grows; T† is inf past the
+        float range and 0 for a ball."""
+        log_rb = self.log_ball_radius(M)
+        gap = log_rb - math.log(M / (2.0 * math.pi))
+        t_ball = self.time_at(log_rb)
+        if gap >= 0.0:
+            return gap, t_ball, None
+        # the free ball's lifetime -r0 - r* ln(1 - r0/r*), with r0/r* = e^gap
+        # and 1 - r0/r* = -expm1(gap) in full precision
+        life = -M / (2.0 * math.pi) * (math.exp(gap) + math.log(-math.expm1(gap)))
+        return gap, t_ball, t_ball + life
 
 
 def default_step(omega0: RoundedSet) -> float:
     return 1e-3 * max(1.0, omega0.diameter)
+
+
+def _sample_times(end: float, dt: float, kinks: np.ndarray) -> np.ndarray:
+    # the multiples of dt before the end, less one within a billionth of a
+    # step of it, then the kinks up to the end and the end itself
+    grid = dt * np.arange(max(math.ceil(end / dt - 1e-9), 1))
+    return np.unique(np.concatenate((grid, kinks[kinks <= end], [end])))
 
 
 def simulate(
@@ -87,8 +201,9 @@ def simulate(
     horizon: float,
     dt: float | None = None,
 ) -> EvolutionTrace:
-    """Integrate the area ODE from the full initial area until the horizon
-    or extinction, whichever comes first."""
+    """The exact evolution from the full initial area until the horizon or
+    extinction, whichever comes first, sampled at the multiples of dt and at
+    every kink: each piece end, stadium entry, T† and T*."""
     if M < 0 or not math.isfinite(M):
         raise BadConfigError(f"budget M must be finite and nonnegative, got {M}")
     if not (horizon > 0 and math.isfinite(horizon)):
@@ -98,138 +213,81 @@ def simulate(
     if not (dt > 0 and math.isfinite(dt)):
         raise BadConfigError(f"dt must be positive and finite, got {dt}")
 
-    prof = _profile(omega0.kernel)
-    c0 = omega0.radius
-    a0 = rounded_area(omega0)
-    band = 1e-11 * max(1.0, a0)
-
-    # RK4 stage values sit O(dt^2) below the full-area plateau even when the
-    # exact trajectory rides it; for sharp kernels dP/da blows up there, so
-    # snap a dt^2-band onto the plateau (error O(dt^4), order preserved).
-    snap = 4.0 * math.pi * dt * dt
-
-    def rate(t: float, a: float) -> float:
-        if a <= 0.0:
-            return -M
+    traj = _Trajectory(omega0)
+    prof, c0, n = traj.prof, traj.c0, traj.pieces.shape[1]
+    labels = (OPENING,) * n + (STADIUM, BALL)
+    if M == 0.0:
+        # no control: the set is the whole grown domain
+        t = _sample_times(horizon, dt, np.empty(0))
         c = c0 + t
-        if a >= prof.area_full(c) - snap:
-            return prof.perim0 + 2.0 * math.pi * c - M
-        return prof.query(c, a)[0] - M
+        perim = prof.perim0 + 2.0 * math.pi * c
+        regime = OPENING if n else STADIUM if prof.locus_len > 0.0 else BALL
+        t_ball = 0.0 if regime == BALL else None
+        return EvolutionTrace(
+            omega0, M, t, prof.area_full(c), perim, (regime,) * len(t), c, perim,
+            None, t_ball, horizon, dt,
+        )
 
-    def rk4(t: float, a: float, h: float) -> float:
-        k1 = rate(t, a)
-        k2 = rate(t + 0.5 * h, a + 0.5 * h * k1)
-        k3 = rate(t + 0.5 * h, a + 0.5 * h * k2)
-        k4 = rate(t + h, a + h * k3)
-        return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    gap, t_ball, t_star = traj.times(M)
+    end = horizon if t_star is None else min(horizon, t_star)
+    # rho and time at each piece start and at stadium entry, which is T†
+    # itself on a point locus
+    log_rho = traj.log_radii(M)
+    with np.errstate(over="ignore"):  # inf past the float range
+        rho_k = np.exp(log_rho)
+    rho_k[0] = c0
+    t_k = rho_k - (c0 + np.concatenate(([0.0], traj.pieces[1])))
+    t_k[-1] = traj.time_at(float(log_rho[-1]))
+    t_k = np.maximum.accumulate(np.maximum(t_k, 0.0))
+    bounds = np.append(t_k[1:], t_ball)  # where each phase but the last ends
+    t = _sample_times(end, dt, np.append(bounds, math.inf if t_star is None else t_star))
+    phase = np.searchsorted(bounds, t, side="right")
+    a, perim, rho = np.empty_like(t), np.empty_like(t), np.empty_like(t)
 
-    # signed distances to the two regime boundaries (kinks of the rate)
-    def psi_ball(t: float, a: float) -> float:
-        r = prof.rbar(c0 + t)
-        return a - math.pi * r * r
+    rows = phase < n
+    p, ts = phase[rows], t[rows]
+    d0, d1, area0, perim0, tan_sum = traj.pieces[:, p]
+    k2 = traj.k2[p]
+    w = k2 * rho_k[p] / M  # v - 1 at the piece start
+    q = np.maximum(w - np.log1p(w) + k2 * (ts - t_k[p]) / M, 0.0)
+    r = np.where(ts == t_k[p], rho_k[p], M / k2 * _lower_branch(q))
+    x = np.clip(r - (c0 + ts) - d0, 0.0, d1 - d0)
+    edge = perim0 - 2.0 * tan_sum * x  # perimeter of the eroded kernel
+    a[rows] = area0 - (perim0 - tan_sum * x) * x + edge * r + math.pi * r * r
+    perim[rows] = edge + 2.0 * math.pi * r
+    rho[rows] = r
 
-    def psi_hat(t: float, a: float) -> float:
-        return a - prof.area_hat(c0 + t)
+    rows = phase == n
+    big = traj.rbar + t[rows]
+    length = prof.locus_len
+    straight = np.clip(length - 0.5 * M * np.log(big / rho_k[-1]), 0.0, length)
+    a[rows] = math.pi * big * big + 2.0 * big * straight
+    perim[rows] = 2.0 * math.pi * big + 2.0 * straight
+    rho[rows] = big
 
-    def bisect(t: float, a: float, h: float, fun, f0: float) -> float:
-        lo, hi = 0.0, h
-        while hi - lo > _EVENT_TIME_TOL:
-            mid = 0.5 * (lo + hi)
-            if (fun(t + mid, rk4(t, a, mid)) > 0.0) == (f0 > 0.0):
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    ts, areas, perims, regimes, rhos, rates = [], [], [], [], [], []
-    T_star = None
-    T_dagger = 0.0 if psi_ball(0.0, a0) <= 0.0 else None
-
-    def record(t: float, a: float) -> None:
-        if a <= 0.0:
-            perim, regime, rho, r = 0.0, BALL, 0.0, -M
-        else:
-            a = min(a, prof.area_full(c0 + t))
-            perim, regime, rho, _ = prof.query(c0 + t, a)
-            r = perim - M
-        ts.append(t)
-        areas.append(max(a, 0.0))
-        perims.append(perim)
-        regimes.append(regime)
-        rhos.append(rho)
-        rates.append(r)
-
-    def ball_tail(t0: float, r0: float) -> tuple[np.ndarray, ...]:
-        # inside the ball regime with r0 < rstar the set is a shrinking free
-        # ball whose radius has a closed form, so the rest of the trace is
-        # written in bulk instead of chasing the sqrt(T-t) tail with RK4.
-        # Sample times are summed in sequence (t0 + dt + dt + ...), like the
-        # RK4 grid, with two spare steps for the rounding of the sum; the rows
-        # repeat the ball branch of ErosionProfile.query.
-        nonlocal T_star
-        t_end = t0 - r0 - rstar * math.log1p(-r0 / rstar)
-        stop = min(t_end, horizon) - 1e-15
-        steps = np.full(int((stop - t0) / dt) + 2, dt)
-        steps[0] = t0 + dt
-        tk = np.add.accumulate(steps)
-        tk = np.append(tk[tk < stop], min(t_end, horizon))
-        r = _free_ball_radius(tk, t0, r0, rstar)
-        if t_end <= horizon:
-            T_star = t_end
-            r[-1] = 0.0
-        area = math.pi * r * r
-        perim = 2.0 * np.sqrt(math.pi * area)
-        return tk, area, perim, np.sqrt(area / math.pi), perim - M
-
-    rstar = M / (2.0 * math.pi)
-    tail = ((),) * 5  # columns t, a, perimeter, rho, rate of the ball tail
-    t, a = 0.0, a0
-    record(t, a)
-    while t < horizon - 1e-15:
-        if psi_ball(t, a) <= 0.0 and rstar > 0.0:
-            # the tail's own numbers must admit extinction: log1p(-r0/rstar)
-            r0 = math.sqrt(a / math.pi)
-            if r0 / rstar < 1.0:
-                tail = ball_tail(t, r0)
-                break
-        h = min(dt, horizon - t)
-        a1 = rk4(t, a, h)
-        events = []  # (time offset, kind)
-        if a1 <= 0.0:
-            events.append((bisect(t, a, h, lambda tt, aa: aa, a), "extinct"))
-        for psi in (psi_ball, psi_hat):
-            f0, f1 = psi(t, a), psi(t + h, a1)
-            if abs(f0) > band and (f0 > 0.0) != (f1 > 0.0):
-                events.append((bisect(t, a, h, psi, f0), "kink"))
-        kind = None
-        if events:
-            h, kind = min(events)
-            a1 = rk4(t, a, h)
-        t, a = t + h, a1
-        if kind == "extinct" or a <= 0.0:
-            T_star = t
-            record(t, 0.0)
-            break
-        record(t, a)
-        if T_dagger is None and psi_ball(t, a) <= 0.0:
-            T_dagger = t
-
-    regime = tuple(regimes) + (BALL,) * len(tail[0])
-    ts, areas, perims, rhos, rates = (
-        np.concatenate((rows, bulk))
-        for rows, bulk in zip((ts, areas, perims, rhos, rates), tail)
-    )
+    rows = phase > n
+    if rows.any():
+        rstar = M / (2.0 * math.pi)
+        # r0 = R_b from the excess, so it lies on the side of r* that T* says
+        r = _free_ball_radius(t[rows], t_ball, rstar * math.exp(gap), rstar)
+        a[rows] = math.pi * r * r
+        perim[rows] = 2.0 * math.pi * r
+        rho[rows] = r
+    if t_star is not None and t_star <= horizon:
+        a[-1] = perim[-1] = rho[-1] = 0.0
+    else:
+        t_star = None
     return EvolutionTrace(
         omega0=omega0,
         M=M,
-        t=ts,
-        a=areas,
-        perimeter=perims,
-        regime=regime,
-        rho=rhos,
-        rate=rates,
-        T_star=T_star,
-        T_dagger=T_dagger,
+        t=t,
+        a=a,
+        perimeter=perim,
+        regime=tuple(labels[i] for i in phase.tolist()),
+        rho=rho,
+        rate=perim - M,
+        T_star=t_star,
+        T_dagger=t_ball if t_ball <= horizon else None,
         horizon=horizon,
         dt=dt,
     )
@@ -261,7 +319,7 @@ def reconstruct_set(trace: EvolutionTrace, t: float) -> RoundedSet:
     t_end = float(trace.t[-1])
     if t < 0.0 or t > t_end + 1e-12:
         raise OutOfRangeError(f"time {t} outside the trace range [0, {t_end}]")
-    if trace.T_star is not None and t >= trace.T_star - _EVENT_TIME_TOL:
+    if trace.T_star is not None and t >= trace.T_star:
         return RoundedSet.empty()
     a = _hermite(trace, t)
     domain = dilate(trace.omega0, t)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptySetError
+from .errors import BadConfigError, EmptySetError
 
 # Relative tolerances for canonicalization (see ConvexPolygon).
 MERGE_REL_TOL = 1e-12
@@ -104,7 +104,7 @@ class ConvexPolygon:
     def __init__(self, vertices):
         v = np.asarray(vertices, float).reshape(-1, 2)
         if not np.all(np.isfinite(v)):
-            raise ValueError("vertices must be finite")
+            raise BadConfigError("vertices must be finite")
         v = self._canonicalize(v)
         v.setflags(write=False)
         self.vertices = v
@@ -249,7 +249,7 @@ class RoundedSet:
 
     def __init__(self, kernel: ConvexPolygon, radius: float):
         if not (radius >= 0 and math.isfinite(radius)):
-            raise ValueError("radius must be finite and nonnegative")
+            raise BadConfigError("radius must be finite and nonnegative")
         self.kernel = kernel
         self.radius = float(radius)
 

@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from rk4_oracle import rk4_to_ball
+from test_threshold import hulls
 
 from shrinkset import (
     BadConfigError,
@@ -17,7 +21,7 @@ from shrinkset import (
     rounded_perimeter,
     simulate,
 )
-from shrinkset.evolution import _free_ball_radius, _hermite
+from shrinkset.evolution import _free_ball_radius, _hermite, _lower_branch
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 _COLUMNS = ("t", "a", "perimeter", "regime", "rho", "rate")
@@ -69,6 +73,22 @@ class TestFreeBallRadius:
         assert np.all(radii[1:] <= 1e-7 * rstar)
 
 
+class TestLowerBranch:
+    def test_matches_mpmath(self):
+        # v - 1 for the root v >= 1 of v - ln v = 1 + q, across the branch
+        # point series, lambertw and Wright omega
+        import mpmath
+
+        q = np.concatenate(([0.0], np.logspace(-12, 6, 91), [1e-3, 2.0]))
+        got = _lower_branch(q)
+        with mpmath.workdps(40):
+            for qi, wi in zip(q, got):
+                qm = mpmath.mpf(float(qi))
+                w0 = mpmath.sqrt(2 * qm) if qm < 1 else qm + mpmath.log(1 + qm)
+                exact = mpmath.findroot(lambda w: w - mpmath.log1p(w) - qm, w0)
+                assert abs(wi - exact) <= 1e-10 * exact
+
+
 class TestAreaRate:
     def test_square_full_area_at_start(self):
         assert area_rate(sq(), 0.0, 1.0, 4.0) == pytest.approx(0.0)
@@ -115,8 +135,9 @@ class TestSimulate:
         assert trace.T_star == pytest.approx(euler_t_star(1e-6), abs=1e-4)
 
     def test_rate_column_matches_area_rate(self):
-        # horizon 0.2 keeps to RK4 rows; M = 4 over horizon 5 becomes a ball
-        # at T_dagger and its rows after that are the closed-form ball tail
+        # horizon 0.2 keeps to the opening phase; M = 4 over horizon 5
+        # becomes a ball at T_dagger and its rows after that are the free
+        # ball's
         short = simulate(sq(), 3.0, horizon=0.2)
         tail = simulate(sq(), 4.0, horizon=5.0)
         assert tail.T_dagger < tail.T_star
@@ -173,14 +194,41 @@ class TestSimulate:
                     return
 
     def test_fourth_order_convergence(self):
+        # the RK4 oracle's ball entry converges to the exact T† at order 4
         base = RoundedSet.from_polygon(SQUARE, 0.2)
-        ref = simulate(base, 6.0, horizon=5.0, dt=1e-4 / 8).T_star
-        errs = [
-            abs(simulate(base, 6.0, horizon=5.0, dt=dt).T_star - ref)
-            for dt in (4e-3, 2e-3)
-        ]
+        exact = simulate(base, 6.0, horizon=5.0).T_dagger
+        errs = [abs(rk4_to_ball(base, 6.0, 5.0, dt)[2] - exact) for dt in (4e-3, 2e-3)]
         ratio = errs[0] / errs[1]
         assert 12 <= ratio <= 20
+
+    def test_small_budget_stays_finite(self):
+        # the opening phase's q = 2kt/M reaches 1.7e4, past lambertw's range
+        trace = simulate(sq(), 1e-3, horizon=10.0)
+        assert trace.T_star is None and trace.T_dagger is None
+        assert np.all(np.isfinite(trace.a)) and np.all(np.diff(trace.a) > 0.0)
+        assert set(trace.regime) == {"Opening"}
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.3, 1.0, 7.0])
+    def test_ball_at_its_critical_budget(self, radius):
+        # r0 == M / 2pi up to rounding: a stationary or nearly stationary ball
+        trace = simulate(unit_ball(radius), 2 * math.pi * radius, horizon=10.0 * radius)
+        assert trace.T_dagger == 0.0
+        assert np.all(np.isfinite(trace.a)) and np.all(np.isfinite(trace.rate))
+        assert set(trace.regime) == {"Ball"}
+
+    def test_rows_at_kinks(self):
+        # every kink is a row: the piece end and T† of the 2x1 rectangle
+        # (its locus is a segment) and T*, where the area is 0
+        rect = RoundedSet.from_polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
+        trace = simulate(rect, 6.0, horizon=5.0, dt=0.01)
+        entries = [
+            trace.t[i] for i in range(1, len(trace)) if trace.regime[i] != trace.regime[i - 1]
+        ]
+        assert trace.regime[0] == "Opening" and len(entries) == 2
+        assert entries[1] == trace.T_dagger and trace.t[-1] == trace.T_star
+        assert trace.a[-1] == 0.0 and trace.a[-2] > 0.0
+        k = np.flatnonzero(trace.t == entries[0])[0]
+        assert trace.rho[k] == pytest.approx(0.5 + entries[0], rel=1e-12)
 
     @pytest.mark.parametrize("M", [3.553543661971445, 3.553543661971455])
     def test_ball_tail_entry_near_critical_budget(self, M):
@@ -221,6 +269,11 @@ class TestReconstruct:
     def test_empty_at_extinction(self):
         trace = simulate(sq(), 4.0, horizon=5.0)
         assert rounded_area(reconstruct_set(trace, trace.T_star)) == 0.0
+        # the same at any scale: there is no absolute time band around T*
+        tiny = simulate(RoundedSet.from_polygon(1e-12 * np.array(SQUARE)), 4e-12, 5e-12)
+        before = math.nextafter(tiny.T_star, 0.0)
+        assert rounded_area(reconstruct_set(tiny, before)) > 0.0
+        assert reconstruct_set(tiny, tiny.T_star).is_empty
 
     def test_out_of_range(self):
         trace = simulate(sq(), 0.0, horizon=1.0)
@@ -266,8 +319,9 @@ class TestCost:
 
     def test_partial_interval_matches_quadrature(self):
         # oracle: scipy's adaptive quadrature of the interpolant, interval by
-        # interval, up to a horizon inside the RK4 rows, inside the free-ball
-        # tail and past extinction (where a(t) and the terminal cost are 0)
+        # interval, up to a horizon inside the opening phase, inside the
+        # free-ball tail and past extinction (where a(t) and the terminal
+        # cost are 0)
         from scipy.integrate import quad
 
         trace = simulate(sq(), 4.0, horizon=5.0)
@@ -340,3 +394,29 @@ class TestAdmissibility:
             horizon=trace.horizon, dt=trace.dt,
         )
         assert not check_admissible(broken, 1e-4, 1e-2)
+
+
+class TestHomothety:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(hulls(), st.floats(0.5, 2.0), st.floats(-6, 6))
+    def test_rows_scale(self, s, factor, exponent):
+        # simulate(lam * omega, lam * M, lam * H, lam * dt) is the trace of
+        # (omega, M, H, dt) with times, lengths and rates times lam and
+        # areas times lam^2
+        lam = 10.0**exponent
+        M = factor * 2.0 * math.sqrt(math.pi * rounded_area(s))
+        base = simulate(s, M, 2.0, 0.01)
+        scaled = simulate(
+            RoundedSet.from_polygon(lam * s.kernel.vertices, lam * s.radius),
+            lam * M, lam * 2.0, lam * 0.01,
+        )
+        assert scaled.regime == base.regime
+        for col, power in (("t", 1), ("rho", 1), ("perimeter", 1), ("rate", 1), ("a", 2)):
+            want = lam**power * getattr(base, col)
+            got = getattr(scaled, col)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for name in ("T_star", "T_dagger"):
+            want, got = getattr(base, name), getattr(scaled, name)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got == pytest.approx(lam * want, rel=1e-12, abs=1e-300)

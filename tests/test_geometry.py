@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shrinkset import (
+    BadConfigError,
     ConvexPolygon,
     EmptySetError,
     RoundedSet,
@@ -131,7 +132,7 @@ class TestRoundedMeasures:
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
     def test_nonfinite_or_negative_radius_rejected(self, radius):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadConfigError):
             RoundedSet(ConvexPolygon(SQUARE), radius)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from rk4_oracle import rk4_critical_budget
+from rk4_oracle import rk4_critical_budget, rk4_to_ball
 from scipy.spatial import ConvexHull, QhullError
 
 from shrinkset import (
@@ -151,13 +151,14 @@ class TestBallTime:
         assert t == pytest.approx(0.065563, abs=2e-3)
 
     def test_step_size_independence(self):
-        # RK4 runs at either step agree with the closed form
+        # the RK4 oracle's ball entry at either step agrees with the closed
+        # form
         rect = RoundedSet.from_polygon(RECT)
         _, (_, hi), _ = critical_budget(rect, tol=1e-4, full_output=True)
         t = ball_time_at_critical(rect, hi)
         assert t > 0
         for dt in (2e-3, 1e-3):
-            assert simulate(rect, hi, 1.0, dt).T_dagger == pytest.approx(t, abs=1e-4)
+            assert rk4_to_ball(rect, hi, 1.0, dt)[2] == pytest.approx(t, abs=1e-4)
 
     def test_subcritical_budget_rejected(self):
         with pytest.raises(NotCriticalError):
@@ -203,6 +204,7 @@ def _tangential_m0(vertices):
 class TestAgainstRK4:
     @pytest.mark.parametrize("index", range(11))
     def test_critical_budget_matches_bisection_over_simulate(self, index):
+        # the bisection runs the RK4 oracle, not simulate
         s = _oracle_sets()[index]
         m0 = critical_budget(s, tol=1e-9)
         assert rk4_critical_budget(s) == pytest.approx(m0, rel=1e-5)
@@ -217,11 +219,31 @@ class TestAgainstRK4:
         trace = simulate(shape, M, out.time + 0.5, dt=1e-4 / 8)
         t_dagger = trace.T_dagger
         if out.kind == EXTINCT:
-            assert out.time == pytest.approx(trace.T_star, rel=1e-6)
+            assert out.time == pytest.approx(trace.T_star, rel=1e-12)
         else:
-            assert out.time == pytest.approx(t_dagger, rel=1e-6)
+            assert out.time == pytest.approx(t_dagger, rel=1e-12)
         if M >= 2 * math.sqrt(math.pi * rounded_area(shape)):
-            assert ball_time_at_critical(shape, M) == pytest.approx(t_dagger, rel=1e-6)
+            assert ball_time_at_critical(shape, M) == pytest.approx(t_dagger, rel=1e-12)
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 3, 5, 6])
+    @pytest.mark.parametrize("factor", [0.8, 0.99, 1.01, 1.5])
+    def test_exact_trace_matches_rk4(self, index, factor):
+        # the square, the 2x1 rectangle, the rounded square, the 100-gon
+        # ellipse and two random hulls, on the oracle's rows up to ball entry
+        shape = _oracle_sets()[index]
+        M = factor * critical_budget(shape, tol=1e-9)
+        dt = 1e-4 / 8
+        t, a, t_dagger = rk4_to_ball(shape, M, 5.0, dt)
+        trace = simulate(shape, M, 5.0, dt)
+        _, i, j = np.intersect1d(t, trace.t, assume_unique=True, return_indices=True)
+        assert len(i) >= 0.9 * len(t)
+        assert np.max(np.abs(np.array(a)[i] - trace.a[j])) <= 1e-7 * a[0]
+        assert t_dagger == pytest.approx(trace.T_dagger, rel=1e-6)
+        if factor > 1.0:
+            # T* from the oracle's ball at entry, r0 = sqrt(a / pi)
+            r0, rstar = math.sqrt(a[-1] / math.pi), M / (2 * math.pi)
+            t_star = t_dagger - r0 - rstar * math.log1p(-r0 / rstar)
+            assert t_star == pytest.approx(trace.T_star, rel=1e-6)
 
 
 @st.composite
@@ -279,9 +301,9 @@ class TestProperties:
             ball_time_at_critical(s, bad)
         v = s.kernel.vertices.copy()
         v[0, 1] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(BadConfigError):
             RoundedSet.from_polygon(v)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadConfigError):
             RoundedSet.from_polygon(s.kernel.vertices, bad)
 
     @_properties
