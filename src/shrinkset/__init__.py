@@ -18,7 +18,6 @@ from .errors import (
 )
 from .evolution import (
     EvolutionTrace,
-    area_rate,
     check_admissible,
     compute_cost,
     reconstruct_set,
@@ -95,7 +94,6 @@ __all__ = [
     "RasterGrid",
     "RoundedSet",
     "ShrinksetError",
-    "area_rate",
     "ball_time_at_critical",
     "boundary_length_in_disk",
     "boundary_pieces",

@@ -31,6 +31,7 @@ from .morphology import dilate, erode, opening
 from .serialize import (
     dump_geometry,
     fmt,
+    phase_log,
     render_svg,
     set_from_dict,
     threshold_report,
@@ -80,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _option(s, "c1", "running cost weight")
     _option(s, "c2", "terminal cost weight")
     _option(s, "svg_every", "SVG snapshot period")
+    s.add_argument("--stats", action="store_true", help="also write the phase log")
     for cmd in (s, t, o, v):
         cmd.add_argument("--out", type=Path, help="output file (default stdout)")
     v.add_argument(
@@ -161,6 +163,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         omega0, cfg["M"], cfg.get("horizon", 10.0), cfg.get("dt")
     )
     out = trace_to_csv(trace)
+    if args.stats:
+        out += phase_log(trace)
     c1, c2 = cfg.get("c1"), cfg.get("c2")
     if c1 is not None or c2 is not None:
         cost = compute_cost(trace, c1 or 0.0, c2 or 0.0, trace.t[-1])

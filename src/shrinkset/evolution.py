@@ -16,8 +16,10 @@ erosion depth of the kernel.  Its trajectory has three phases:
   at R_b = R_s e^(2L/M), at the time T† = R_b - c0 - d_max;
 - ball: r' = 1 - r*/r with r* = M / 2pi, so the set dies iff R_b < r*.
 
-simulate samples this trajectory and threshold reads R_b from it.  Logs
-carry the piece maps: e^x overflows at small M.
+_Trajectory lists the phases of this trajectory and _Path gives its exact
+state at any time: simulate samples it, the trace post-processing reads it
+and threshold reads R_b.  Logs carry the piece maps: e^x overflows at small
+M.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from scipy.optimize import brentq  # noqa: F401
 from scipy.special import lambertw, wrightomega
 
 from .errors import BadConfigError, DegenerateDomainError, OutOfRangeError
-from .geometry import RoundedSet, contains, rounded_area
-from .isoperimetric import optimal_subset, perimeter_of_area
+from .geometry import RoundedSet, contains, rounded_area, rounded_perimeter
+from .isoperimetric import _subset
 from .morphology import BALL, OPENING, STADIUM, _profile, dilate
 
 # largest number of sample times check_admissible tests
@@ -46,10 +48,16 @@ _W_BRANCH = float(np.nextafter(-math.exp(-1.0), 0.0))
 # p = sqrt(2q) at the branch point q = 0 of v - ln v = 1 + q (the reversion
 # of w - ln(1 + w) = p^2 / 2)
 _BRANCH_SERIES = (1 / 204120, -139 / 5443200, 1 / 17010, 1 / 4320, -1 / 270, 1 / 36, 1 / 3, 1.0)
+# phase kinds as the evaluator numbers them
+_CODES = {OPENING: 0, STADIUM: 1, BALL: 2}
 
 
 @dataclass(frozen=True)
 class EvolutionTrace:
+    """Rows of the exact evolution, and its phases (kind, piece, t_start,
+    t_end, rho_start) up to the last row: piece is the erosion-profile piece
+    of an opening phase and None for the stadium and the ball."""
+
     omega0: RoundedSet
     M: float
     t: np.ndarray
@@ -57,7 +65,7 @@ class EvolutionTrace:
     perimeter: np.ndarray
     regime: tuple[str, ...]
     rho: np.ndarray
-    rate: np.ndarray
+    phases: tuple[tuple[str, int | None, float, float, float], ...]
     T_star: float | None
     T_dagger: float | None
     horizon: float
@@ -65,11 +73,6 @@ class EvolutionTrace:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-def area_rate(omega0: RoundedSet, t: float, a: float, M: float) -> float:
-    """Instantaneous growth rate of the controlled area at time t."""
-    return perimeter_of_area(dilate(omega0, t), a) - M
 
 
 def _lower_branch(q: np.ndarray) -> np.ndarray:
@@ -124,14 +127,15 @@ class _Trajectory:
         area = 0.0 if omega0.is_empty else rounded_area(omega0)
         if not area > 0.0:
             raise DegenerateDomainError("domain has zero area")
+        self.omega0 = omega0
         self.prof = prof = _profile(omega0.kernel)
         pc, self.c0 = prof.pieces, omega0.radius
         # rows d0, d1, area0, perim0, tan_sum; columns the pieces
         self.pieces = np.array([pc.d0, pc.d1, pc.area0, pc.perim0, pc.tan_sum])
         d0, d1, _, _, tan_sum = self.pieces
-        self.k2 = 2.0 * (tan_sum - math.pi)
-        self._log_k2 = np.log(self.k2)
-        self._growth = self.k2 * (d1 - d0)  # x * M per piece
+        k2 = 2.0 * (tan_sum - math.pi)
+        self._log_k2 = np.log(k2)
+        self._growth = k2 * (d1 - d0)  # x * M per piece
         self._log_c0 = math.log(self.c0) if self.c0 > 0.0 else -math.inf
         self._two_l = 2.0 * prof.locus_len
         self.rbar = prof.rbar(self.c0)  # c0 + d_max
@@ -153,12 +157,9 @@ class _Trajectory:
             terms = math.log(M) - self._log_k2 + np.log(-np.expm1(-x)) - before[:-1]
         return before + np.logaddexp.accumulate(np.concatenate(([self._log_c0], terms)))
 
-    def log_ball_radius(self, M: float) -> float:
-        return float(self.log_radii(M)[-1]) + self._two_l / M
-
     def excess(self, M: float) -> float:
         """ln R_b - ln(M / 2pi): negative iff the budget-M evolution dies."""
-        return self.log_ball_radius(M) - math.log(M / (2.0 * math.pi))
+        return float(self.log_radii(M)[-1]) + self._two_l / M - math.log(M / (2.0 * math.pi))
 
     def time_at(self, log_r: float) -> float:
         """The time t >= 0 with c0 + t + d_max = e^log_r after the opening
@@ -170,18 +171,111 @@ class _Trajectory:
         except OverflowError:
             return math.inf
 
-    def times(self, M: float) -> tuple[float, float, float | None]:
-        """(excess, T†, T*), T* None if the set grows; T† is inf past the
-        float range and 0 for a ball."""
-        log_rb = self.log_ball_radius(M)
+    def phases(self, M: float) -> tuple[tuple[str, int | None, float, float, float], ...]:
+        """The budget-M evolution's phases (kind, piece, t_start, t_end,
+        rho_start) in time order, less the empty ones: the opening pieces,
+        the stadium and the ball, which starts at T† (inf past the float
+        range, 0 for a ball) and ends at T* (inf if the set grows)."""
+        n = self.pieces.shape[1]
+        if M == 0.0:
+            # no control: the set is the whole grown domain, of radius c0 + t
+            kind = OPENING if n else STADIUM if self._two_l > 0.0 else BALL
+            return ((kind, 0 if n else None, 0.0, math.inf, self.c0),)
+        # rho and time at each piece start and at stadium entry, which is T†
+        # itself on a point locus
+        log_rho = self.log_radii(M)
+        with np.errstate(over="ignore"):  # inf past the float range
+            rho = np.exp(log_rho)
+        rho[0] = self.c0
+        start = rho - (self.c0 + np.concatenate(([0.0], self.pieces[1])))
+        start[-1] = self.time_at(float(log_rho[-1]))
+        start = np.maximum.accumulate(np.maximum(start, 0.0)).tolist()
+        log_rb = float(log_rho[-1]) + self._two_l / M
         gap = log_rb - math.log(M / (2.0 * math.pi))
-        t_ball = self.time_at(log_rb)
-        if gap >= 0.0:
-            return gap, t_ball, None
-        # the free ball's lifetime -r0 - r* ln(1 - r0/r*), with r0/r* = e^gap
-        # and 1 - r0/r* = -expm1(gap) in full precision
-        life = -M / (2.0 * math.pi) * (math.exp(gap) + math.log(-math.expm1(gap)))
-        return gap, t_ball, t_ball + life
+        t_ball = t_star = self.time_at(log_rb)
+        if gap < 0.0:
+            # the free ball's lifetime -r0 - r* ln(1 - r0/r*), with r0/r* =
+            # e^gap and 1 - r0/r* = -expm1(gap) in full precision
+            t_star += -M / (2.0 * math.pi) * (math.exp(gap) + math.log(-math.expm1(gap)))
+        else:
+            t_star = math.inf
+        try:
+            # R_b from the excess, so it lies on the side of r* that T* says
+            r_ball = M / (2.0 * math.pi) * math.exp(gap)
+        except OverflowError:  # past the float range, as is T†
+            r_ball = math.inf
+        kinds = (OPENING,) * n + (STADIUM, BALL)
+        starts, ends = [*start, t_ball], [*start[1:], t_ball, t_star]
+        radii = [*rho.tolist(), r_ball]
+        return tuple(
+            (kind, p if p < n else None, t0, t1, r0)
+            for p, (kind, t0, t1, r0) in enumerate(zip(kinds, starts, ends, radii))
+            if t1 > t0 or p > n
+        )
+
+
+class _Path:
+    """The trajectory given by its phases (see _Trajectory.phases): its
+    exact state at any time, and the set itself."""
+
+    def __init__(self, traj: _Trajectory, M: float, phases):
+        self.traj, self.M = traj, M
+        self.kinds, piece, t0, t1, rho0 = zip(*phases)
+        self.code = np.array([_CODES[k] for k in self.kinds])
+        self.t0, self.t1, self.rho0 = np.array(t0), np.array(t1), np.array(rho0)
+        # rows d0, d1, area0, perim0, tan_sum of each phase's piece: a point
+        # (all 0) outside the opening
+        self.shape = np.zeros((5, len(phases)))
+        self.shape[:, self.code == 0] = traj.pieces[:, [p for p in piece if p is not None]]
+
+    def at(self, t: np.ndarray, j: np.ndarray | None = None):
+        """(phase, a, perimeter, rho, straight) at the times t, each in its
+        phase j (by default the one holding it, the later one at a phase
+        boundary); straight is the stadium's straight length, 0 elsewhere."""
+        traj, M = self.traj, self.M
+        if j is None:
+            j = np.searchsorted(self.t1[:-1], t, side="right")
+        code, t_s, r_s = self.code[j], self.t0[j], self.rho0[j]
+        d0, d1, area0, perim0, tan_sum = self.shape[:, j]
+        # without control every radius grows at unit speed
+        rho = r_s + (t - t_s)
+        if M > 0.0:
+            rows = code == 0
+            k2 = 2.0 * (tan_sum[rows] - math.pi)
+            w = k2 * r_s[rows] / M  # v - 1 at the piece start
+            q = np.maximum(w - np.log1p(w) + k2 * (t[rows] - t_s[rows]) / M, 0.0)
+            rho[rows] = np.where(t[rows] == t_s[rows], r_s[rows], M / k2 * _lower_branch(q))
+            rows = code == 2
+            if rows.any():
+                rstar = M / (2.0 * math.pi)
+                rho[rows] = _free_ball_radius(t[rows], self.t0[-1], self.rho0[-1], rstar)
+        # the opening at rho of the kernel eroded to depth d0 + x
+        x = np.clip(rho - (traj.c0 + t) - d0, 0.0, d1 - d0)
+        edge = perim0 - 2.0 * tan_sum * x  # perimeter of the eroded kernel
+        a = area0 - (perim0 - tan_sum * x) * x + edge * rho + math.pi * rho * rho
+        perim = edge + 2.0 * math.pi * rho
+
+        rows, straight = code == 1, np.zeros_like(t)
+        big = traj.rbar + t[rows]
+        length = traj.prof.locus_len
+        line = np.clip(length - 0.5 * M * np.log(big / r_s[rows]), 0.0, length)
+        a[rows] = math.pi * big * big + 2.0 * big * line
+        perim[rows] = 2.0 * math.pi * big + 2.0 * line
+        rho[rows], straight[rows] = big, line
+        # extinct from T* on
+        dead = (code == 2) & (t >= self.t1[j])
+        a[dead] = perim[dead] = rho[dead] = 0.0
+        return j, a, perim, rho, straight
+
+    def sets(self, t: np.ndarray) -> list[RoundedSet]:
+        """The sets at the times t, each built in its phase: the opening of
+        the grown domain, the stadium on the locus or the ball."""
+        state = zip(t.tolist(), *(col.tolist() for col in self.at(t)))
+        return [
+            _subset(dilate(self.traj.omega0, time), self.kinds[j], rho, straight)
+            if a > 0.0 else RoundedSet.empty()
+            for time, j, a, _, rho, straight in state
+        ]
 
 
 def default_step(omega0: RoundedSet) -> float:
@@ -203,7 +297,7 @@ def simulate(
 ) -> EvolutionTrace:
     """The exact evolution from the full initial area until the horizon or
     extinction, whichever comes first, sampled at the multiples of dt and at
-    every kink: each piece end, stadium entry, T† and T*."""
+    every kink: each phase start and T*."""
     if M < 0 or not math.isfinite(M):
         raise BadConfigError(f"budget M must be finite and nonnegative, got {M}")
     if not (horizon > 0 and math.isfinite(horizon)):
@@ -214,166 +308,103 @@ def simulate(
         raise BadConfigError(f"dt must be positive and finite, got {dt}")
 
     traj = _Trajectory(omega0)
-    prof, c0, n = traj.prof, traj.c0, traj.pieces.shape[1]
-    labels = (OPENING,) * n + (STADIUM, BALL)
-    if M == 0.0:
-        # no control: the set is the whole grown domain
-        t = _sample_times(horizon, dt, np.empty(0))
-        c = c0 + t
-        perim = prof.perim0 + 2.0 * math.pi * c
-        regime = OPENING if n else STADIUM if prof.locus_len > 0.0 else BALL
-        t_ball = 0.0 if regime == BALL else None
-        return EvolutionTrace(
-            omega0, M, t, prof.area_full(c), perim, (regime,) * len(t), c, perim,
-            None, t_ball, horizon, dt,
-        )
-
-    gap, t_ball, t_star = traj.times(M)
-    end = horizon if t_star is None else min(horizon, t_star)
-    # rho and time at each piece start and at stadium entry, which is T†
-    # itself on a point locus
-    log_rho = traj.log_radii(M)
-    with np.errstate(over="ignore"):  # inf past the float range
-        rho_k = np.exp(log_rho)
-    rho_k[0] = c0
-    t_k = rho_k - (c0 + np.concatenate(([0.0], traj.pieces[1])))
-    t_k[-1] = traj.time_at(float(log_rho[-1]))
-    t_k = np.maximum.accumulate(np.maximum(t_k, 0.0))
-    bounds = np.append(t_k[1:], t_ball)  # where each phase but the last ends
-    t = _sample_times(end, dt, np.append(bounds, math.inf if t_star is None else t_star))
-    phase = np.searchsorted(bounds, t, side="right")
-    a, perim, rho = np.empty_like(t), np.empty_like(t), np.empty_like(t)
-
-    rows = phase < n
-    p, ts = phase[rows], t[rows]
-    d0, d1, area0, perim0, tan_sum = traj.pieces[:, p]
-    k2 = traj.k2[p]
-    w = k2 * rho_k[p] / M  # v - 1 at the piece start
-    q = np.maximum(w - np.log1p(w) + k2 * (ts - t_k[p]) / M, 0.0)
-    r = np.where(ts == t_k[p], rho_k[p], M / k2 * _lower_branch(q))
-    x = np.clip(r - (c0 + ts) - d0, 0.0, d1 - d0)
-    edge = perim0 - 2.0 * tan_sum * x  # perimeter of the eroded kernel
-    a[rows] = area0 - (perim0 - tan_sum * x) * x + edge * r + math.pi * r * r
-    perim[rows] = edge + 2.0 * math.pi * r
-    rho[rows] = r
-
-    rows = phase == n
-    big = traj.rbar + t[rows]
-    length = prof.locus_len
-    straight = np.clip(length - 0.5 * M * np.log(big / rho_k[-1]), 0.0, length)
-    a[rows] = math.pi * big * big + 2.0 * big * straight
-    perim[rows] = 2.0 * math.pi * big + 2.0 * straight
-    rho[rows] = big
-
-    rows = phase > n
-    if rows.any():
-        rstar = M / (2.0 * math.pi)
-        # r0 = R_b from the excess, so it lies on the side of r* that T* says
-        r = _free_ball_radius(t[rows], t_ball, rstar * math.exp(gap), rstar)
-        a[rows] = math.pi * r * r
-        perim[rows] = 2.0 * math.pi * r
-        rho[rows] = r
-    if t_star is not None and t_star <= horizon:
-        a[-1] = perim[-1] = rho[-1] = 0.0
-    else:
-        t_star = None
+    phases = traj.phases(M)
+    kind, _, t_ball, t_star, _ = phases[-1]
+    end = min(horizon, t_star)
+    t = _sample_times(end, dt, np.array([p[2] for p in phases] + [t_star]))
+    path = _Path(traj, M, phases)
+    j, a, perim, rho, _ = path.at(t)
+    regime = tuple(map(path.kinds.__getitem__, j.tolist()))
     return EvolutionTrace(
-        omega0=omega0,
-        M=M,
-        t=t,
-        a=a,
-        perimeter=perim,
-        regime=tuple(labels[i] for i in phase.tolist()),
-        rho=rho,
-        rate=perim - M,
-        T_star=t_star,
-        T_dagger=t_ball if t_ball <= horizon else None,
-        horizon=horizon,
-        dt=dt,
+        omega0, M, t, a, perim, regime, rho,
+        phases[: np.searchsorted(path.t0, end, side="right")],
+        t_star if t_star <= horizon else None,
+        t_ball if kind == BALL and t_ball <= horizon else None,
+        horizon, dt,
     )
 
 
-def _hermite(trace: EvolutionTrace, t: float | np.ndarray) -> float | np.ndarray:
-    """Cubic Hermite interpolation of a(t) on the sample grid, held at the
-    first and last sample outside it; t is a time or an array of times."""
-    ts = trace.t
-    t = np.asarray(t, dtype=float)
-    a = np.where(t <= ts[0], trace.a[0], trace.a[-1])
-    inside = (t > ts[0]) & (t < ts[-1])
-    ti = t[inside]
-    i = np.searchsorted(ts, ti, side="right") - 1
-    h = ts[i + 1] - ts[i]
-    s = (ti - ts[i]) / h
-    a0, a1 = trace.a[i], trace.a[i + 1]
-    f0, f1 = trace.rate[i], trace.rate[i + 1]
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    a[inside] = h00 * a0 + h10 * h * f0 + h01 * a1 + h11 * h * f1
-    return a if a.ndim else float(a)
+def _path(trace: EvolutionTrace) -> _Path:
+    return _Path(_Trajectory(trace.omega0), trace.M, trace.phases)
 
 
 def reconstruct_set(trace: EvolutionTrace, t: float) -> RoundedSet:
-    """The controlled set at time t, from the interpolated area."""
+    """The controlled set at time t, exact at every t (see _Path.sets)."""
     t_end = float(trace.t[-1])
     if t < 0.0 or t > t_end + 1e-12:
         raise OutOfRangeError(f"time {t} outside the trace range [0, {t_end}]")
-    if trace.T_star is not None and t >= trace.T_star:
-        return RoundedSet.empty()
-    a = _hermite(trace, t)
-    domain = dilate(trace.omega0, t)
-    a = min(max(a, 0.0), rounded_area(domain))
-    if a <= 0.0:
-        return RoundedSet.empty()
-    return optimal_subset(domain, a).set
+    return _path(trace).sets(np.array([t], dtype=float))[0]
 
 
 def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float:
-    """Running cost c1*integral of a(t) over [0,T] plus terminal c2*a(T).
+    """Running cost c1*integral of a(t) over [0,T] plus terminal c2*a(T), for
+    the exact a(t), which is zero from extinction on.
 
-    a(t) is the trace's cubic Hermite interpolant (held at its last sample,
-    zero after extinction) and the integral is exact: on each sample
-    interval [t_i, t_i + h_i] it is h_i times the Hermite basis
-    antiderivatives at s_i = clip((T - t_i)/h_i, 0, 1)."""
+    The integral is elementary in every phase.  On an opening piece, with
+    b = c0 + t + d0, k = tan_sum - pi and m = M / 2k, the area is
+    area0 + perim0*b + tan_sum*b^2 - k*rho^2 and rho' = 1 + m/rho, so
+    k*rho^2 integrates to k*(rho^3/3 - m*rho^2/2 + m^2*t).  The ball is that
+    with a point for the piece: k = -pi and m = -M/2pi.  On the stadium the
+    area is pi*R^2 + 2*R*l with R' = 1 and l' = -M/2R, which integrates to
+    pi*R^3/3 + R^2*l + M*R^2/4."""
     t_end = float(trace.t[-1])
     if not (T >= 0.0 and (T <= t_end + 1e-12 or trace.T_star is not None)):
         raise OutOfRangeError(f"cost horizon {T} beyond the trace range")
-    t0, h = trace.t[:-1], np.diff(trace.t)
-    # a zero-width interval gets s = 0 or 1 and contributes h*(...) = 0
-    s = np.clip((T - t0) / np.where(h > 0.0, h, 1.0), 0.0, 1.0)
-    s3 = s**3
-    integral = h * (
-        s * (1.0 + s * s * (0.5 * s - 1.0)) * trace.a[:-1]
-        + s * s * (0.5 + s * (0.25 * s - 2.0 / 3.0)) * h * trace.rate[:-1]
-        + s3 * (1.0 - 0.5 * s) * trace.a[1:]
-        + s3 * (0.25 * s - 1.0 / 3.0) * h * trace.rate[1:]
-    )
-    return c1 * float(integral.sum()) + c2 * _hermite(trace, T)
+    path = _path(trace)
+    # every phase that starts before T, from its start to its end or T
+    j = np.flatnonzero(path.t0 < T)
+    n, t0 = len(j), path.t0[j]
+    t1 = np.minimum(path.t1[j], T)
+    _, _, _, rho, straight = path.at(np.concatenate((t0, t1)), np.concatenate((j, j)))
+    r0, r1, l0, l1 = rho[:n], rho[n:], straight[:n], straight[n:]
+    cubes = (r1 - r0) * (r1 * r1 + r1 * r0 + r0 * r0) / 3.0
+    squares = 0.5 * (r1 - r0) * (r1 + r0)
+    d0, _, area0, perim0, tan_sum = path.shape[:, j]
+    k = tan_sum - math.pi
+    m = path.M / (2.0 * k)
+    b0, b1 = path.traj.c0 + t0 + d0, path.traj.c0 + t1 + d0
+    span = t1 - t0
+    pieces = span * (
+        area0 + 0.5 * perim0 * (b0 + b1) + tan_sum * (b1 * b1 + b1 * b0 + b0 * b0) / 3.0
+    ) - k * (cubes - m * squares + m * m * span)
+    stadium = math.pi * cubes + r1 * r1 * l1 - r0 * r0 * l0 + 0.5 * path.M * squares
+    integral = float(np.where(path.code[j] == 1, stadium, pieces).sum())
+    return c1 * integral + c2 * float(path.at(np.array([T], dtype=float))[1][0])
 
 
 def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
-    """Discrete admissibility: the set at t+delta fits in the delta-dilation
-    of the set at t, and the area removed per unit time is the budget M."""
+    """Discrete admissibility: the rows are those of the trajectory, the set
+    at t+delta fits in the delta-dilation of the set at t, and the area
+    removed per unit time is the budget M."""
+    path = _path(trace)
+    _, a, perim, _, _ = path.at(trace.t)
+    # an area row off by e moves the removal rate below by e / delta
+    if not (
+        np.all(np.abs(trace.a - a) <= tol * delta)
+        and np.all(np.abs(trace.perimeter - perim) <= tol)
+    ):
+        return False
     t_end = float(trace.t[-1])
     if trace.T_star is not None:
         t_end = min(t_end, trace.T_star - 10.0 * delta)
     if t_end <= delta:
         return True
-    # budget-rate second-order error constant, from the trace itself
-    dp = np.abs(np.diff(trace.perimeter))
-    dtm = np.maximum(np.diff(trace.t), 1e-300)
-    big_c = math.pi + float((dp / dtm).max(initial=0.0))
     times = np.linspace(0.0, t_end - delta, min(_ADMISSIBLE_CHECKS, len(trace.t)))
-    for t in times:
-        here = reconstruct_set(trace, float(t))
-        if here.is_empty:
-            continue
-        grown = dilate(here, delta)
-        nxt = reconstruct_set(trace, float(t) + delta)
-        if not nxt.is_empty and not contains(grown, nxt, tol * delta):
-            return False
-        removed = (rounded_area(grown) - _hermite(trace, float(t) + delta)) / delta
-        if abs(removed - trace.M) > tol + big_c * delta:
-            return False
-    return True
+    sets = path.sets(np.concatenate((times, times + delta)))
+    n = len(times)
+    a = np.array([rounded_area(s) for s in sets])
+    perim = np.array([rounded_perimeter(s) for s in sets])
+    # by Steiner's formula the delta-dilation of the set at t, of area a and
+    # perimeter P, has area a + delta*P + pi*delta^2; at budget M it loses
+    # M + pi*delta per unit time by t + delta, plus the step's mean of
+    # P(t) - P(s), which is at most |P(t + delta) - P(t)| in size:
+    # P' = 2pi - M/rho changes sign at most once, where P' = 0
+    removed = (a[:n] + delta * perim[:n] + math.pi * delta * delta - a[n:]) / delta
+    if not np.all(
+        np.abs(removed - trace.M - math.pi * delta) <= tol + np.abs(perim[n:] - perim[:n])
+    ):
+        return False
+    return all(
+        here.is_empty or contains(dilate(here, delta), nxt, tol * delta)
+        for here, nxt in zip(sets[:n], sets[n:])
+    )

@@ -56,17 +56,10 @@ def optimal_subset(s: RoundedSet, a: float) -> IsoperimetricSolution:
     """
     prof = _profile(s.kernel)
     perim, regime, rho, d = prof.query(s.radius, a)
-    center = prof.locus_center
-    if regime == BALL:
-        sub = RoundedSet.ball(center, rho)
-    elif regime == STADIUM:
-        length = max((a - math.pi * rho * rho) / (2.0 * rho), 0.0)
-        half = 0.5 * min(length, prof.locus_len)
-        e = np.array(prof.locus_dir)
-        p = np.array(center)
-        sub = RoundedSet.stadium(p - half * e, p + half * e, rho)
-    else:
-        sub = opening(s, rho) if rho > 0.0 else s
+    length = 0.0
+    if regime == STADIUM:
+        length = min(max((a - math.pi * rho * rho) / (2.0 * rho), 0.0), prof.locus_len)
+    sub = _subset(s, regime, rho, length)
     kappa = 1.0 / rho if rho > 0.0 else math.inf
     return IsoperimetricSolution(
         regime=regime,
@@ -76,6 +69,20 @@ def optimal_subset(s: RoundedSet, a: float) -> IsoperimetricSolution:
         max_curvature=kappa,
         rho=rho,
     )
+
+
+def _subset(s: RoundedSet, regime: str, rho: float, length: float) -> RoundedSet:
+    """The subset of s of a regime at radius rho: the ball at the middle of
+    the inscribed-ball locus, the stadium with straight part `length` along
+    the locus, or the opening."""
+    prof = _profile(s.kernel)
+    center = np.array(prof.locus_center)
+    if regime == BALL:
+        return RoundedSet.ball(center, rho)
+    if regime == STADIUM:
+        half = 0.5 * length * np.array(prof.locus_dir)
+        return RoundedSet.stadium(center - half, center + half, rho)
+    return opening(s, rho) if rho > s.radius else s
 
 
 def perimeter_of_area(s: RoundedSet, a: float) -> float:

@@ -17,6 +17,10 @@ from .geometry import ConvexPolygon, RoundedSet, boundary_pieces
 
 # SVG outline width as a fraction of the drawing's larger side
 _STROKE_WIDTH = 0.005
+# one CSV row, formatted as fmt formats each float; rows are formatted a
+# block at a time, so the Python floats of a long trace never all exist
+_ROW = "%.17g,%.17g,%.17g,%s,%.17g\n"
+_BLOCK = 4096
 
 
 def fmt(x: float) -> str:
@@ -47,17 +51,26 @@ def dump_geometry(s: RoundedSet, extra: dict | None = None) -> str:
 
 
 def trace_to_csv(trace: EvolutionTrace) -> str:
-    lines = ["t,a,perimeter,regime,rho"]
-    for i in range(len(trace)):
-        lines.append(
-            f"{fmt(trace.t[i])},{fmt(trace.a[i])},{fmt(trace.perimeter[i])},"
-            f"{trace.regime[i]},{fmt(trace.rho[i])}"
-        )
+    parts = ["t,a,perimeter,regime,rho\n"]
+    columns = (trace.t, trace.a, trace.perimeter, trace.rho)
+    for k in range(0, len(trace), _BLOCK):
+        t, a, p, rho = (c[k : k + _BLOCK].tolist() for c in columns)
+        rows = zip(t, a, p, trace.regime[k : k + _BLOCK], rho)
+        parts.append("".join(map(_ROW.__mod__, rows)))
     if trace.T_star is not None:
-        lines.append(f"# T_star={fmt(trace.T_star)}")
+        parts.append(f"# T_star={fmt(trace.T_star)}\n")
     if trace.T_dagger is not None:
-        lines.append(f"# T_dagger={fmt(trace.T_dagger)}")
-    return "\n".join(lines) + "\n"
+        parts.append(f"# T_dagger={fmt(trace.T_dagger)}\n")
+    return "".join(parts)
+
+
+def phase_log(trace: EvolutionTrace) -> str:
+    """The trace's phases as comment lines: kind, piece (empty outside an
+    opening phase), t_start, t_end, rho_start."""
+    return "".join(
+        f"# phase={kind},{'' if piece is None else piece},{fmt(t0)},{fmt(t1)},{fmt(r0)}\n"
+        for kind, piece, t0, t1, r0 in trace.phases
+    )
 
 
 def threshold_report(

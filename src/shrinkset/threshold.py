@@ -32,8 +32,8 @@ def classify(omega0: RoundedSet, M: float) -> Outcome:
     """Extinct at the extinction time T*, or Grows (for ever) from the
     ball-entry time T†: the outcome of the budget-M evolution."""
     _check_budget(M)
-    _, t_ball, t_star = _Trajectory(omega0).times(M)
-    return Outcome(GROWS, t_ball) if t_star is None else Outcome(EXTINCT, t_star)
+    _, _, t_ball, t_star, _ = _Trajectory(omega0).phases(M)[-1]
+    return Outcome(GROWS, t_ball) if t_star == math.inf else Outcome(EXTINCT, t_star)
 
 
 def critical_budget(omega0: RoundedSet, tol: float = 1e-3, full_output: bool = False):
@@ -74,4 +74,4 @@ def ball_time_at_critical(omega0: RoundedSet, M: float) -> float:
     traj = _Trajectory(omega0)
     if M < traj.floor:
         raise NotCriticalError(f"budget {M} is below the isoperimetric floor {traj.floor}")
-    return traj.times(M)[1]
+    return traj.phases(M)[-1][2]

@@ -1,5 +1,5 @@
 """A fourth-order Runge-Kutta integrator of the area ODE, driven by
-`area_rate`: an oracle for the closed-form trajectory of `simulate` and
+`area_rate`, the one-step perimeter less the budget: an oracle for the closed-form trajectory of `simulate` and
 `critical_budget`, independent of it.
 
 `rk4_to_ball` steps to the multiples of dt and splits a step exactly where
@@ -11,8 +11,13 @@ decides the outcome.
 
 import math
 
-from shrinkset import area_rate, dilate, inner_radius, rounded_area
+from shrinkset import dilate, inner_radius, perimeter_of_area, rounded_area
 from shrinkset.evolution import default_step
+
+
+def area_rate(omega0, t, a, M):
+    """Instantaneous growth rate of the controlled area at time t."""
+    return perimeter_of_area(dilate(omega0, t), a) - M
 
 
 def rk4_to_ball(omega0, M, horizon, dt):

@@ -212,7 +212,7 @@ def test_12_uncontrolled_growth():
     exact = 1 + 4 * trace.t + math.pi * trace.t**2
     assert np.max(np.abs(trace.a - exact) / exact) <= 1e-8
     assert compute_cost(trace, 1.0, 0.0, 1.0) == pytest.approx(
-        3 + math.pi / 3, rel=1e-8
+        3 + math.pi / 3, rel=1e-12
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,22 @@ from shrinkset.cli import main
 
 SQUARE_GEOM = {"kernel": [[0, 0], [1, 0], [1, 1], [0, 1]], "radius": 0.0}
 BALL_GEOM = {"kernel": [[0, 0]], "radius": 1.0}
+ROUNDED_GEOM = {**SQUARE_GEOM, "radius": 0.2}
+TRIANGLE_GEOM = {"kernel": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386]], "radius": 0.0}
+# sha256 of `shrinkset simulate` output, pinned so that the CSV writer keeps
+# its bytes: the square at M = 4 (default dt, and dt / 10), the rounded
+# square growing at M = 1, and the triangle at 0.99 of its closed-form
+# critical budget 2r(T - pi)/ln(T/pi), r its inradius, T = 3 sqrt(3)
+GOLDEN = [
+    (SQUARE_GEOM, ["--M", "4", "--horizon", "5"],
+     "3d0e7fecb3a8bd96d7320030c02994e9b4016cf67fe02b8312ccfa698408a34a"),
+    (SQUARE_GEOM, ["--M", "4", "--horizon", "5", "--dt", "0.00014142135623730954"],
+     "a0e450cf9185222d76a350b7cae4d111fc5b8110c639f09ebfbb50f5f6b1fb98"),
+    (ROUNDED_GEOM, ["--M", "1", "--horizon", "1"],
+     "ab60a893e51b0645e91829902db70e3ac05570b1b8353bf440f9850d01f5d998"),
+    (TRIANGLE_GEOM, ["--M", "2.3337944316359884", "--horizon", "3"],
+     "632df87594d1b581e437028fd4e6200e9d7c629e346562d84b9091f65d86ef5f"),
+]
 
 
 @pytest.fixture
@@ -74,7 +91,36 @@ class TestSimulate:
         for r in rows[:: max(len(rows) // 20, 1)]:
             t, a = float(r[0]), float(r[1])
             assert a == pytest.approx(1 + 4 * t + math.pi * t * t, rel=1e-8)
-        assert comments["J"] == pytest.approx(3 + math.pi / 3, rel=1e-8)
+        assert comments["J"] == pytest.approx(3 + math.pi / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("geometry, argv, digest", GOLDEN)
+    def test_golden_bytes(self, geometry, argv, digest, tmp_path):
+        g = tmp_path / "shape.json"
+        g.write_text(json.dumps(geometry))
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--geometry", str(g), *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_stats_phase_log(self, geom, tmp_path):
+        plain, stats = tmp_path / "plain.csv", tmp_path / "stats.csv"
+        argv = ["simulate", "--geometry", str(geom), "--M", "4", "--horizon", "5"]
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert main([*argv, "--stats", "--out", str(stats)]) == 0
+        text = stats.read_text()
+        # the phase lines follow the CSV unchanged
+        assert text.startswith(plain.read_text())
+        lines = text[len(plain.read_text()):].splitlines()
+        _, comments = read_csv(plain)
+        phases = [line.removeprefix("# phase=").split(",") for line in lines]
+        assert [p[:2] for p in phases] == [["Opening", "0"], ["Ball", ""]]
+        (_, _, t0, t1, r0), (_, _, b0, b1, _) = phases
+        assert float(t0) == 0.0 and float(r0) == 0.0
+        assert float(t1) == float(b0) == comments["T_dagger"]
+        assert float(b1) == comments["T_star"]
+
+    def test_stats_is_read_by_simulate_only(self, geom, capsys):
+        assert main(["threshold", "--geometry", str(geom), "--stats"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_svg_snapshots(self, geom, tmp_path):
         out = tmp_path / "trace.csv"

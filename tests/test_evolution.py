@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from rk4_oracle import rk4_to_ball
+from rk4_oracle import area_rate, rk4_to_ball
 from test_threshold import hulls
 
 from shrinkset import (
     BadConfigError,
     OutOfRangeError,
     RoundedSet,
-    area_rate,
     check_admissible,
     compute_cost,
     hausdorff,
@@ -21,10 +20,12 @@ from shrinkset import (
     rounded_perimeter,
     simulate,
 )
-from shrinkset.evolution import _free_ball_radius, _hermite, _lower_branch
+from shrinkset.evolution import _free_ball_radius, _lower_branch, _path
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
-_COLUMNS = ("t", "a", "perimeter", "regime", "rho", "rate")
+RECTANGLE = [(0, 0), (2, 0), (2, 1), (0, 1)]
+TRIANGLE = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
+_COLUMNS = ("t", "a", "perimeter", "regime", "rho")
 
 
 def sq(radius=0.0):
@@ -135,6 +136,7 @@ class TestSimulate:
         assert trace.T_star == pytest.approx(euler_t_star(1e-6), abs=1e-4)
 
     def test_rate_column_matches_area_rate(self):
+        # the area's rate is the perimeter less the budget
         # horizon 0.2 keeps to the opening phase; M = 4 over horizon 5
         # becomes a ball at T_dagger and its rows after that are the free
         # ball's
@@ -151,7 +153,7 @@ class TestSimulate:
                 if a <= 0:
                     continue
                 expected = area_rate(sq(), t, a, trace.M)
-                assert trace.rate[k] == pytest.approx(expected, rel=1e-9)
+                assert trace.perimeter[k] - trace.M == pytest.approx(expected, rel=1e-9)
 
     def test_T_dagger_marks_ball_entry(self):
         trace = simulate(sq(), 4.0, horizon=5.0)
@@ -213,13 +215,13 @@ class TestSimulate:
         # r0 == M / 2pi up to rounding: a stationary or nearly stationary ball
         trace = simulate(unit_ball(radius), 2 * math.pi * radius, horizon=10.0 * radius)
         assert trace.T_dagger == 0.0
-        assert np.all(np.isfinite(trace.a)) and np.all(np.isfinite(trace.rate))
+        assert np.all(np.isfinite(trace.a)) and np.all(np.isfinite(trace.perimeter))
         assert set(trace.regime) == {"Ball"}
 
     def test_rows_at_kinks(self):
         # every kink is a row: the piece end and T† of the 2x1 rectangle
         # (its locus is a segment) and T*, where the area is 0
-        rect = RoundedSet.from_polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
+        rect = RoundedSet.from_polygon(RECTANGLE)
         trace = simulate(rect, 6.0, horizon=5.0, dt=0.01)
         entries = [
             trace.t[i] for i in range(1, len(trace)) if trace.regime[i] != trace.regime[i - 1]
@@ -229,6 +231,37 @@ class TestSimulate:
         assert trace.a[-1] == 0.0 and trace.a[-2] > 0.0
         k = np.flatnonzero(trace.t == entries[0])[0]
         assert trace.rho[k] == pytest.approx(0.5 + entries[0], rel=1e-12)
+
+    def test_phases(self):
+        # the square's point locus has no stadium; the rectangle's segment
+        # locus has one, entered at the end of its one piece
+        square = simulate(sq(), 4.0, horizon=5.0)
+        assert [p[:2] for p in square.phases] == [("Opening", 0), ("Ball", None)]
+        assert square.phases[0][2:] == (0.0, square.T_dagger, 0.0)
+        assert square.phases[1][2:4] == (square.T_dagger, square.T_star)
+        rect = simulate(RoundedSet.from_polygon(RECTANGLE), 6.0, horizon=5.0)
+        kinds = [p[0] for p in rect.phases]
+        assert kinds == ["Opening", "Stadium", "Ball"]
+        assert rect.phases[2][2:4] == (rect.T_dagger, rect.T_star)
+        for before, after in zip(rect.phases, rect.phases[1:]):
+            assert before[3] == after[2]
+        # each row's regime is the kind of the phase that holds it
+        stadium = rect.phases[1]
+        assert rect.rho[list(rect.t).index(stadium[2])] == stadium[4]
+        for t, regime in zip(rect.t, rect.regime):
+            kind = [p[0] for p in rect.phases if p[2] <= t][-1]
+            assert regime == kind
+
+    def test_phases_up_to_the_horizon(self):
+        # a growing run cut before ball entry keeps the phases it reaches
+        grow = simulate(sq(0.2), 1.0, horizon=0.3)
+        assert grow.T_dagger is None
+        assert [p[0] for p in grow.phases] == ["Opening"]
+        assert grow.phases[0][3] > 0.3
+        free = simulate(sq(), 0.0, horizon=1.0)
+        assert free.phases == (("Opening", 0, 0.0, math.inf, 0.0),)
+        ball = simulate(unit_ball(), 1.0, horizon=1.0)
+        assert [p[:3] for p in ball.phases] == [("Ball", None, 0.0)]
 
     @pytest.mark.parametrize("M", [3.553543661971445, 3.553543661971455])
     def test_ball_tail_entry_near_critical_budget(self, M):
@@ -266,6 +299,33 @@ class TestReconstruct:
             hi = max(trace.a[max(k - 1, 0)], trace.a[min(k, len(trace) - 1)])
             assert lo - 1e-6 <= a <= hi + 1e-6
 
+    # one run per phase kind: opening and dying ball, opening, stadium and
+    # dying ball, opening and growing ball, and the triangle just below M0
+    RUNS = [
+        (SQUARE, 0.0, 4.0, 5.0),
+        (RECTANGLE, 0.0, 6.0, 5.0),
+        (SQUARE, 0.2, 1.0, 1.0),
+        (TRIANGLE, 0.0, 2.3337944316359884, 3.0),
+    ]
+
+    @pytest.mark.parametrize("vertices, radius, M, horizon", RUNS)
+    def test_areas_match_rows(self, vertices, radius, M, horizon):
+        trace = simulate(RoundedSet.from_polygon(vertices, radius), M, horizon, dt=0.01)
+        for t, a in zip(trace.t, trace.a):
+            got = rounded_area(reconstruct_set(trace, float(t)))
+            assert got == pytest.approx(a, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("vertices, radius, M, horizon", RUNS)
+    def test_areas_match_a_finer_run_off_rows(self, vertices, radius, M, horizon):
+        # the rows of a run at a seventh of the step, less the coarse rows
+        s = RoundedSet.from_polygon(vertices, radius)
+        coarse = simulate(s, M, horizon, dt=0.01)
+        fine = simulate(s, M, horizon, dt=0.01 / 7)
+        off = ~np.isin(fine.t, coarse.t)
+        for t, a in list(zip(fine.t[off], fine.a[off]))[::5]:
+            got = rounded_area(reconstruct_set(coarse, float(t)))
+            assert got == pytest.approx(a, rel=1e-12, abs=1e-300)
+
     def test_empty_at_extinction(self):
         trace = simulate(sq(), 4.0, horizon=5.0)
         assert rounded_area(reconstruct_set(trace, trace.T_star)) == 0.0
@@ -287,7 +347,7 @@ class TestCost:
     def test_zero_budget_cost(self):
         trace = simulate(sq(), 0.0, horizon=1.0)
         exact = 3 + math.pi / 3  # integral of 1+4t+pi*t^2 over [0,1]
-        assert compute_cost(trace, 1.0, 0.0, 1.0) == pytest.approx(exact, rel=1e-8)
+        assert compute_cost(trace, 1.0, 0.0, 1.0) == pytest.approx(exact, rel=1e-12)
 
     def test_stationary_ball_cost(self):
         trace = simulate(unit_ball(), 2 * math.pi, horizon=2.0)
@@ -307,9 +367,8 @@ class TestCost:
             compute_cost(trace, 1.0, 0.0, math.nan)
 
     def test_zero_budget_partial_last_interval(self):
-        # at M = 0 the area 1 + 4t + pi*t^2 is a quadratic, which the Hermite
-        # interpolant reproduces, so a horizon strictly inside a sample
-        # interval has the exact running cost T + 2T^2 + pi*T^3/3
+        # at M = 0 the area is 1 + 4t + pi*t^2, so a horizon strictly inside
+        # a sample interval has the running cost T + 2T^2 + pi*T^3/3
         trace = simulate(sq(), 0.0, horizon=1.0)
         for T in (0.3337, 0.5 + trace.dt / 3.0, 0.9999):
             k = int(np.searchsorted(trace.t, T))
@@ -318,26 +377,59 @@ class TestCost:
             assert compute_cost(trace, 1.0, 0.0, T) == pytest.approx(exact, rel=1e-12)
 
     def test_partial_interval_matches_quadrature(self):
-        # oracle: scipy's adaptive quadrature of the interpolant, interval by
-        # interval, up to a horizon inside the opening phase, inside the
+        # oracle: scipy's adaptive quadrature of the exact area, phase by
+        # phase, up to a horizon inside the opening phase, inside the
         # free-ball tail and past extinction (where a(t) and the terminal
         # cost are 0)
         from scipy.integrate import quad
 
         trace = simulate(sq(), 4.0, horizon=5.0)
         assert trace.T_dagger < trace.T_star < 5.0
+        path = _path(trace)
+
+        def area(t):
+            return float(path.at(np.array([t]))[1][0])
+
+        bounds = [0.0, trace.T_dagger, trace.T_star]
         for T in (
             0.5 * trace.T_dagger + 1e-4 * math.pi,
             0.5 * (trace.T_dagger + trace.T_star) + 1e-4 * math.pi,
             trace.T_star + 0.5,
         ):
             running = 0.0
-            for lo, hi in zip(trace.t[:-1], np.minimum(trace.t[1:], T)):
+            for lo, hi in zip(bounds[:-1], np.minimum(bounds[1:], T)):
                 if hi > lo:
-                    running += quad(lambda t: _hermite(trace, t), lo, hi)[0]
-            terminal = _hermite(trace, T) if T < trace.T_star else 0.0
-            want = 0.5 * running + 2.0 * terminal
+                    running += quad(area, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            want = 0.5 * running + 2.0 * area(T)
             assert compute_cost(trace, 0.5, 2.0, T) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "vertices, radius, M, kinds",
+        [
+            (SQUARE, 0.0, 4.0, ["Opening", "Ball"]),
+            (RECTANGLE, 0.0, 6.0, ["Opening", "Stadium", "Ball"]),
+            (SQUARE, 0.2, 1.0, ["Opening", "Ball"]),
+        ],
+    )
+    def test_each_phase_matches_mpmath(self, vertices, radius, M, kinds):
+        # oracle: mpmath's tanh-sinh quadrature of the exact area over each
+        # half of each phase: opening, stadium, a dying ball (square and
+        # rectangle) and a growing one (rounded square)
+        import mpmath
+
+        trace = simulate(RoundedSet.from_polygon(vertices, radius), M, horizon=1.0)
+        assert [p[0] for p in trace.phases] == kinds
+        path = _path(trace)
+
+        def area(t):
+            return float(path.at(np.array([float(t)]))[1][0])
+
+        for _, _, t0, t1, _ in trace.phases:
+            t1 = min(t1, trace.horizon)
+            for lo, hi in ((t0, 0.5 * (t0 + t1)), (0.5 * (t0 + t1), t1)):
+                want = float(mpmath.quad(area, [lo, hi]))
+                got = compute_cost(trace, 1.0, 0.0, hi) - compute_cost(trace, 1.0, 0.0, lo)
+                assert got == pytest.approx(want, rel=1e-12)
 
     def test_one_row_trace(self):
         # a trace cut to its first sample
@@ -348,30 +440,6 @@ class TestCost:
         )
         assert len(trace) == 1
         assert compute_cost(trace, 3.0, 2.0, 0.0) == 2.0 * trace.a[0]
-
-    def test_hermite_array_matches_scalar_reference(self):
-        # reference: the interpolant one time at a time, same arithmetic
-        def hermite(tr, t):
-            if t <= tr.t[0]:
-                return tr.a[0]
-            if t >= tr.t[-1]:
-                return tr.a[-1]
-            i = int(np.searchsorted(tr.t, t, side="right")) - 1
-            h = tr.t[i + 1] - tr.t[i]
-            s = (t - tr.t[i]) / h
-            return (
-                (1 + 2 * s) * (1 - s) ** 2 * tr.a[i]
-                + s * (1 - s) ** 2 * h * tr.rate[i]
-                + s * s * (3 - 2 * s) * tr.a[i + 1]
-                + s * s * (s - 1) * h * tr.rate[i + 1]
-            )
-
-        trace = simulate(sq(), 4.0, horizon=5.0)
-        mids = 0.5 * (trace.t[:-1] + trace.t[1:])
-        times = np.concatenate(([-1.0], trace.t, mids, [trace.t[-1] + 1.0]))
-        want = np.array([hermite(trace, t) for t in times])
-        assert _hermite(trace, times).tobytes() == want.tobytes()
-        assert [_hermite(trace, t) for t in times] == want.tolist()
 
 
 class TestAdmissibility:
@@ -390,10 +458,31 @@ class TestAdmissibility:
         broken = type(trace)(
             omega0=trace.omega0, M=trace.M, t=trace.t, a=bad,
             perimeter=trace.perimeter, regime=trace.regime, rho=trace.rho,
-            rate=trace.rate, T_star=trace.T_star, T_dagger=trace.T_dagger,
+            phases=trace.phases, T_star=trace.T_star, T_dagger=trace.T_dagger,
             horizon=trace.horizon, dt=trace.dt,
         )
         assert not check_admissible(broken, 1e-4, 1e-2)
+
+    def test_relabelled_budget_fails(self):
+        # two percent of M, which the old rate bound forgave
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        assert not check_admissible(dataclasses.replace(trace, M=4.0 * 1.02), 1e-4, 1e-2)
+
+    def test_radius_off_the_ode_fails(self, monkeypatch):
+        # rows that match the evaluator, whose opening radius is 0.1% off the
+        # area ODE's: only the removal-rate test sees it
+        from shrinkset import evolution
+
+        branch = evolution._lower_branch
+        monkeypatch.setattr(evolution, "_lower_branch", lambda q: 1.001 * branch(q))
+        trace = simulate(sq(0.2), 1.0, horizon=1.0)
+        assert not check_admissible(trace, 1e-4, 1e-2)
+
+    @pytest.mark.parametrize("vertices, radius, M", [(RECTANGLE, 0.0, 6.0), (SQUARE, 0.0, 0.0)])
+    def test_other_phases_are_admissible(self, vertices, radius, M):
+        # a stadium phase, and the uncontrolled growth of the whole domain
+        trace = simulate(RoundedSet.from_polygon(vertices, radius), M, horizon=1.0)
+        assert check_admissible(trace, 1e-4, 1e-2)
 
 
 class TestHomothety:
@@ -401,8 +490,8 @@ class TestHomothety:
     @given(hulls(), st.floats(0.5, 2.0), st.floats(-6, 6))
     def test_rows_scale(self, s, factor, exponent):
         # simulate(lam * omega, lam * M, lam * H, lam * dt) is the trace of
-        # (omega, M, H, dt) with times, lengths and rates times lam and
-        # areas times lam^2
+        # (omega, M, H, dt) with times, lengths and the rate perimeter - M
+        # times lam and areas times lam^2
         lam = 10.0**exponent
         M = factor * 2.0 * math.sqrt(math.pi * rounded_area(s))
         base = simulate(s, M, 2.0, 0.01)
@@ -411,9 +500,11 @@ class TestHomothety:
             lam * M, lam * 2.0, lam * 0.01,
         )
         assert scaled.regime == base.regime
-        for col, power in (("t", 1), ("rho", 1), ("perimeter", 1), ("rate", 1), ("a", 2)):
-            want = lam**power * getattr(base, col)
-            got = getattr(scaled, col)
+        columns = [(base.t, scaled.t, 1), (base.rho, scaled.rho, 1), (base.a, scaled.a, 2)]
+        columns.append((base.perimeter, scaled.perimeter, 1))
+        columns.append((base.perimeter - M, scaled.perimeter - lam * M, 1))
+        for col, got, power in columns:
+            want = lam**power * col
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         for name in ("T_star", "T_dagger"):
             want, got = getattr(base, name), getattr(scaled, name)
