@@ -10,8 +10,11 @@ Exit codes: 0 success, 1 usage or config error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -57,6 +60,9 @@ def _option(cmd: argparse.ArgumentParser, key: str, text: str) -> None:
     cmd.add_argument(flag, type=_OPTION_TYPES[key], help=text)
 
 
+# built on the first main() call, not at import, and reused: parse_args
+# leaves the parser unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="shrinkset",
@@ -143,9 +149,21 @@ def _geometry(cfg: dict) -> RoundedSet:
     return s
 
 
+def _write(path: Path, text: str) -> None:
+    # rewrite in place: truncating an existing file to zero makes ext4 flush
+    # it to disk on close; a device such as /dev/null cannot be truncated
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+            f.write(text)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
+    except OSError as exc:
+        raise BadConfigError(f"cannot write output: {exc}") from exc
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out is not None:
-        args.out.write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -176,7 +194,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         while t <= trace.t[-1] + 1e-12:
             snap = reconstruct_set(trace, min(t, float(trace.t[-1])))
             path = stem.with_suffix(f".t{fmt(t)}.svg")
-            path.write_text(render_svg([snap]))
+            _write(path, render_svg([snap]))
             t += period
     return EXIT_OK
 

@@ -352,3 +352,111 @@ class TestDeterminism:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestOutputFile:
+    """--out and the SVG snapshots are rewritten in place, not truncated to
+    zero first; the bytes are those of a fresh file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["threshold"],
+            ["one-step", "--a", "0.9"],
+            ["simulate", *GOLDEN[0][1]],
+        ],
+    )
+    def test_rewrite_leaves_no_stale_tail(self, argv, geom, tmp_path):
+        fresh, out = tmp_path / "fresh.out", tmp_path / "old.out"
+        assert main([*argv, "--geometry", str(geom), "--out", str(fresh)]) == 0
+        want = fresh.read_bytes()
+        out.write_bytes(b"stale\n" * (len(want) // 6 + 100))
+        assert main([*argv, "--geometry", str(geom), "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        if argv[0] == "simulate":
+            assert hashlib.sha256(want).hexdigest() == GOLDEN[0][2]
+
+    def test_svg_rerun_leaves_no_stale_tail(self, geom, tmp_path):
+        argv = ["simulate", "--geometry", str(geom), "--M", "4", "--horizon", "1",
+                "--svg-every", "0.5"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        assert main([*argv, "--out", str(first / "t.csv")]) == 0
+        svgs = sorted(p.name for p in first.glob("t.t*.svg"))
+        assert len(svgs) >= 2
+        for name in svgs:
+            (second / name).write_text("<stale/>\n" * 10_000)
+        assert main([*argv, "--out", str(second / "t.csv")]) == 0
+        for name in svgs:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    def test_dev_null(self, geom):
+        assert main(["threshold", "--geometry", str(geom), "--out", os.devnull]) == 0
+
+    def test_new_file_mode_follows_umask(self, geom, tmp_path):
+        out = tmp_path / "report.json"
+        umask = os.umask(0o002)
+        try:
+            assert main(["threshold", "--geometry", str(geom), "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~0o002
+
+    def test_existing_file_keeps_inode_and_mode(self, geom, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("old")
+        out.chmod(0o600)
+        before = out.stat()
+        assert main(["threshold", "--geometry", str(geom), "--out", str(out)]) == 0
+        after = out.stat()
+        assert after.st_ino == before.st_ino
+        assert after.st_mode == before.st_mode
+        assert json.loads(out.read_text())["M0"] > 0
+
+    @pytest.mark.parametrize("target", ["no-such-dir/report.json", "."])
+    def test_unwritable_out_is_usage_error(self, target, geom, tmp_path, capsys):
+        out = tmp_path / target
+        assert main(["threshold", "--geometry", str(geom), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+
+    def test_unwritable_snapshot_is_usage_error(self, geom, tmp_path, capsys):
+        # a directory where the first snapshot should go
+        (tmp_path / "t.t0.svg").mkdir()
+        assert main([
+            "simulate", "--geometry", str(geom), "--M", "4", "--horizon", "1",
+            "--svg-every", "0.5", "--out", str(tmp_path / "t.csv"),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+
+
+class TestRepeatedMain:
+    """main builds its parser once per process; no call may leak state into
+    the next."""
+
+    def test_suite_selection_does_not_accumulate(self, tmp_path):
+        out = tmp_path / "report.txt"
+        assert main(["validate", "--suite", "none"]) == 0
+        assert main(["validate", "--suite", "invariants", "--out", str(out)]) == 0
+        names = [line.split()[0] for line in out.read_text().splitlines()]
+        assert names[0] == "steiner-growth-0" and names[-1] == "overall"
+        assert not [n for n in names if n.startswith("raster-")]
+
+    def test_help_usage_error_then_run(self, geom, capsys):
+        assert main(["threshold", "--help"]) == 0
+        assert "--tol" in capsys.readouterr().out
+        assert main(["threshold", "--geometry", str(geom), "--M", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+        assert main(["threshold", "--geometry", str(geom)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert set(json.loads(captured.out)) >= {"M0", "bracket", "iterations", "T_dagger"}
+
+    def test_same_argv_same_report(self, geom, capsys):
+        argv = ["threshold", "--geometry", str(geom), "--tol", "0.01"]
+        reports = []
+        for _ in range(2):
+            assert main(argv) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and reports[0]
