@@ -1,8 +1,9 @@
 """Cross-check the exact morphology against a pixel-grid oracle.
 
 Every closed-form operation (dilation, erosion, opening) is recomputed on
-a binary occupancy grid with an exact Euclidean distance transform, and
-the areas are compared.  Agreement within a few boundary pixels of slack
+a binary occupancy grid, by marking the cells within exact Euclidean
+distance r of an occupied (or empty) cell row run by row run, and the
+areas are compared.  Agreement within a few boundary pixels of slack
 is strong evidence that the closed forms and the grid code are both right,
 since they share no machinery.
 """

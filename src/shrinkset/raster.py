@@ -1,9 +1,11 @@
 """Pixel-grid brute force for validating the exact geometry.
 
-Sets become boolean occupancy masks; dilation and erosion become
-thresholded exact Euclidean distance transforms.  Accuracy is a boundary
-band of width O(h), so agreement within a small multiple of
-h * perimeter certifies the closed-form results independently.
+Sets become boolean occupancy masks.  Dilation and erosion by r mark the
+cells within Euclidean distance r of an occupied (or empty) cell, by
+widening each row's runs of cells by the disk's half-width on every row
+offset; no distance transform is computed.  Accuracy is a boundary band
+of width O(h), so agreement within a small multiple of h * perimeter
+certifies the closed-form results independently.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
+
+# perfbench/run.py traces the former distance transform under this name;
+# the run-length disk pass no longer calls it
+from scipy.ndimage import distance_transform_edt  # noqa: F401
 
 from .geometry import Point2, RoundedSet
 
@@ -30,6 +35,10 @@ class RasterGrid:
     origin: Point2  # center of cell [0, 0]
     h: float
     occupancy: np.ndarray  # bool, indexed [iy, ix]
+
+    def __post_init__(self):
+        x, y = self.origin
+        object.__setattr__(self, "origin", Point2(float(x), float(y)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -110,6 +119,51 @@ def _pad(grid: RasterGrid, cells: int) -> RasterGrid:
     return RasterGrid(origin, grid.h, occ)
 
 
+def _half_widths(r: float, h: float, strict: bool, rows: int) -> np.ndarray:
+    """W[dy] for dy = 0, 1, ...: the largest dx with sqrt((dy h)^2 + (dx h)^2)
+    at most r (below r if strict), evaluated as the float expression of
+    scipy's distance transform, so that the masks are the thresholded
+    transform's bit for bit.  The expression grows with |dx| and |dy|, so
+    every row offset keeps one interval and the offsets stop at the first
+    row with none, or at `rows`, which no two cells of the grid are apart."""
+    def inside(dy, dx):
+        d = np.sqrt((dy * h) ** 2 + (dx * h) ** 2)
+        return d < r if strict else d <= r
+
+    dy = np.arange(min(int(r / h) + 3, rows), dtype=float)
+    w = np.floor(np.sqrt(np.maximum(r * r - (dy * h) ** 2, 0.0)) / h)
+    # the estimate is off by at most a rounding step; settle it exactly
+    while (up := inside(dy, w + 1.0)).any():
+        w += up
+    while (down := (w >= 0.0) & ~inside(dy, w)).any():
+        w -= down
+    return w[: np.count_nonzero(w >= 0.0)].astype(np.intp)
+
+
+def _cover(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cells (y, x) with a True cell of mask at (y + dy, x + dx), |dx| <=
+    w[|dy|]: each row's runs, widened on every row offset, painted into a
+    difference array with +1 at each start and -1 past each end, then
+    summed.  A run never leaves its row, so one running sum over the
+    flattened rows serves them all."""
+    ny, nx = mask.shape
+    # edges alternate start, end within a row: runs are [start, end)
+    at = np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    y, start = np.divmod(at[0::2], nx + 1)
+    end = at[1::2] - y * (nx + 1)
+    dy = np.arange(1 - len(w), len(w))
+    reach = w[np.abs(dy)]
+    # rows beyond the grid paint the spare rows -1 and ny, dropped below
+    row = (np.clip(y[:, None] + dy, -1, ny) + 1) * (nx + 1)
+    size = (ny + 2) * (nx + 1)
+    lo = row + np.maximum(start[:, None] - reach, 0)
+    hi = row + np.minimum(end[:, None] + reach, nx)
+    paint = np.bincount(lo.ravel(), minlength=size)
+    paint -= np.bincount(hi.ravel(), minlength=size)
+    np.cumsum(paint, out=paint)
+    return paint.reshape(ny + 2, nx + 1)[1:-1, :nx] > 0
+
+
 def raster_dilate(grid: RasterGrid, r: float) -> RasterGrid:
     """Mark every cell within distance r of an occupied cell."""
     if not (r >= 0.0 and math.isfinite(r)):
@@ -117,15 +171,16 @@ def raster_dilate(grid: RasterGrid, r: float) -> RasterGrid:
     if grid.occupancy.size == 0 or not grid.occupancy.any():
         return grid
     g = _pad(grid, int(math.ceil(r / grid.h)) + 2)
-    dist = distance_transform_edt(~g.occupancy, sampling=g.h)
-    return RasterGrid(g.origin, g.h, dist <= r)
+    mask = _cover(g.occupancy, _half_widths(r, g.h, False, len(g.occupancy)))
+    return RasterGrid(g.origin, g.h, mask)
 
 
 def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
-    """Keep occupied cells at depth at least r.
+    """Keep occupied cells at distance at least r from every empty cell,
+    counting the cells beyond the grid's edge as empty.
 
     The mask is read-only and memoized per radius on the grid, so an
-    erosion and an opening by the same r share one distance transform.
+    erosion and an opening by the same r share one pass.
     """
     if not (r >= 0.0 and math.isfinite(r)):
         raise ValueError("erosion radius must be finite and nonnegative")
@@ -133,8 +188,10 @@ def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
         return grid
     mask = grid._erosions.get(r)
     if mask is None:
-        depth = distance_transform_edt(grid.occupancy, sampling=grid.h)
-        mask = grid.occupancy & (depth >= r)
+        # one empty cell around the grid is as near as any beyond its edge
+        empty = np.pad(~grid.occupancy, 1, constant_values=True)
+        near = _cover(empty, _half_widths(r, grid.h, True, len(empty)))[1:-1, 1:-1]
+        mask = grid.occupancy & ~near
         mask.flags.writeable = False
         grid._erosions[r] = mask
     return RasterGrid(grid.origin, grid.h, mask)

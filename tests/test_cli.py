@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import shrinkset
+from shrinkset import evolution
 from shrinkset.cli import main
+from shrinkset.serialize import threshold_report
 
 SQUARE_GEOM = {"kernel": [[0, 0], [1, 0], [1, 1], [0, 1]], "radius": 0.0}
 BALL_GEOM = {"kernel": [[0, 0]], "radius": 1.0}
@@ -190,6 +192,24 @@ class TestThreshold:
         assert report["M0"] == pytest.approx(3.5535, abs=0.05)
         assert report["T_dagger"] == pytest.approx(0.0656, abs=0.01)
 
+    def test_one_trajectory_per_call(self, geom, tmp_path, monkeypatch):
+        init = evolution._Trajectory.__init__
+        built = []
+
+        def counted(self, omega0):
+            built.append(omega0)
+            init(self, omega0)
+
+        monkeypatch.setattr(evolution._Trajectory, "__init__", counted)
+        out = tmp_path / "report.json"
+        assert main(["threshold", "--geometry", str(geom), "--out", str(out)]) == 0
+        assert len(built) == 1
+        # the report is the public functions' answer, byte for byte
+        omega0 = built[0]
+        m0, bracket, iterations = shrinkset.critical_budget(omega0, 1e-3, full_output=True)
+        t_dagger = shrinkset.ball_time_at_critical(omega0, m0)
+        assert out.read_text() == threshold_report(m0, bracket, iterations, t_dagger)
+
 
 class TestOneStep:
     def test_opening_regime(self, geom, tmp_path):
@@ -229,6 +249,19 @@ class TestValidate:
     def test_injected_fault_detected(self, capsys):
         assert main(["validate", "--seed", "7", "--inject-perturbation"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["raster", "invariants"])
+    def test_injected_fault_fails_each_suite(self, suite, capsys):
+        assert main(["validate", "--suite", suite]) == 0
+        assert capsys.readouterr().out.split()[-1] == "PASS"
+        assert main(["validate", "--suite", suite, "--inject-perturbation"]) == 3
+        assert capsys.readouterr().out.split()[-1] == "FAIL"
+
+    def test_injected_fault_fails_every_raster_row(self, capsys):
+        # the error scales with each row's tolerance, whatever the set's size
+        assert main(["validate", "--suite", "raster", "--inject-perturbation"]) == 3
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert len(rows) == 16 and all(status == "FAIL" for _, status in rows)
 
     def test_suite_none(self):
         assert main(["validate", "--suite", "none"]) == 0

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shrinkset import (
+    Point2,
     RasterGrid,
     RoundedSet,
     dilate,
@@ -21,6 +22,7 @@ from shrinkset import (
     rounded_perimeter,
 )
 from shrinkset import raster
+from edt_reference import edt_dilate, edt_erode, edt_opening
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -79,6 +81,17 @@ class TestRasterize:
         occ[2:5, 3:9] = True
         grid = RasterGrid(origin=(0.0, 0.0), h=0.5, occupancy=occ)
         assert raster_area(grid) == pytest.approx(18 * 0.25)
+
+    def test_direct_grid_takes_a_tuple_origin(self):
+        occ = np.zeros((10, 10), dtype=bool)
+        occ[2:5, 3:9] = True
+        grid = RasterGrid(origin=(1, -2), h=0.5, occupancy=occ)
+        assert grid.origin == Point2(1.0, -2.0) and type(grid.origin.x) is float
+        # by 1.5 cells: the 3 x 3 neighbourhood, padded by ceil(1.5) + 2 cells
+        dilated = raster_dilate(grid, 0.75)
+        assert dilated.origin == Point2(1.0 - 4 * 0.5, -2.0 - 4 * 0.5)
+        assert raster_area(dilated) == pytest.approx(5 * 8 * 0.25)
+        assert raster_area(raster_opening(grid, 0.75)) == pytest.approx(18 * 0.25)
 
 
 class TestRasterOps:
@@ -195,21 +208,22 @@ class TestTiledRasterize:
         assert grid.occupancy.dtype == bool and grid.occupancy.flags.c_contiguous
         assert np.array_equal(grid.occupancy, occ)
 
-    def test_one_edt_per_grid_and_radius(self, rng, monkeypatch):
-        edt = raster.distance_transform_edt
+    def test_one_cover_pass_per_grid_and_radius(self, rng, monkeypatch):
+        cover = raster._cover
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return edt(*args, **kwargs)
+            return cover(*args, **kwargs)
 
         s = random_rounded_set(rng)
         h, r = 5e-3 * s.diameter, 0.15 * s.diameter
         ops = (raster_dilate, raster_erode, raster_opening)
         fresh = [op(rasterize(s, h), r) for op in ops]
-        monkeypatch.setattr(raster, "distance_transform_edt", counted)
+        monkeypatch.setattr(raster, "_cover", counted)
         grid = rasterize(s, h)
         shared = [op(grid, r) for op in ops]
+        # dilate, erode, and the opening's dilation: its erosion is shared
         assert len(calls) == 3
         for a, b in zip(shared, fresh):
             assert a.origin == b.origin and np.array_equal(a.occupancy, b.occupancy)
@@ -223,6 +237,114 @@ class TestTiledRasterize:
         assert raster_area(raster_opening(grid, 0.15)) == pytest.approx(
             rounded_area(opening(sq(0.1), 0.15)), abs=5 * 0.01 * 4.0
         )
+
+
+def _assert_ops_match(grid, r, want_dilate, want_erode, want_opening):
+    got = raster_dilate(grid, r).occupancy
+    assert got.shape == want_dilate.shape and np.array_equal(got, want_dilate)
+    assert np.array_equal(raster_erode(grid, r).occupancy, want_erode)
+    if r > 0:
+        assert np.array_equal(raster_opening(grid, r).occupancy, want_opening)
+
+
+# radii in cells: tie shells (150 holds 90^2 + 120^2 = 150^2, 5 holds
+# 3^2 + 4^2), whole and half cells, the diagonal, zero and below one cell
+CELL_RADII = [150, 5, 7, 12.5, math.sqrt(2), 0, 0.4]
+
+
+@st.composite
+def radii(draw, h, size):
+    """A radius of CELL_RADII cells of pitch h, or up to 0.6 of size."""
+    cells = draw(st.sampled_from(CELL_RADII + [None]))
+    return cells * h if cells is not None else draw(st.floats(0.0, 0.6)) * size
+
+
+@st.composite
+def rasterized_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = random_rounded_set(rng)
+    h = s.diameter / draw(st.sampled_from([6, 20, 45]))
+    return s, h, draw(radii(h, s.diameter))
+
+
+@st.composite
+def masks(draw):
+    """Unions of rectangles less some holes, often touching the border:
+    several runs per row, and holes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ny, nx = draw(st.integers(8, 40)), draw(st.integers(8, 60))
+    occ = np.zeros((ny, nx), dtype=bool)
+    for fill in [True] * draw(st.integers(1, 8)) + [False] * draw(st.integers(0, 4)):
+        y0, x0 = rng.integers(0, ny), rng.integers(0, nx)
+        y1, x1 = y0 + rng.integers(1, ny // 2 + 2), x0 + rng.integers(1, nx // 2 + 2)
+        occ[y0:y1, x0:x1] = fill
+    return occ
+
+
+class TestRunLengthCover:
+    """The run-length disk pass against scipy's exact distance transform:
+    the same masks bit for bit, tie shells included."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(rasterized_cases())
+    # tie shells in an erosion that keeps cells
+    @example((sq(0.1), 3e-3, 150 * 3e-3))
+    @example((sq(0.1), 0.03, 5 * 0.03))
+    @example((sq(), 0.01, 0.0))
+    @example((sq(), 0.01, 0.004))
+    def test_matches_edt_on_rasterized_grids(self, case):
+        s, h, r = case
+        grid = rasterize(s, h)
+        occ = grid.occupancy
+        # rasterize leaves an empty border, so no cell beyond the edge counts
+        assert not (occ[0].any() or occ[-1].any() or occ[:, 0].any() or occ[:, -1].any())
+        _assert_ops_match(
+            grid, r, edt_dilate(occ, h, r), edt_erode(occ, h, r), edt_opening(occ, h, r)
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(masks(), st.sampled_from([1.0, 0.37, 1e-3]), st.data())
+    @example(np.zeros((5, 7), dtype=bool), 1.0, None)
+    @example(np.ones((5, 7), dtype=bool), 1.0, None)
+    @example(np.ones((12, 30), dtype=bool), 0.37, None)
+    @example(np.ones((1, 1), dtype=bool), 0.37, None)
+    def test_matches_padded_edt_on_any_mask(self, occ, h, data):
+        r = 5 * h if data is None else data.draw(radii(h, h * max(occ.shape)))
+        # cells beyond the edge are empty: the reference erodes a padded mask
+        eroded = edt_erode(np.pad(occ, 1), h, r)[1:-1, 1:-1]
+        _assert_ops_match(
+            RasterGrid((0.0, 0.0), h, occ),
+            r,
+            edt_dilate(occ, h, r),
+            eroded,
+            edt_dilate(eroded, h, r),
+        )
+
+    def test_offsets_stop_at_the_grid(self, monkeypatch):
+        # a radius far beyond the grid costs no more than the grid's height
+        cover = raster._cover
+        widths = []
+
+        def spied(mask, w):
+            widths.append((len(mask), len(w)))
+            return cover(mask, w)
+
+        monkeypatch.setattr(raster, "_cover", spied)
+        grid = rasterize(sq(0.1), 0.01)
+        assert raster_area(raster_erode(grid, 1e3)) == 0.0
+        assert widths == [(grid.shape[0] + 2, grid.shape[0] + 2)]
+
+    def test_full_grid_erodes_from_its_edge(self):
+        grid = RasterGrid((0.0, 0.0), 1.0, np.ones((10, 10), dtype=bool))
+        kept = raster_erode(grid, 3.0).occupancy
+        assert kept.sum() == 36 and kept[2:8, 2:8].all()
+
+    def test_half_plane_erodes_from_both_sides(self):
+        occ = np.zeros((10, 10), dtype=bool)
+        occ[:, :6] = True
+        kept = raster_erode(RasterGrid((0.0, 0.0), 1.0, occ), 3.0).occupancy
+        # the grid's other three edges bound it as well
+        assert kept.sum() == 12 and kept[2:8, 2:4].all()
 
 
 NAN, INF = float("nan"), float("inf")
