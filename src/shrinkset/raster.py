@@ -119,19 +119,25 @@ def _pad(grid: RasterGrid, cells: int) -> RasterGrid:
     return RasterGrid(origin, grid.h, occ)
 
 
-def _half_widths(r: float, h: float, strict: bool, rows: int) -> np.ndarray:
+def _half_widths(r: float, h: float, strict: bool, shape: tuple[int, int]) -> np.ndarray:
     """W[dy] for dy = 0, 1, ...: the largest dx with sqrt((dy h)^2 + (dx h)^2)
     at most r (below r if strict), evaluated as the float expression of
     scipy's distance transform, so that the masks are the thresholded
     transform's bit for bit.  The expression grows with |dx| and |dy|, so
     every row offset keeps one interval and the offsets stop at the first
-    row with none, or at `rows`, which no two cells of the grid are apart."""
+    row with none, or at the grid's height, which no two of its cells are
+    apart."""
+    rows, cols = shape
+    if r > h * (rows + cols):
+        # every two cells of the grid are nearer than r
+        return np.full(rows, cols, dtype=np.intp)
+
     def inside(dy, dx):
         d = np.sqrt((dy * h) ** 2 + (dx * h) ** 2)
         return d < r if strict else d <= r
 
     dy = np.arange(min(int(r / h) + 3, rows), dtype=float)
-    w = np.floor(np.sqrt(np.maximum(r * r - (dy * h) ** 2, 0.0)) / h)
+    w = np.floor(np.sqrt(np.maximum((r / h) ** 2 - dy**2, 0.0)))
     # the estimate is off by at most a rounding step; settle it exactly
     while (up := inside(dy, w + 1.0)).any():
         w += up
@@ -171,7 +177,7 @@ def raster_dilate(grid: RasterGrid, r: float) -> RasterGrid:
     if grid.occupancy.size == 0 or not grid.occupancy.any():
         return grid
     g = _pad(grid, int(math.ceil(r / grid.h)) + 2)
-    mask = _cover(g.occupancy, _half_widths(r, g.h, False, len(g.occupancy)))
+    mask = _cover(g.occupancy, _half_widths(r, g.h, False, g.shape))
     return RasterGrid(g.origin, g.h, mask)
 
 
@@ -190,7 +196,7 @@ def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
     if mask is None:
         # one empty cell around the grid is as near as any beyond its edge
         empty = np.pad(~grid.occupancy, 1, constant_values=True)
-        near = _cover(empty, _half_widths(r, grid.h, True, len(empty)))[1:-1, 1:-1]
+        near = _cover(empty, _half_widths(r, grid.h, True, empty.shape))[1:-1, 1:-1]
         mask = grid.occupancy & ~near
         mask.flags.writeable = False
         grid._erosions[r] = mask

@@ -320,7 +320,8 @@ class TestRunLengthCover:
             edt_dilate(eroded, h, r),
         )
 
-    def test_offsets_stop_at_the_grid(self, monkeypatch):
+    @pytest.mark.parametrize("r", [2.0, 1e3, 1e300, 1.7e308])
+    def test_offsets_stop_at_the_grid(self, r, monkeypatch):
         # a radius far beyond the grid costs no more than the grid's height
         cover = raster._cover
         widths = []
@@ -331,7 +332,7 @@ class TestRunLengthCover:
 
         monkeypatch.setattr(raster, "_cover", spied)
         grid = rasterize(sq(0.1), 0.01)
-        assert raster_area(raster_erode(grid, 1e3)) == 0.0
+        assert raster_area(raster_erode(grid, r)) == 0.0
         assert widths == [(grid.shape[0] + 2, grid.shape[0] + 2)]
 
     def test_full_grid_erodes_from_its_edge(self):
