@@ -40,7 +40,7 @@ from .serialize import (
     threshold_report,
     trace_to_csv,
 )
-from .threshold import _critical_point
+from .threshold import ball_time_at_critical, critical_budget
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,8 +203,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_threshold(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     omega0 = _geometry(cfg)
-    m0, bracket, iterations, t_dagger = _critical_point(omega0, cfg.get("tol", 1e-3))
-    _emit(args, threshold_report(m0, bracket, iterations, t_dagger))
+    m0, bracket, iterations = critical_budget(omega0, cfg.get("tol", 1e-3), full_output=True)
+    _emit(args, threshold_report(m0, bracket, iterations, ball_time_at_critical(omega0, m0)))
     return EXIT_OK
 
 

@@ -16,10 +16,10 @@ erosion depth of the kernel.  Its trajectory has three phases:
   at R_b = R_s e^(2L/M), at the time T† = R_b - c0 - d_max;
 - ball: r' = 1 - r*/r with r* = M / 2pi, so the set dies iff R_b < r*.
 
-_Trajectory lists the phases of this trajectory and _Path gives its exact
-state at any time: simulate samples it, the trace post-processing reads it
-and threshold reads R_b.  Logs carry the piece maps: e^x overflows at small
-M.
+_Trajectory lists the phases of this trajectory, built once per set (see
+_trajectory), and _Path gives its exact state at any time: simulate samples
+it, the trace post-processing reads it and threshold reads R_b.  Logs carry
+the piece maps: e^x overflows at small M.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ class _Trajectory:
         area = 0.0 if omega0.is_empty else rounded_area(omega0)
         if not area > 0.0:
             raise DegenerateDomainError("domain has zero area")
-        self.omega0 = omega0
+        # not the set, which holds this trajectory: a cycle outlives its last use
+        self.kernel = omega0.kernel
         self.prof = prof = _profile(omega0.kernel)
         pc, self.c0 = prof.pieces, omega0.radius
         # rows d0, d1, area0, perim0, tan_sum; columns the pieces
@@ -214,6 +215,12 @@ class _Trajectory:
         )
 
 
+def _trajectory(omega0: RoundedSet) -> _Trajectory:
+    if omega0._trajectory is None:
+        omega0._trajectory = _Trajectory(omega0)
+    return omega0._trajectory
+
+
 class _Path:
     """The trajectory given by its phases (see _Trajectory.phases): its
     exact state at any time, and the set itself."""
@@ -270,9 +277,10 @@ class _Path:
     def sets(self, t: np.ndarray) -> list[RoundedSet]:
         """The sets at the times t, each built in its phase: the opening of
         the grown domain, the stadium on the locus or the ball."""
+        kernel, c0 = self.traj.kernel, self.traj.c0
         state = zip(t.tolist(), *(col.tolist() for col in self.at(t)))
         return [
-            _subset(dilate(self.traj.omega0, time), self.kinds[j], rho, straight)
+            _subset(RoundedSet(kernel, c0 + time), self.kinds[j], rho, straight)
             if a > 0.0 else RoundedSet.empty()
             for time, j, a, _, rho, straight in state
         ]
@@ -307,7 +315,7 @@ def simulate(
     if not (dt > 0 and math.isfinite(dt)):
         raise BadConfigError(f"dt must be positive and finite, got {dt}")
 
-    traj = _Trajectory(omega0)
+    traj = _trajectory(omega0)
     phases = traj.phases(M)
     kind, _, t_ball, t_star, _ = phases[-1]
     end = min(horizon, t_star)
@@ -325,13 +333,13 @@ def simulate(
 
 
 def _path(trace: EvolutionTrace) -> _Path:
-    return _Path(_Trajectory(trace.omega0), trace.M, trace.phases)
+    return _Path(_trajectory(trace.omega0), trace.M, trace.phases)
 
 
 def reconstruct_set(trace: EvolutionTrace, t: float) -> RoundedSet:
     """The controlled set at time t, exact at every t (see _Path.sets)."""
     t_end = float(trace.t[-1])
-    if t < 0.0 or t > t_end + 1e-12:
+    if not 0.0 <= t <= t_end + 1e-12:
         raise OutOfRangeError(f"time {t} outside the trace range [0, {t_end}]")
     return _path(trace).sets(np.array([t], dtype=float))[0]
 
@@ -347,6 +355,8 @@ def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float
     with a point for the piece: k = -pi and m = -M/2pi.  On the stadium the
     area is pi*R^2 + 2*R*l with R' = 1 and l' = -M/2R, which integrates to
     pi*R^3/3 + R^2*l + M*R^2/4."""
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise BadConfigError(f"cost weights must be finite, got c1={c1}, c2={c2}")
     t_end = float(trace.t[-1])
     if not (T >= 0.0 and (T <= t_end + 1e-12 or trace.T_star is not None)):
         raise OutOfRangeError(f"cost horizon {T} beyond the trace range")
@@ -376,6 +386,10 @@ def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
     """Discrete admissibility: the rows are those of the trajectory, the set
     at t+delta fits in the delta-dilation of the set at t, and the area
     removed per unit time is the budget M."""
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise BadConfigError(f"delta must be positive and finite, got {delta}")
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise BadConfigError(f"tol must be finite and nonnegative, got {tol}")
     path = _path(trace)
     _, a, perim, _, _ = path.at(trace.t)
     # an area row off by e moves the removal rate below by e / delta

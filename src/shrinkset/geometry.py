@@ -245,13 +245,14 @@ def polygon_centroid(p: ConvexPolygon) -> np.ndarray:
 class RoundedSet:
     """A convex kernel polygon dilated by a disk of radius >= 0."""
 
-    __slots__ = ("kernel", "radius")
+    __slots__ = ("kernel", "radius", "_trajectory")
 
     def __init__(self, kernel: ConvexPolygon, radius: float):
         if not (radius >= 0 and math.isfinite(radius)):
             raise BadConfigError("radius must be finite and nonnegative")
         self.kernel = kernel
         self.radius = float(radius)
+        self._trajectory = None  # lazily filled by evolution
 
     @classmethod
     def empty(cls) -> "RoundedSet":
@@ -493,6 +494,10 @@ def boundary_length_in_disk(s: RoundedSet, center, r: float) -> float:
     """Exact length of the part of the boundary of s inside the disk
     B_r(center) (segment/arc vs circle clipping)."""
     center = np.asarray(center, float)
+    if not (r >= 0 and math.isfinite(r)):
+        raise BadConfigError(f"radius must be finite and nonnegative, got {r}")
+    if not np.all(np.isfinite(center)):
+        raise BadConfigError("center must be finite")
     total = 0.0
     for piece in boundary_pieces(s):
         if piece[0] == "seg":

@@ -355,7 +355,7 @@ def polygon_erode(poly: ConvexPolygon, d: float) -> ConvexPolygon:
 
     The result may degenerate to a segment, a point, or the empty polygon.
     """
-    if d < 0:
+    if not d >= 0:
         raise ValueError("erosion depth must be nonnegative")
     if len(poly) < 3:
         raise ValueError("polygon_erode needs at least 3 vertices")

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadConfigError, NotCriticalError
-from .evolution import _Trajectory
+from .evolution import _trajectory
 from .geometry import RoundedSet
 
 EXTINCT = "Extinct"
@@ -37,7 +37,7 @@ def classify(omega0: RoundedSet, M: float) -> Outcome:
     """Extinct at the extinction time T*, or Grows (for ever) from the
     ball-entry time T†: the outcome of the budget-M evolution."""
     _check_budget(M)
-    _, _, t_ball, t_star, _ = _Trajectory(omega0).phases(M)[-1]
+    _, _, t_ball, t_star, _ = _trajectory(omega0).phases(M)[-1]
     return Outcome(GROWS, t_ball) if t_star == math.inf else Outcome(EXTINCT, t_star)
 
 
@@ -49,30 +49,7 @@ def critical_budget(omega0: RoundedSet, tol: float = 1e-3, full_output: bool = F
     the chord through the final bracket's ends; with full_output, also the
     final bracket [lo, hi] and the number of bisection steps."""
     _check_tol(tol)
-    m0, bracket, iterations = _bisect(_Trajectory(omega0), tol)
-    if full_output:
-        return m0, bracket, iterations
-    return m0
-
-
-def ball_time_at_critical(omega0: RoundedSet, M: float) -> float:
-    """First time the controlled set becomes a ball, at a near-critical M.
-    A budget below the isoperimetric floor 2 sqrt(pi * area), which no
-    critical budget undercuts, raises NotCriticalError."""
-    _check_budget(M)
-    return _ball_time(_Trajectory(omega0), M)
-
-
-def _critical_point(omega0: RoundedSet, tol: float):
-    """critical_budget with full_output and ball_time_at_critical at its
-    root, from one trajectory: (M0, bracket, steps, T-dagger)."""
-    _check_tol(tol)
-    traj = _Trajectory(omega0)
-    m0, bracket, iterations = _bisect(traj, tol)
-    return m0, bracket, iterations, _ball_time(traj, m0)
-
-
-def _bisect(traj: _Trajectory, tol: float):
+    traj = _trajectory(omega0)
     lo, hi = traj.floor, traj.cap
     f_lo, f_hi = traj.excess(lo), traj.excess(hi)
     iterations = 0
@@ -88,10 +65,17 @@ def _bisect(traj: _Trajectory, tol: float):
         iterations += 1
     # f_hi < 0 throughout; f_lo <= 0 only when the root is the floor (a ball)
     m0 = min(lo + f_lo / (f_lo - f_hi) * (hi - lo), hi) if f_lo > 0.0 else lo
-    return m0, (lo, hi), iterations
+    if full_output:
+        return m0, (lo, hi), iterations
+    return m0
 
 
-def _ball_time(traj: _Trajectory, M: float) -> float:
+def ball_time_at_critical(omega0: RoundedSet, M: float) -> float:
+    """First time the controlled set becomes a ball, at a near-critical M.
+    A budget below the isoperimetric floor 2 sqrt(pi * area), which no
+    critical budget undercuts, raises NotCriticalError."""
+    _check_budget(M)
+    traj = _trajectory(omega0)
     if M < traj.floor:
         raise NotCriticalError(f"budget {M} is below the isoperimetric floor {traj.floor}")
     return traj.phases(M)[-1][2]

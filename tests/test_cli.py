@@ -201,9 +201,22 @@ class TestThreshold:
             init(self, omega0)
 
         monkeypatch.setattr(evolution._Trajectory, "__init__", counted)
+        # the CLI reaches the public functions, as a tracer hooking them sees
+        calls = []
+        for name in ("critical_budget", "ball_time_at_critical"):
+            original = getattr(shrinkset.threshold, name)
+
+            def hooked(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for key, mod in list(sys.modules.items()):
+                if key.split(".")[0] == "shrinkset" and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, hooked)
         out = tmp_path / "report.json"
         assert main(["threshold", "--geometry", str(geom), "--out", str(out)]) == 0
         assert len(built) == 1
+        assert sorted(calls) == ["ball_time_at_critical", "critical_budget"]
         # the report is the public functions' answer, byte for byte
         omega0 = built[0]
         m0, bracket, iterations = shrinkset.critical_budget(omega0, 1e-3, full_output=True)
@@ -279,6 +292,15 @@ class TestErrors:
 
     def test_nan_tolerance(self, geom):
         assert main(["threshold", "--geometry", str(geom), "--tol", "nan"]) == 1
+
+    @pytest.mark.parametrize("weight", [["--c1", "nan"], ["--c2", "inf"]])
+    def test_non_finite_cost_weight(self, weight, geom, tmp_path, capsys):
+        # a nan weight wrote "# J=nan", and inf * 0 at extinction did too
+        out = tmp_path / "trace.csv"
+        argv = ["simulate", "--geometry", str(geom), "--M", "4", "--horizon", "1"]
+        assert main([*argv, *weight, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -12,14 +12,18 @@ from shrinkset import (
     BadConfigError,
     OutOfRangeError,
     RoundedSet,
+    ball_time_at_critical,
     check_admissible,
+    classify,
     compute_cost,
+    critical_budget,
     hausdorff,
     reconstruct_set,
     rounded_area,
     rounded_perimeter,
     simulate,
 )
+from shrinkset import evolution
 from shrinkset.evolution import _free_ball_radius, _lower_branch, _path
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -342,6 +346,11 @@ class TestReconstruct:
         with pytest.raises(OutOfRangeError):
             reconstruct_set(trace, 1.1)
 
+    def test_nan_time_is_out_of_range(self):
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        with pytest.raises(OutOfRangeError):
+            reconstruct_set(trace, math.nan)
+
 
 class TestCost:
     def test_zero_budget_cost(self):
@@ -365,6 +374,13 @@ class TestCost:
             compute_cost(trace, 1.0, 0.0, 1.0)
         with pytest.raises(OutOfRangeError):
             compute_cost(trace, 1.0, 0.0, math.nan)
+
+    @pytest.mark.parametrize("c1, c2", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_weights(self, c1, c2):
+        # inf * 0 at extinction would give nan
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        with pytest.raises(BadConfigError):
+            compute_cost(trace, c1, c2, float(trace.t[-1]))
 
     def test_zero_budget_partial_last_interval(self):
         # at M = 0 the area is 1 + 4t + pi*t^2, so a horizon strictly inside
@@ -483,6 +499,48 @@ class TestAdmissibility:
         # a stadium phase, and the uncontrolled growth of the whole domain
         trace = simulate(RoundedSet.from_polygon(vertices, radius), M, horizon=1.0)
         assert check_admissible(trace, 1e-4, 1e-2)
+
+
+    @pytest.mark.parametrize(
+        "delta, tol",
+        [(math.inf, 1e-2), (0.0, 1e-2), (-1e-4, 1e-2), (math.nan, 1e-2),
+         (1e-4, math.nan), (1e-4, math.inf), (1e-4, -1e-2)],
+    )
+    def test_bad_delta_or_tol(self, delta, tol):
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        with pytest.raises(BadConfigError):
+            check_admissible(trace, delta, tol)
+
+
+class TestTrajectoryMemo:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        init = evolution._Trajectory.__init__
+        built = []
+
+        def counted(self, omega0):
+            built.append(omega0)
+            init(self, omega0)
+
+        monkeypatch.setattr(evolution._Trajectory, "__init__", counted)
+        return built
+
+    def test_one_trajectory_per_set(self, built):
+        omega0 = sq(0.1)
+        trace = simulate(omega0, 4.0, horizon=5.0)
+        for t in np.linspace(0.0, float(trace.t[-1]), 16):
+            reconstruct_set(trace, float(t))
+        compute_cost(trace, 1.0, 1.0, float(trace.t[-1]))
+        assert check_admissible(trace, 1e-4, 1e-2)
+        m0 = critical_budget(omega0)
+        ball_time_at_critical(omega0, m0)
+        classify(omega0, m0)
+        assert built == [omega0]
+
+    def test_equal_sets_build_their_own(self, built):
+        first, second = sq(0.1), sq(0.1)
+        assert critical_budget(first) == critical_budget(second)
+        assert built == [first, second]
 
 
 class TestHomothety:

@@ -235,6 +235,16 @@ class TestProperties:
             got = boundary_length_in_disk(s, (0.0, 0.0), big)
             assert got == pytest.approx(rounded_perimeter(s), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "center, r",
+        [((0.5, 0.5), -10.0), ((0.5, 0.5), math.nan), ((0.5, 0.5), math.inf),
+         ((math.nan, 0.5), 1.0), ((0.5, -math.inf), 1.0)],
+    )
+    def test_clipping_rejects_bad_disk(self, center, r):
+        # a negative radius gave the whole perimeter, a nan centre more than it
+        with pytest.raises(BadConfigError):
+            boundary_length_in_disk(sq(0.2), center, r)
+
     def test_centroid_invariant_under_dilation_when_symmetric(self):
         for s in (
             RoundedSet.ball((1, 2), 0.5),

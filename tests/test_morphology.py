@@ -116,6 +116,12 @@ class TestPolygonErode:
     def test_past_depth_is_empty(self):
         assert len(polygon_erode(ConvexPolygon(SQUARE), 0.51)) == 0
 
+    @pytest.mark.parametrize("d", [-0.1, math.nan])
+    def test_bad_depth_raises(self, d):
+        # a nan depth gave the empty polygon
+        with pytest.raises(ValueError):
+            polygon_erode(ConvexPolygon(SQUARE), d)
+
 
 class TestErode:
     def test_radius_roundtrip(self):
