@@ -9,6 +9,7 @@ from shrinkset import (
     EmptySetError,
     RoundedSet,
     boundary_length_in_disk,
+    boundary_pieces,
     contains,
     dilate,
     hausdorff,
@@ -159,6 +160,29 @@ class TestCentroid:
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
             rounded_centroid(RoundedSet.empty())
+
+    def test_matches_dense_boundary_polygon(self, rng):
+        # an independent oracle: the centroid of the polygon through the
+        # boundary's segment ends and 4096 points on every arc; its error is
+        # about 2e-9 of the diameter and falls 16-fold per 4-fold more points
+        sets = [random_rounded_set(rng) for _ in range(12)]
+        sets += [
+            RoundedSet.from_polygon([(0.2, -0.4), (2.9, 0.3), (0.7, 1.6)], 0.45),
+            RoundedSet.stadium((0.3, -0.2), (2.1, 1.4), 0.35),
+            RoundedSet.ball((1.7, -2.3), 0.8),
+        ]
+        for s in sets:
+            pts = []
+            for piece in boundary_pieces(s):
+                if piece[0] == "seg":
+                    pts += [piece[1], piece[2]]
+                else:
+                    _, c, rho, a0, a1 = piece
+                    t = np.linspace(a0, a1, 4096)
+                    pts += list(c + rho * np.stack([np.cos(t), np.sin(t)], axis=1))
+            want = polygon_centroid(ConvexPolygon(pts))
+            got = rounded_centroid(s)
+            assert np.abs(np.subtract(got, want)).max() <= 1e-8 * s.diameter
 
 
 class TestSupport:
