@@ -198,13 +198,8 @@ class ConvexPolygon:
     def exterior_angles(self) -> np.ndarray:
         """Turning angle at each vertex, in (0, pi); degenerate kernels give
         pi per endpoint (segment) or 2*pi (point)."""
-        v = self.vertices
-        if len(v) == 0:
-            return np.zeros(0)
-        if len(v) == 1:
+        if len(self.vertices) == 1:
             return np.array([2.0 * math.pi])
-        if len(v) == 2:
-            return np.array([math.pi, math.pi])
         n = self.edge_normals()
         nprev = np.roll(n, 1, axis=0)
         return np.arctan2(cross2(nprev, n), (nprev * n).sum(axis=1))
@@ -354,56 +349,26 @@ def boundary_pieces(s: RoundedSet):
 
 
 def rounded_centroid(s: RoundedSet) -> Point2:
-    """Area-weighted centroid from the exact decomposition into the kernel,
-    edge strips, and vertex sectors."""
+    """Area-weighted centroid of the parallel body (Schneider 2014): its
+    moment is A_K c_K + r sum_e L_e m_e + (r^2/2) sum_i theta_i v_i over the
+    kernel's edges (length L_e, midpoint m_e) and exterior angles theta_i,
+    since the edge strips' and vertex sectors' outward offsets cancel
+    around the closed boundary; a point or segment is no special case."""
     if s.is_empty:
         raise EmptySetError("centroid of empty set")
-    v = s.kernel.vertices
-    r = s.radius
-    if r == 0.0 and len(v) < 3:
+    k, r = s.kernel, s.radius
+    v = k.vertices
+    area = rounded_area(s)
+    if area == 0.0:
         c = v.mean(axis=0)
-        return Point2(float(c[0]), float(c[1]))
-    total_area = 0.0
-    moment = np.zeros(2)
-    if len(v) >= 3:
-        a = polygon_area(s.kernel)
-        total_area += a
-        moment += a * polygon_centroid(s.kernel)
-    # edge strips
-    if len(v) >= 2:
-        normals = s.kernel.edge_normals()
-        if len(v) == 2:
-            edge_list = [(v[0], v[1], normals[0]), (v[1], v[0], normals[1])]
-        else:
-            nxt = np.roll(v, -1, axis=0)
-            edge_list = [(v[i], nxt[i], normals[i]) for i in range(len(v))]
-        for p0, p1, n in edge_list:
-            length = float(np.linalg.norm(p1 - p0))
-            a = length * r
-            total_area += a
-            moment += a * (0.5 * (p0 + p1) + 0.5 * r * n)
-    # vertex sectors
-    angles = s.kernel.exterior_angles()
-    if len(v) == 1:
-        starts = np.zeros(1)
-    elif len(v) == 2:
-        n = s.kernel.edge_normals()[0]
-        a0 = math.atan2(n[1], n[0])
-        starts = np.array([a0 + math.pi, a0])  # sector at v[0], then v[1]
     else:
-        n = s.kernel.edge_normals()
-        nprev = np.roll(n, 1, axis=0)
-        starts = np.arctan2(nprev[:, 1], nprev[:, 0])
-    for i in range(len(v)):
-        theta = float(angles[i])
-        if theta <= 0:
-            continue
-        a = 0.5 * theta * r * r
-        bis = starts[i] + 0.5 * theta
-        dist = (4.0 * r * math.sin(0.5 * theta)) / (3.0 * theta)
-        total_area += a
-        moment += a * (v[i] + dist * np.array([math.cos(bis), math.sin(bis)]))
-    c = moment / total_area
+        nxt = np.roll(v, -1, axis=0)
+        moment = (
+            polygon_area(k) * polygon_centroid(k)
+            + r * (np.linalg.norm(nxt - v, axis=1) @ (0.5 * (v + nxt)))
+            + (0.5 * r * r * k.exterior_angles()) @ v
+        )
+        c = moment / area
     return Point2(float(c[0]), float(c[1]))
 
 

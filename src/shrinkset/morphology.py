@@ -260,10 +260,9 @@ class ErosionProfile:
         return x, w
 
     def polygon_at(self, d: float) -> ConvexPolygon:
+        """The kernel eroded by d < d_max (polygon_erode returns the locus)."""
         if d <= 0.0:
             return ConvexPolygon(self._vertices)
-        if d >= self.d_max:
-            return self.locus
         x, w = self._corners(np.flatnonzero(self.death > d))
         return ConvexPolygon(x - d * w)
 

@@ -111,14 +111,6 @@ def rasterize(s: RoundedSet, h: float) -> RasterGrid:
     return RasterGrid(Point2(x0, y0), h, np.ascontiguousarray(occ))
 
 
-def _pad(grid: RasterGrid, cells: int) -> RasterGrid:
-    occ = np.pad(grid.occupancy, cells)
-    origin = Point2(
-        grid.origin.x - cells * grid.h, grid.origin.y - cells * grid.h
-    )
-    return RasterGrid(origin, grid.h, occ)
-
-
 def _half_widths(r: float, h: float, strict: bool, shape: tuple[int, int]) -> np.ndarray:
     """W[dy] for dy = 0, 1, ...: the largest dx with sqrt((dy h)^2 + (dx h)^2)
     at most r (below r if strict), evaluated as the float expression of
@@ -176,9 +168,11 @@ def raster_dilate(grid: RasterGrid, r: float) -> RasterGrid:
         raise ValueError("dilation radius must be finite and nonnegative")
     if grid.occupancy.size == 0 or not grid.occupancy.any():
         return grid
-    g = _pad(grid, int(math.ceil(r / grid.h)) + 2)
-    mask = _cover(g.occupancy, _half_widths(r, g.h, False, g.shape))
-    return RasterGrid(g.origin, g.h, mask)
+    cells = int(math.ceil(r / grid.h)) + 2
+    occ = np.pad(grid.occupancy, cells)
+    mask = _cover(occ, _half_widths(r, grid.h, False, occ.shape))
+    x, y = grid.origin
+    return RasterGrid(Point2(x - cells * grid.h, y - cells * grid.h), grid.h, mask)
 
 
 def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
