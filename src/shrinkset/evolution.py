@@ -28,10 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# perfbench/run.py traces the former tail root-finder under this name; the
-# closed-form tail no longer calls it
-from scipy.optimize import brentq  # noqa: F401
 from scipy.special import lambertw, wrightomega
 
 from .errors import BadConfigError, DegenerateDomainError, OutOfRangeError
@@ -50,6 +46,16 @@ _W_BRANCH = float(np.nextafter(-math.exp(-1.0), 0.0))
 _BRANCH_SERIES = (1 / 204120, -139 / 5443200, 1 / 17010, 1 / 4320, -1 / 270, 1 / 36, 1 / 3, 1.0)
 # phase kinds as the evaluator numbers them
 _CODES = {OPENING: 0, STADIUM: 1, BALL: 2}
+
+
+def __getattr__(name: str):
+    # perfbench/run.py traces the former tail root-finder under this name;
+    # the closed-form tail never calls it, so it is imported on first lookup
+    if name == "brentq":
+        from scipy.optimize import brentq
+
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,18 @@ def _diameter(v: np.ndarray) -> float:
     return float(np.sqrt((diff * diff).sum(-1)).max())
 
 
+# writes a slot past the class's own __setattr__, as __init__ does
+_assign = object.__setattr__
+
+
+def _refuse_public(self, name: str, value) -> None:
+    # the public fields are set once, in __init__: a set changed in place
+    # would keep the memos (profile, trajectory) of the set it was
+    if not name.startswith("_"):
+        raise AttributeError(f"{type(self).__name__}.{name} cannot be assigned")
+    _assign(self, name, value)
+
+
 class ConvexPolygon:
     """Counterclockwise convex polygon; 0, 1 or 2 vertices mean empty /
     point / segment.
@@ -100,6 +112,7 @@ class ConvexPolygon:
     """
 
     __slots__ = ("vertices", "_profile", "_diameter")
+    __setattr__ = _refuse_public
 
     def __init__(self, vertices):
         v = np.asarray(vertices, float).reshape(-1, 2)
@@ -107,9 +120,9 @@ class ConvexPolygon:
             raise BadConfigError("vertices must be finite")
         v = self._canonicalize(v)
         v.setflags(write=False)
-        self.vertices = v
-        self._profile = None  # lazily filled by morphology
-        self._diameter = None
+        _assign(self, "vertices", v)
+        _assign(self, "_profile", None)  # lazily filled by morphology
+        _assign(self, "_diameter", None)
 
     @staticmethod
     def _canonicalize(v: np.ndarray) -> np.ndarray:
@@ -241,13 +254,14 @@ class RoundedSet:
     """A convex kernel polygon dilated by a disk of radius >= 0."""
 
     __slots__ = ("kernel", "radius", "_trajectory")
+    __setattr__ = _refuse_public
 
     def __init__(self, kernel: ConvexPolygon, radius: float):
         if not (radius >= 0 and math.isfinite(radius)):
             raise BadConfigError("radius must be finite and nonnegative")
-        self.kernel = kernel
-        self.radius = float(radius)
-        self._trajectory = None  # lazily filled by evolution
+        _assign(self, "kernel", kernel)
+        _assign(self, "radius", float(radius))
+        _assign(self, "_trajectory", None)  # lazily filled by evolution
 
     @classmethod
     def empty(cls) -> "RoundedSet":

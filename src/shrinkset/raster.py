@@ -16,15 +16,21 @@ from functools import cached_property
 
 import numpy as np
 
-# perfbench/run.py traces the former distance transform under this name;
-# the run-length disk pass no longer calls it
-from scipy.ndimage import distance_transform_edt  # noqa: F401
-
 from .geometry import Point2, RoundedSet
 
 # rasterize decides whole BLOCK x BLOCK tiles of cells from one distance at
 # the tile centre, and evaluates cells one by one only in tiles near the boundary
 BLOCK = 8
+
+
+def __getattr__(name: str):
+    # perfbench/run.py traces the former distance transform under this name;
+    # the run-length disk pass never calls it, so it is imported on first lookup
+    if name == "distance_transform_edt":
+        from scipy.ndimage import distance_transform_edt
+
+        return distance_transform_edt
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 import shrinkset
 from shrinkset import evolution
 from shrinkset.cli import main
-from shrinkset.serialize import threshold_report
+from shrinkset.serialize import render_svg, threshold_report
 
 SQUARE_GEOM = {"kernel": [[0, 0], [1, 0], [1, 1], [0, 1]], "radius": 0.0}
 BALL_GEOM = {"kernel": [[0, 0]], "radius": 1.0}
@@ -290,6 +291,28 @@ class TestErrors:
         g.write_text(json.dumps({"kernel": "nope"}))
         assert main(["simulate", "--geometry", str(g), "--M", "1.0"]) == 1
 
+    @pytest.mark.parametrize(
+        "config, geometry, argv, message",
+        [
+            ([1, 2], None, ["simulate", "--M", "1"], "config must be a JSON object"),
+            ({}, "missing", ["simulate", "--M", "1"], "cannot read geometry"),
+            ({}, {"kernel": [[0, 0], [1, 0]], "radius": 0.0}, ["simulate", "--M", "1"],
+             "geometry has zero area"),
+            ({}, SQUARE_GEOM, ["simulate"], "simulate needs a budget M"),
+            ({}, SQUARE_GEOM, ["one-step"], "one-step needs a target area a"),
+        ],
+    )
+    def test_input_error_message(self, config, geometry, argv, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        g = tmp_path / "g.json"
+        if geometry is not None:
+            if geometry != "missing":
+                g.write_text(json.dumps(geometry))
+            argv = [*argv, "--geometry", str(g)]
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_nan_tolerance(self, geom):
         assert main(["threshold", "--geometry", str(geom), "--tol", "nan"]) == 1
 
@@ -386,6 +409,45 @@ class TestErrors:
             "simulate", "--config", str(tmp_path / "missing.json"),
             "--geometry", str(geom), "--M", "1.0",
         ]) == 1
+
+
+class TestRenderSvg:
+    def test_stadium_path_is_closed(self):
+        # two sides and two half-turn arcs, the last ending where it began
+        svg = render_svg([shrinkset.RoundedSet.stadium((0.3, -0.2), (2.1, 1.4), 0.35)])
+        path = re.search(r' d="([^"]*)"', svg).group(1).split()
+        assert path.count("L") == 2 and path.count("A") == 2 and path[-1] == "Z"
+        start, end = map(float, path[1:3]), map(float, path[-3:-1])
+        assert list(end) == pytest.approx(list(start), abs=1e-12)
+
+    def test_no_sets(self):
+        empty = '<svg xmlns="http://www.w3.org/2000/svg"/>\n'
+        assert render_svg([]) == empty
+        assert render_svg([shrinkset.RoundedSet.empty()]) == empty
+
+
+class TestImport:
+    def test_benchmark_hooks_load_on_first_lookup(self):
+        # the former tail root-finder and distance transform are only
+        # looked up by the benchmark's tracer: importing the package loads
+        # neither scipy module, and both names still resolve
+        code = (
+            "import sys\n"
+            "from shrinkset import evolution, raster\n"
+            "for mod in ('scipy.optimize', 'scipy.ndimage'):\n"
+            "    assert mod not in sys.modules, mod\n"
+            "brentq, edt = evolution.brentq, raster.distance_transform_edt\n"
+            "from scipy.optimize import brentq as want_brentq\n"
+            "from scipy.ndimage import distance_transform_edt as want_edt\n"
+            "assert brentq is want_brentq and edt is want_edt\n"
+            "assert not hasattr(evolution, 'distance_transform_edt')\n"
+        )
+        src = os.path.dirname(os.path.dirname(shrinkset.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from shrinkset import (
     boundary_length_in_disk,
     boundary_pieces,
     contains,
+    critical_budget,
     dilate,
     hausdorff,
     random_rounded_set,
@@ -185,6 +186,23 @@ class TestCentroid:
             assert np.abs(np.subtract(got, want)).max() <= 1e-8 * s.diameter
 
 
+class TestFrozenFields:
+    def test_assignment_refused_and_memo_kept(self):
+        # rounding the square in place after critical_budget gave the
+        # unrounded square's M0 from the memoized trajectory
+        s = sq()
+        m0 = critical_budget(s)
+        with pytest.raises(AttributeError):
+            s.radius = 0.5
+        with pytest.raises(AttributeError):
+            s.kernel = ConvexPolygon([(0, 0), (2, 0), (2, 2), (0, 2)])
+        with pytest.raises(AttributeError):
+            s.kernel.vertices = np.zeros((3, 2))
+        assert s.radius == 0.0 and np.array_equal(s.kernel.vertices, SQUARE)
+        assert critical_budget(s) == m0
+        assert critical_budget(sq(0.5)) > 1.9 * m0
+
+
 class TestSupport:
     def test_unit_ball(self):
         b = RoundedSet.ball((0, 0), 1.0)
@@ -258,6 +276,13 @@ class TestProperties:
             big = 10.0 * s.diameter
             got = boundary_length_in_disk(s, (0.0, 0.0), big)
             assert got == pytest.approx(rounded_perimeter(s), rel=1e-12)
+
+    @pytest.mark.parametrize("radius", [0.0, 0.35])
+    def test_clipping_recovers_stadium_perimeter(self, radius):
+        # two straight sides, and two half-turn arcs when rounded
+        s = RoundedSet.stadium((0.3, -0.2), (2.1, 1.4), radius)
+        got = boundary_length_in_disk(s, (1.2, 0.6), 10.0)
+        assert got == pytest.approx(rounded_perimeter(s), rel=1e-12)
 
     @pytest.mark.parametrize(
         "center, r",

@@ -116,6 +116,14 @@ class TestPolygonErode:
     def test_past_depth_is_empty(self):
         assert len(polygon_erode(ConvexPolygon(SQUARE), 0.51)) == 0
 
+    def test_segment_raises(self):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            polygon_erode(ConvexPolygon.segment((0, 0), (1, 0)), 0.1)
+
+    def test_empty_kernel_has_no_profile(self):
+        with pytest.raises(EmptySetError):
+            ErosionProfile(ConvexPolygon.empty())
+
     @pytest.mark.parametrize("d", [-0.1, math.nan])
     def test_bad_depth_raises(self, d):
         # a nan depth gave the empty polygon

@@ -61,6 +61,10 @@ class TestRasterize:
             math.pi * 0.49, abs=5 * h * 2 * math.pi * 0.7
         )
 
+    def test_empty_set_has_no_cells(self):
+        grid = rasterize(RoundedSet.empty(), 0.01)
+        assert grid.shape == (0, 0) and raster_area(grid) == 0.0
+
     def test_membership_is_exact_at_cell_centers(self):
         h = 0.01
         s = sq(0.1)
