@@ -94,9 +94,10 @@ _assign = object.__setattr__
 
 
 def _refuse_public(self, name: str, value) -> None:
-    # the public fields are set once, in __init__: a set changed in place
-    # would keep the memos (profile, trajectory) of the set it was
-    if not name.startswith("_"):
+    # a public field is written once, by __init__ (or by copy and pickle):
+    # a set changed in place would keep the memos (profile, trajectory) of
+    # the set it was
+    if not name.startswith("_") and hasattr(self, name):
         raise AttributeError(f"{type(self).__name__}.{name} cannot be assigned")
     _assign(self, name, value)
 
@@ -240,14 +241,16 @@ def polygon_perimeter(p: ConvexPolygon) -> float:
 
 
 def polygon_centroid(p: ConvexPolygon) -> np.ndarray:
+    """Area centroid, taken relative to the first vertex as polygon_area is."""
     v = p.vertices
     if len(v) == 0:
         raise EmptySetError("centroid of empty polygon")
     if len(v) < 3:
         return v.mean(axis=0)
-    nxt = np.roll(v, -1, axis=0)
-    cr = cross2(v, nxt)
-    return (v + nxt).T @ cr / (3.0 * cr.sum())
+    d = v - v[0]
+    nxt = np.roll(d, -1, axis=0)
+    cr = cross2(d, nxt)
+    return v[0] + (d + nxt).T @ cr / (3.0 * cr.sum())
 
 
 class RoundedSet:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -162,6 +164,13 @@ class TestCentroid:
         with pytest.raises(EmptySetError):
             rounded_centroid(RoundedSet.empty())
 
+    def test_tiny_set_far_from_origin(self):
+        # at absolute coordinates the cross products cancel: this square's
+        # centroid came out 3e8 times its size away
+        k = ConvexPolygon(1e3 + 1e-6 * np.array(SQUARE, float))
+        for c in (polygon_centroid(k), rounded_centroid(RoundedSet(k, 1e-7))):
+            assert np.abs(np.subtract(c, 1e3 + 5e-7)).max() <= 1e-12
+
     def test_matches_dense_boundary_polygon(self, rng):
         # an independent oracle: the centroid of the polygon through the
         # boundary's segment ends and 4096 points on every arc; its error is
@@ -201,6 +210,13 @@ class TestFrozenFields:
         assert s.radius == 0.0 and np.array_equal(s.kernel.vertices, SQUARE)
         assert critical_budget(s) == m0
         assert critical_budget(sq(0.5)) > 1.9 * m0
+
+    def test_copy_and_pickle_keep_the_set(self):
+        s = sq(0.2)
+        for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert t.radius == 0.2 and np.array_equal(t.kernel.vertices, SQUARE)
+            with pytest.raises(AttributeError):
+                t.radius = 0.5
 
 
 class TestSupport:
@@ -271,18 +287,13 @@ class TestProperties:
                 assert boundary_length_in_disk(s, center, r) <= 2 * math.pi * r + 1e-9
 
     def test_clipping_recovers_full_perimeter(self, rng):
-        for _ in range(20):
-            s = random_rounded_set(rng)
+        # a stadium has two straight sides, and two half-turn arcs if rounded
+        sets = [random_rounded_set(rng) for _ in range(20)]
+        sets += [RoundedSet.stadium((0.3, -0.2), (2.1, 1.4), r) for r in (0.0, 0.35)]
+        for s in sets:
             big = 10.0 * s.diameter
             got = boundary_length_in_disk(s, (0.0, 0.0), big)
             assert got == pytest.approx(rounded_perimeter(s), rel=1e-12)
-
-    @pytest.mark.parametrize("radius", [0.0, 0.35])
-    def test_clipping_recovers_stadium_perimeter(self, radius):
-        # two straight sides, and two half-turn arcs when rounded
-        s = RoundedSet.stadium((0.3, -0.2), (2.1, 1.4), radius)
-        got = boundary_length_in_disk(s, (1.2, 0.6), 10.0)
-        assert got == pytest.approx(rounded_perimeter(s), rel=1e-12)
 
     @pytest.mark.parametrize(
         "center, r",
