@@ -174,7 +174,7 @@ class TestCentroid:
     def test_matches_dense_boundary_polygon(self, rng):
         # an independent oracle: the centroid of the polygon through the
         # boundary's segment ends and 4096 points on every arc; its error is
-        # about 2e-9 of the diameter and falls 16-fold per 4-fold more points
+        # below 1e-9 of the diameter and falls 16-fold per 4-fold more points
         sets = [random_rounded_set(rng) for _ in range(12)]
         sets += [
             RoundedSet.from_polygon([(0.2, -0.4), (2.9, 0.3), (0.7, 1.6)], 0.45),
