@@ -133,6 +133,8 @@ class _Trajectory:
         area = 0.0 if omega0.is_empty else rounded_area(omega0)
         if not area > 0.0:
             raise DegenerateDomainError("domain has zero area")
+        if not math.isfinite(area):
+            raise BadConfigError("domain area overflows")
         # not the set, which holds this trajectory: a cycle outlives its last use
         self.kernel = omega0.kernel
         self.prof = prof = _profile(omega0.kernel)
@@ -299,7 +301,13 @@ def default_step(omega0: RoundedSet) -> float:
 def _sample_times(end: float, dt: float, kinks: np.ndarray) -> np.ndarray:
     # the multiples of dt before the end, less one within a billionth of a
     # step of it, then the kinks up to the end and the end itself
-    grid = dt * np.arange(max(math.ceil(end / dt - 1e-9), 1))
+    try:
+        count = max(math.ceil(end / dt - 1e-9), 1)
+        grid = dt * np.arange(count)
+        if len(grid) < count:  # numpy's arange wraps some counts past 2^63
+            raise ValueError("too many samples")
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise BadConfigError(f"cannot sample {end} in steps of dt = {dt}: {exc}") from exc
     return np.unique(np.concatenate((grid, kinks[kinks <= end], [end])))
 
 

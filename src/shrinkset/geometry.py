@@ -3,7 +3,9 @@
 Every set handled by the library is a ``RoundedSet``: a convex polygonal
 kernel Minkowski-summed with a closed disk.  Kernels may be degenerate
 (empty, a point, or a segment), which makes balls and stadiums ordinary
-members of the same family instead of special cases.
+members of the same family instead of special cases.  The polygon formulas
+take a segment as the closed 2-gon v0 -> v1 -> v0 (opposite normals, turns of
+pi); only point and empty kernels, which have no edge, take their own branch.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ def cross2(a, b) -> np.ndarray:
 
 def _bbox_scale(v: np.ndarray) -> float:
     """Cheap diameter proxy used to make tolerances scale-invariant."""
-    if len(v) == 0:
-        return 0.0
     span = v.max(axis=0) - v.min(axis=0)
     return float(math.hypot(span[0], span[1]))
 
@@ -78,9 +78,9 @@ def _diameter(v: np.ndarray) -> float:
     two neighbours on each side are compared too, against rounding.
     """
     n = len(v)
-    if n < 3:
-        return float(np.sqrt(((v[0] - v[-1]) ** 2).sum())) if n else 0.0
-    d = np.roll(v, -1, axis=0) - v
+    if n == 0:
+        return 0.0
+    d = np.concatenate((v[1:], v[:1])) - v
     phi = np.unwrap(np.arctan2(-d[:, 0], d[:, 1]))  # outward normal of edge i
     far = np.searchsorted(np.concatenate([phi, phi + 2.0 * math.pi]), phi + math.pi)
     ends = np.arange(n)[:, None] + np.array([0, 1])
@@ -130,6 +130,8 @@ class ConvexPolygon:
         if len(v) <= 1:
             return v.copy()
         scale = _bbox_scale(v)
+        if not math.isfinite(scale * scale):  # areas and cross products scale as it
+            raise BadConfigError(f"vertices span {scale}: the square overflows")
         if scale == 0.0:
             return v[:1].copy()
         v = _merge_close(v, MERGE_REL_TOL * scale)
@@ -138,7 +140,7 @@ class ConvexPolygon:
         # orientation from coordinates relative to a vertex: a polygon far
         # smaller than its distance to the origin cancels out otherwise
         dvec = v - v[0]
-        if float(cross2(dvec, np.roll(dvec, -1, axis=0)).sum()) < 0:
+        if float(cross2(dvec, np.concatenate((dvec[1:], dvec[:1]))).sum()) < 0:
             v = v[::-1].copy()
             dvec = v - v[0]
         cross_tol = COLLINEAR_REL_TOL * scale * scale
@@ -152,15 +154,15 @@ class ConvexPolygon:
         # the real corners between the short edges of a fine polygon
         changed = True
         while changed and len(v) >= 3:
-            before = v - np.roll(v, 1, axis=0)
-            cr = cross2(before, np.roll(before, -1, axis=0))
+            before = v - np.concatenate((v[-1:], v[:-1]))
+            cr = cross2(before, np.concatenate((before[1:], before[:1])))
             if np.any(cr < -cross_tol):
                 raise ValueError("vertices do not describe a convex polygon")
             keep = cr > cross_tol
             changed = not keep.all()
             if changed:  # the relative bound is the lower one
                 sq = (before * before).sum(axis=1)
-                keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * np.roll(sq, -1))
+                keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * np.concatenate((sq[1:], sq[:1])))
                 changed = not keep.all()
             v = v[keep]
         if len(v) < 3:
@@ -199,13 +201,9 @@ class ConvexPolygon:
     def edge_normals(self) -> np.ndarray:
         """Unit outward normals, one per edge (both directions for a segment)."""
         v = self.vertices
-        if len(v) == 2:
-            d = v[1] - v[0]
-            n = np.array([d[1], -d[0]]) / np.linalg.norm(d)
-            return np.array([n, -n])
-        if len(v) < 3:
+        if len(v) < 2:
             return np.zeros((0, 2))
-        d = np.roll(v, -1, axis=0) - v
+        d = np.concatenate((v[1:], v[:1])) - v
         n = np.stack([d[:, 1], -d[:, 0]], axis=1)
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
@@ -215,7 +213,7 @@ class ConvexPolygon:
         if len(self.vertices) == 1:
             return np.array([2.0 * math.pi])
         n = self.edge_normals()
-        nprev = np.roll(n, 1, axis=0)
+        nprev = np.concatenate((n[-1:], n[:-1]))
         return np.arctan2(cross2(nprev, n), (nprev * n).sum(axis=1))
 
 
@@ -235,9 +233,7 @@ def polygon_perimeter(p: ConvexPolygon) -> float:
     v = p.vertices
     if len(v) < 2:
         return 0.0
-    if len(v) == 2:
-        return 2.0 * float(np.linalg.norm(v[1] - v[0]))
-    return float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
+    return float(np.linalg.norm(np.concatenate((v[1:], v[:1])) - v, axis=1).sum())
 
 
 def polygon_centroid(p: ConvexPolygon) -> np.ndarray:
@@ -248,7 +244,7 @@ def polygon_centroid(p: ConvexPolygon) -> np.ndarray:
     if len(v) < 3:
         return v.mean(axis=0)
     d = v - v[0]
-    nxt = np.roll(d, -1, axis=0)
+    nxt = np.concatenate((d[1:], d[:1]))
     cr = cross2(d, nxt)
     return v[0] + (d + nxt).T @ cr / (3.0 * cr.sum())
 
@@ -262,8 +258,11 @@ class RoundedSet:
     def __init__(self, kernel: ConvexPolygon, radius: float):
         if not (radius >= 0 and math.isfinite(radius)):
             raise BadConfigError("radius must be finite and nonnegative")
+        radius = float(radius)
+        if not math.isfinite(radius * radius):  # rounded_area squares it
+            raise BadConfigError(f"radius {radius}: the square overflows")
         _assign(self, "kernel", kernel)
-        _assign(self, "radius", float(radius))
+        _assign(self, "radius", radius)
         _assign(self, "_trajectory", None)  # lazily filled by evolution
 
     @classmethod
@@ -342,18 +341,7 @@ def boundary_pieces(s: RoundedSet):
             pieces.append(("arc", v[0], r, 0.0, 2.0 * math.pi))
         return pieces
     normals = s.kernel.edge_normals()
-    if len(v) == 2:
-        # edges v0->v1 (normal n) and v1->v0 (normal -n), arcs of pi between
-        n = normals[0]
-        pieces.append(("seg", v[0] + r * n, v[1] + r * n))
-        a0 = math.atan2(n[1], n[0])
-        if r > 0:
-            pieces.append(("arc", v[1], r, a0, a0 + math.pi))
-        pieces.append(("seg", v[1] - r * n, v[0] - r * n))
-        if r > 0:
-            pieces.append(("arc", v[0], r, a0 + math.pi, a0 + 2.0 * math.pi))
-        return pieces
-    nxt = np.roll(v, -1, axis=0)
+    nxt = np.concatenate((v[1:], v[:1]))
     for i in range(len(v)):
         n = normals[i]
         pieces.append(("seg", v[i] + r * n, nxt[i] + r * n))
@@ -379,7 +367,7 @@ def rounded_centroid(s: RoundedSet) -> Point2:
     if area == 0.0:
         c = v.mean(axis=0)
     else:
-        nxt = np.roll(v, -1, axis=0)
+        nxt = np.concatenate((v[1:], v[:1]))
         moment = (
             polygon_area(k) * polygon_centroid(k)
             + r * (np.linalg.norm(nxt - v, axis=1) @ (0.5 * (v + nxt)))

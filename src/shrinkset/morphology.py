@@ -12,6 +12,7 @@ of the one-step least-perimeter problem (see ErosionProfile.query).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -104,10 +105,10 @@ class ErosionProfile:
             normals = self._normals = kernel.edge_normals()
             self._offsets = (normals * v).sum(axis=1)
             _, w = self._corners(np.arange(n))
-            edges = np.roll(v, -1, axis=0) - v
+            edges = np.concatenate((v[1:], v[:1])) - v
             lengths = np.linalg.norm(edges, axis=1)
             units = edges / lengths[:, None]
-            shrink = ((np.roll(w, -1, axis=0) - w) * units).sum(axis=1)
+            shrink = ((np.concatenate((w[1:], w[:1])) - w) * units).sum(axis=1)
             with np.errstate(divide="ignore"):
                 events = np.where(shrink > 1e-14, lengths / shrink, np.inf)
             tau = np.tan(0.5 * kernel.exterior_angles())
@@ -281,20 +282,16 @@ class ErosionProfile:
     def _opening_depth(self, c: float, a: float) -> tuple[float, float]:
         """Erosion depth d with area(opening at rho=c+d) == a, and that area's
         perimeter.  Valid for area_hat <= a <= area_full."""
-        pc, ends = self.pieces, self._ends
+        pc = self.pieces
         if not pc.d0:
-            # degenerate kernel: opening is the whole set at every depth
+            # a point or segment kernel: the opening is the whole set at every
+            # depth (area_hat may round an ulp below area_full here)
             return 0.0, self.perim0 + 2.0 * math.pi * c
-        # the opening area falls with depth: bisect for the first piece that
-        # ends at an area of at most a (or the last piece)
-        lo, hi = 0, len(ends)
-        while lo < hi:
-            p = (lo + hi) // 2
-            area, perim = ends[p]
-            if a >= area + c * (perim + math.pi * c):
-                hi = p
-            else:
-                lo = p + 1
+        # the opening area falls with depth: the first piece that ends at an
+        # area of at most a (or the last piece)
+        lo = bisect.bisect_left(
+            self._ends, -a, key=lambda e: -(e[0] + c * (e[1] + math.pi * c))
+        )
         d0, d1, tan_sum = pc.d0[lo], pc.d1[lo], pc.tan_sum[lo]
         t = tan_sum - math.pi  # > 0: opening area strictly decreases
         b = c + d0

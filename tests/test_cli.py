@@ -16,6 +16,7 @@ from shrinkset.serialize import render_svg, threshold_report
 
 SQUARE_GEOM = {"kernel": [[0, 0], [1, 0], [1, 1], [0, 1]], "radius": 0.0}
 BALL_GEOM = {"kernel": [[0, 0]], "radius": 1.0}
+RECTANGLE_GEOM = {"kernel": [[0, 0], [2, 0], [2, 1], [0, 1]], "radius": 0.0}
 ROUNDED_GEOM = {**SQUARE_GEOM, "radius": 0.2}
 TRIANGLE_GEOM = {"kernel": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386]], "radius": 0.0}
 # sha256 of `shrinkset simulate` output, pinned so that the CSV writer keeps
@@ -31,6 +32,26 @@ GOLDEN = [
      "ab60a893e51b0645e91829902db70e3ac05570b1b8353bf440f9850d01f5d998"),
     (TRIANGLE_GEOM, ["--M", "2.3337944316359884", "--horizon", "3"],
      "632df87594d1b581e437028fd4e6200e9d7c629e346562d84b9091f65d86ef5f"),
+]
+# the same for the other commands: `threshold` on four shapes, `one-step`
+# in the opening regime, and `validate` (whose report names no number)
+VALIDATE_DIGEST = "c28e5d8065e108326f14a4975cb48ab8718f73df2f740f47e3fac2ef32faee1a"
+PINNED = [
+    (SQUARE_GEOM, ["threshold"],
+     "02035cd4c152ff33061e74c9e697f0f520c26af71ac8fe3ca84fe100b0a5f148"),
+    (RECTANGLE_GEOM, ["threshold"],
+     "16dd5bd2dcc65b567f36985dc4dc72b3a4aa5f08f9afc5915ae12e3ff31b4654"),
+    (ROUNDED_GEOM, ["threshold"],
+     "eda3627a2bbba2223371e5021541cf917befeb192e5e0344e63c6df2e42b5490"),
+    (TRIANGLE_GEOM, ["threshold"],
+     "76e246fa123ca4ecc6dd34f39c9f881f08123e1988c3238cf177190469cb90b6"),
+    (SQUARE_GEOM, ["one-step", "--a", "0.3"],
+     "5f6a89093662205204cd7619014722371906da671f84e86743ecf192c62185ff"),
+    (SQUARE_GEOM, ["one-step", "--a", "0.95"],
+     "b0e774fbba790d2219037f41a94a4960766c9b4a2bcfcb554e5c4a068e3e6b37"),
+    (RECTANGLE_GEOM, ["one-step", "--a", "1.95"],
+     "15fe8aad6a3371bc3fafedac66db942418aac925a5cad89cb4f57801783e2d95"),
+    *((None, ["validate", "--seed", str(seed)], VALIDATE_DIGEST) for seed in range(4)),
 ]
 
 
@@ -300,6 +321,19 @@ class TestErrors:
              "geometry has zero area"),
             ({}, SQUARE_GEOM, ["simulate"], "simulate needs a budget M"),
             ({}, SQUARE_GEOM, ["one-step"], "one-step needs a target area a"),
+            # sample counts that numpy refuses before it allocates: these
+            # raised out of main
+            ({}, SQUARE_GEOM, ["simulate", "--M", "1", "--horizon", "1e300"], "cannot sample"),
+            ({}, SQUARE_GEOM, ["simulate", "--M", "1", "--dt", "1e-300"], "cannot sample"),
+            # past the float range of the areas: these raised out of main or
+            # went on with an overflowed area
+            ({}, {"kernel": [[0, 0]], "radius": 1e160}, ["simulate", "--M", "1"],
+             "radius 1e+160: the square overflows"),
+            ({}, {"kernel": [[0, 0], [1e160, 0], [1e160, 1e160], [0, 1e160]]}, ["threshold"],
+             "vertices span"),
+            ({}, {"kernel": [[0, 0]], "radius": 1e154}, ["threshold"], "geometry area overflows"),
+            ({}, {"kernel": [[0, 0], [1.2e154, 0], [0, 1.2e154]]}, ["one-step", "--a", "1"],
+             "vertices span"),
         ],
     )
     def test_input_error_message(self, config, geometry, argv, message, tmp_path, capsys):
@@ -462,6 +496,16 @@ class TestDeterminism:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("geometry, argv, digest", PINNED)
+    def test_pinned_bytes(self, geometry, argv, digest, tmp_path):
+        if geometry is not None:
+            g = tmp_path / "shape.json"
+            g.write_text(json.dumps(geometry))
+            argv = [*argv, "--geometry", str(g)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestOutputFile:

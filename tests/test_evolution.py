@@ -283,6 +283,22 @@ class TestSimulate:
         with pytest.raises(BadConfigError):
             simulate(sq(), 1.0, horizon=1.0, dt=0.0)
 
+    @pytest.mark.parametrize(
+        "horizon, dt",
+        # none of these sample counts gets allocated: the first two raised
+        # numpy's ValueError, and np.arange wrapped 2^63 samples to none,
+        # which left three rows
+        [(1e300, None), (10.0, 1e-300), (float(2**63), 1.0)],
+    )
+    def test_sample_grid_too_large(self, horizon, dt):
+        with pytest.raises(BadConfigError, match="cannot sample"):
+            simulate(sq(), 1.0, horizon=horizon, dt=dt)
+
+    def test_domain_area_overflow(self):
+        # the ball's radius squares to 1e308, but pi times that is inf
+        with pytest.raises(BadConfigError, match="area overflows"):
+            simulate(unit_ball(1e154), 1.0, horizon=1.0)
+
 
 class TestReconstruct:
     def test_initial_time_returns_domain(self):
@@ -462,6 +478,10 @@ class TestAdmissibility:
     def test_extinguishing_run_is_admissible(self):
         trace = simulate(sq(), 4.0, horizon=5.0)
         assert check_admissible(trace, 1e-4, 1e-2)
+
+    def test_run_shorter_than_delta_is_admissible(self):
+        # no sample time lies a delta before the end: only the rows are checked
+        assert check_admissible(simulate(sq(), 4.0, horizon=1e-5), 1e-4, 1e-2)
 
     def test_growing_run_is_admissible(self):
         trace = simulate(sq(0.2), 1.0, horizon=1.0)

@@ -22,7 +22,7 @@ from shrinkset import (
     rounded_perimeter,
     support,
 )
-from shrinkset.geometry import polygon_area, polygon_centroid, polygon_perimeter
+from shrinkset.geometry import cross2, polygon_area, polygon_centroid, polygon_perimeter
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -75,6 +75,20 @@ class TestPolygonMeasures:
             assert p.diameter == _all_pairs_diameter(p.vertices)
             assert p.diameter is p.diameter
 
+    def test_segment_is_a_two_gon(self, rng):
+        # the polygon formulas measure v0 -> v1 -> v0: opposite normals, each
+        # side once, a half turn at each end
+        for p, q in rng.random((50, 2, 2)) * 10.0 - 5.0:
+            k = ConvexPolygon.segment(p, q)
+            d = k.vertices[1] - k.vertices[0]
+            n = k.edge_normals()
+            assert np.array_equal(n[1], -n[0])
+            assert n[0] @ d == pytest.approx(0.0, abs=1e-15)
+            assert cross2(n[0], d) > 0.0  # outward of the side v0 -> v1
+            assert k.diameter == pytest.approx(math.hypot(*d), rel=1e-15)
+            assert polygon_perimeter(k) == 2.0 * k.diameter
+            assert np.array_equal(k.exterior_angles(), [math.pi, math.pi])
+
 
 class TestCanonicalization:
     def test_duplicates_merged(self):
@@ -101,6 +115,16 @@ class TestCanonicalization:
         # each vertex turns by 6e-5 between edges 1e-4 long: far above the
         # collinear tolerance relative to those edges
         assert len(ConvexPolygon(_ellipse(100_000))) == 100_000
+
+    def test_coincident_vertices_become_a_point(self):
+        assert np.array_equal(ConvexPolygon([(1, 2), (1, 2), (1, 2)]).vertices, [(1, 2)])
+
+    @pytest.mark.parametrize("scale", [1e160, 1.2e154])
+    def test_squared_extent_overflow_rejected(self, scale):
+        # at 1e160 the cross products overflowed and the square collapsed to
+        # a segment; at 1.2e154 its area was inf
+        with pytest.raises(BadConfigError, match="overflows"):
+            ConvexPolygon(scale * np.array(SQUARE, float))
 
     def test_tiny_polygon_far_from_origin(self):
         # a triangle 4e-10 across at distance 1.4 from the origin
@@ -134,7 +158,8 @@ class TestRoundedMeasures:
         assert rounded_area(RoundedSet.empty()) == 0.0
         assert rounded_perimeter(RoundedSet.empty()) == 0.0
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+    # a radius whose square overflows made rounded_area raise OverflowError
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, 1e160, np.float64(1e160)])
     def test_nonfinite_or_negative_radius_rejected(self, radius):
         with pytest.raises(BadConfigError):
             RoundedSet(ConvexPolygon(SQUARE), radius)
@@ -163,6 +188,12 @@ class TestCentroid:
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
             rounded_centroid(RoundedSet.empty())
+        with pytest.raises(EmptySetError):
+            polygon_centroid(ConvexPolygon.empty())
+
+    def test_zero_area_stadium_is_its_midpoint(self):
+        c = rounded_centroid(RoundedSet.stadium((1, 2), (3, 6), 0.0))
+        assert (c.x, c.y) == (2.0, 4.0)
 
     def test_tiny_set_far_from_origin(self):
         # at absolute coordinates the cross products cancel: this square's
@@ -229,6 +260,10 @@ class TestSupport:
         assert support(sq(), 0.0) == pytest.approx(1.0)
         assert support(sq(0.5), math.pi / 4) == pytest.approx(math.sqrt(2) + 0.5)
 
+    def test_empty_raises(self):
+        with pytest.raises(EmptySetError):
+            support(RoundedSet.empty(), 0.0)
+
 
 class TestContainsHausdorff:
     def test_concentric_balls(self):
@@ -237,6 +272,14 @@ class TestContainsHausdorff:
     def test_dilation_contains(self):
         assert contains(dilate(sq(), 0.1), sq(), 0.0)
         assert not contains(sq(), dilate(sq(), 0.1), 1e-9)
+
+    def test_empty_contains_only_empty(self):
+        assert not contains(RoundedSet.empty(), RoundedSet.ball((0, 0), 1), 1.0)
+        assert contains(RoundedSet.empty(), RoundedSet.empty(), 0.0)
+
+    def test_hausdorff_of_empty_raises(self):
+        with pytest.raises(EmptySetError):
+            hausdorff(sq(), RoundedSet.empty())
 
     def test_disjoint_balls(self):
         assert not contains(
@@ -294,6 +337,22 @@ class TestProperties:
             big = 10.0 * s.diameter
             got = boundary_length_in_disk(s, (0.0, 0.0), big)
             assert got == pytest.approx(rounded_perimeter(s), rel=1e-12)
+
+    def test_concentric_disk_clips_a_ball(self):
+        ball = RoundedSet.ball((1, -1), 1.0)
+        assert boundary_length_in_disk(ball, (1, -1), 2.0) == 2.0 * math.pi
+        assert boundary_length_in_disk(ball, (1, -1), 0.5) == 0.0
+
+    def test_stadium_pieces_are_the_two_gon(self):
+        # two sides and two half-turn arcs, each side joined to the next
+        p, q, r = np.array([0.3, -0.2]), np.array([2.1, 1.4]), 0.35
+        pieces = boundary_pieces(RoundedSet.stadium(p, q, r))
+        assert [piece[0] for piece in pieces] == ["seg", "arc", "seg", "arc"]
+        for (_, _, end), (_, c, rho, a0, a1) in zip(pieces[::2], pieces[1::2]):
+            assert a1 - a0 == pytest.approx(math.pi, abs=1e-15)
+            assert np.allclose(c + rho * np.array([math.cos(a0), math.sin(a0)]), end)
+        assert np.allclose(pieces[0][1] + pieces[2][2], 2.0 * p)
+        assert boundary_pieces(RoundedSet.empty()) == []
 
     @pytest.mark.parametrize(
         "center, r",

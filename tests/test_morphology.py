@@ -143,6 +143,7 @@ class TestErode:
 
     def test_ball_to_empty(self):
         assert erode(RoundedSet.ball((0, 0), 1.0), 2.0).is_empty
+        assert erode(RoundedSet.stadium((0, 0), (1, 0), 0.5), 0.6).is_empty
 
 
 class TestOpening:
@@ -156,6 +157,9 @@ class TestOpening:
         assert len(o.kernel) == 1
         assert np.allclose(o.kernel.vertices[0], (0.5, 0.5))
         assert o.radius == 0.5
+
+    def test_empty(self):
+        assert opening(RoundedSet.empty(), 0.3).is_empty
 
     def test_below_radius_is_identity(self):
         s = sq(0.2)

@@ -346,6 +346,11 @@ class TestExtremes:
         m0 = critical_budget(s, tol=1e-12)
         assert m0 / 1e-6 == pytest.approx(SQUARE_M0, rel=1e-8)
 
+    def test_area_overflow_rejected(self):
+        # the area of a ball of radius 1e154 is inf: M0 came out inf
+        with pytest.raises(BadConfigError, match="area overflows"):
+            critical_budget(RoundedSet.ball((0, 0), 1e154))
+
     @pytest.mark.parametrize("lam", [1e-6, 1e6])
     def test_scaled_square(self, lam):
         s = RoundedSet.from_polygon(lam * np.array(SQUARE, float))
