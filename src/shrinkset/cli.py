@@ -145,11 +145,8 @@ def _geometry(cfg: dict) -> RoundedSet:
     if "geometry" not in cfg:
         raise BadConfigError("no geometry given (config key 'geometry' or --geometry)")
     s = set_from_dict(cfg["geometry"])
-    area = 0.0 if s.is_empty else rounded_area(s)
-    if not area > 0.0:
+    if s.is_empty or rounded_area(s) <= 0.0:
         raise BadConfigError("geometry has zero area")
-    if not math.isfinite(area):
-        raise BadConfigError("geometry area overflows")
     return s
 
 

@@ -133,8 +133,6 @@ class _Trajectory:
         area = 0.0 if omega0.is_empty else rounded_area(omega0)
         if not area > 0.0:
             raise DegenerateDomainError("domain has zero area")
-        if not math.isfinite(area):
-            raise BadConfigError("domain area overflows")
         # not the set, which holds this trajectory: a cycle outlives its last use
         self.kernel = omega0.kernel
         self.prof = prof = _profile(omega0.kernel)

@@ -3,9 +3,9 @@
 Every set handled by the library is a ``RoundedSet``: a convex polygonal
 kernel Minkowski-summed with a closed disk.  Kernels may be degenerate
 (empty, a point, or a segment), which makes balls and stadiums ordinary
-members of the same family instead of special cases.  The polygon formulas
-take a segment as the closed 2-gon v0 -> v1 -> v0 (opposite normals, turns of
-pi); only point and empty kernels, which have no edge, take their own branch.
+members of the same family instead of special cases: the polygon formulas
+take a segment as the closed 2-gon v0 -> v1 -> v0.  Still branching: kernels
+without an edge, polygon_area's zero-area fast path, and boundary_pieces.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ def cross2(a, b) -> np.ndarray:
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def cycled(a: np.ndarray, k: int = 1) -> np.ndarray:
+    """np.roll(a, -k, axis=0), without its overhead on a polygon's few rows."""
+    return np.concatenate((a[k:], a[:k]))
 
 
 def _bbox_scale(v: np.ndarray) -> float:
@@ -80,7 +85,7 @@ def _diameter(v: np.ndarray) -> float:
     n = len(v)
     if n == 0:
         return 0.0
-    d = np.concatenate((v[1:], v[:1])) - v
+    d = cycled(v) - v
     phi = np.unwrap(np.arctan2(-d[:, 0], d[:, 1]))  # outward normal of edge i
     far = np.searchsorted(np.concatenate([phi, phi + 2.0 * math.pi]), phi + math.pi)
     ends = np.arange(n)[:, None] + np.array([0, 1])
@@ -140,7 +145,7 @@ class ConvexPolygon:
         # orientation from coordinates relative to a vertex: a polygon far
         # smaller than its distance to the origin cancels out otherwise
         dvec = v - v[0]
-        if float(cross2(dvec, np.concatenate((dvec[1:], dvec[:1]))).sum()) < 0:
+        if float(cross2(dvec, cycled(dvec)).sum()) < 0:
             v = v[::-1].copy()
             dvec = v - v[0]
         cross_tol = COLLINEAR_REL_TOL * scale * scale
@@ -154,15 +159,15 @@ class ConvexPolygon:
         # the real corners between the short edges of a fine polygon
         changed = True
         while changed and len(v) >= 3:
-            before = v - np.concatenate((v[-1:], v[:-1]))
-            cr = cross2(before, np.concatenate((before[1:], before[:1])))
+            before = v - cycled(v, -1)
+            cr = cross2(before, cycled(before))
             if np.any(cr < -cross_tol):
                 raise ValueError("vertices do not describe a convex polygon")
             keep = cr > cross_tol
             changed = not keep.all()
             if changed:  # the relative bound is the lower one
                 sq = (before * before).sum(axis=1)
-                keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * np.concatenate((sq[1:], sq[:1])))
+                keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * cycled(sq))
                 changed = not keep.all()
             v = v[keep]
         if len(v) < 3:
@@ -203,7 +208,7 @@ class ConvexPolygon:
         v = self.vertices
         if len(v) < 2:
             return np.zeros((0, 2))
-        d = np.concatenate((v[1:], v[:1])) - v
+        d = cycled(v) - v
         n = np.stack([d[:, 1], -d[:, 0]], axis=1)
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
@@ -213,7 +218,7 @@ class ConvexPolygon:
         if len(self.vertices) == 1:
             return np.array([2.0 * math.pi])
         n = self.edge_normals()
-        nprev = np.concatenate((n[-1:], n[:-1]))
+        nprev = cycled(n, -1)
         return np.arctan2(cross2(nprev, n), (nprev * n).sum(axis=1))
 
 
@@ -233,7 +238,7 @@ def polygon_perimeter(p: ConvexPolygon) -> float:
     v = p.vertices
     if len(v) < 2:
         return 0.0
-    return float(np.linalg.norm(np.concatenate((v[1:], v[:1])) - v, axis=1).sum())
+    return float(np.linalg.norm(cycled(v) - v, axis=1).sum())
 
 
 def polygon_centroid(p: ConvexPolygon) -> np.ndarray:
@@ -244,7 +249,7 @@ def polygon_centroid(p: ConvexPolygon) -> np.ndarray:
     if len(v) < 3:
         return v.mean(axis=0)
     d = v - v[0]
-    nxt = np.concatenate((d[1:], d[:1]))
+    nxt = cycled(d)
     cr = cross2(d, nxt)
     return v[0] + (d + nxt).T @ cr / (3.0 * cr.sum())
 
@@ -311,11 +316,11 @@ def rounded_area(s: RoundedSet) -> float:
     """Steiner formula: kernel area + r * kernel perimeter + pi r^2."""
     if s.is_empty:
         return 0.0
-    return (
-        polygon_area(s.kernel)
-        + s.radius * polygon_perimeter(s.kernel)
-        + math.pi * s.radius**2
-    )
+    k, r = s.kernel, s.radius
+    area = polygon_area(k) + r * polygon_perimeter(k) + math.pi * r**2
+    if not math.isfinite(area):  # past about 1.3e154 across
+        raise BadConfigError("set area overflows")
+    return area
 
 
 def rounded_perimeter(s: RoundedSet) -> float:
@@ -340,8 +345,21 @@ def boundary_pieces(s: RoundedSet):
         if r > 0:
             pieces.append(("arc", v[0], r, 0.0, 2.0 * math.pi))
         return pieces
+    if len(v) == 2:
+        # as the loop below, but with ends at a0 + pi: _svg_path splits an arc
+        # whose span rounds above pi, so other roundings change the SVG bytes
+        d = v[1] - v[0]
+        n = np.array([d[1], -d[0]]) / np.linalg.norm(d)
+        pieces.append(("seg", v[0] + r * n, v[1] + r * n))
+        a0 = math.atan2(n[1], n[0])
+        if r > 0:
+            pieces.append(("arc", v[1], r, a0, a0 + math.pi))
+        pieces.append(("seg", v[1] - r * n, v[0] - r * n))
+        if r > 0:
+            pieces.append(("arc", v[0], r, a0 + math.pi, a0 + 2.0 * math.pi))
+        return pieces
     normals = s.kernel.edge_normals()
-    nxt = np.concatenate((v[1:], v[:1]))
+    nxt = cycled(v)
     for i in range(len(v)):
         n = normals[i]
         pieces.append(("seg", v[i] + r * n, nxt[i] + r * n))
@@ -367,7 +385,7 @@ def rounded_centroid(s: RoundedSet) -> Point2:
     if area == 0.0:
         c = v.mean(axis=0)
     else:
-        nxt = np.concatenate((v[1:], v[:1]))
+        nxt = cycled(v)
         moment = (
             polygon_area(k) * polygon_centroid(k)
             + r * (np.linalg.norm(nxt - v, axis=1) @ (0.5 * (v + nxt)))

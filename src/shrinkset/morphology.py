@@ -12,7 +12,6 @@ of the one-step least-perimeter problem (see ErosionProfile.query).
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .geometry import (
     _merge_close,
     Point2,
     RoundedSet,
+    cycled,
     hausdorff,
     polygon_area,
     polygon_perimeter,
@@ -105,10 +105,10 @@ class ErosionProfile:
             normals = self._normals = kernel.edge_normals()
             self._offsets = (normals * v).sum(axis=1)
             _, w = self._corners(np.arange(n))
-            edges = np.concatenate((v[1:], v[:1])) - v
+            edges = cycled(v) - v
             lengths = np.linalg.norm(edges, axis=1)
             units = edges / lengths[:, None]
-            shrink = ((np.concatenate((w[1:], w[:1])) - w) * units).sum(axis=1)
+            shrink = ((cycled(w) - w) * units).sum(axis=1)
             with np.errstate(divide="ignore"):
                 events = np.where(shrink > 1e-14, lengths / shrink, np.inf)
             tau = np.tan(0.5 * kernel.exterior_angles())
@@ -249,7 +249,7 @@ class ErosionProfile:
         offset lines of the edges idx (in ring order): its vertices at depth
         d are x - d * w.  A vertex of the kernel keeps its coordinates; one
         left by vanished edges is where the two lines cross at depth 0."""
-        prv = np.concatenate([idx[-1:], idx[:-1]])
+        prv = cycled(idx, -1)
         lines = np.stack([self._normals[prv], self._normals[idx]], axis=1)
         # vertex i slides so it stays on both adjacent offset lines
         w = np.linalg.solve(lines, np.ones((len(idx), 2, 1)))[..., 0]
@@ -282,16 +282,20 @@ class ErosionProfile:
     def _opening_depth(self, c: float, a: float) -> tuple[float, float]:
         """Erosion depth d with area(opening at rho=c+d) == a, and that area's
         perimeter.  Valid for area_hat <= a <= area_full."""
-        pc = self.pieces
+        pc, ends = self.pieces, self._ends
         if not pc.d0:
-            # a point or segment kernel: the opening is the whole set at every
-            # depth (area_hat may round an ulp below area_full here)
+            # degenerate kernel: opening is the whole set at every depth
             return 0.0, self.perim0 + 2.0 * math.pi * c
-        # the opening area falls with depth: the first piece that ends at an
-        # area of at most a (or the last piece)
-        lo = bisect.bisect_left(
-            self._ends, -a, key=lambda e: -(e[0] + c * (e[1] + math.pi * c))
-        )
+        # the opening area falls with depth: bisect for the first piece that
+        # ends at an area of at most a (or the last piece)
+        lo, hi = 0, len(ends)
+        while lo < hi:
+            p = (lo + hi) // 2
+            area, perim = ends[p]
+            if a >= area + c * (perim + math.pi * c):
+                hi = p
+            else:
+                lo = p + 1
         d0, d1, tan_sum = pc.d0[lo], pc.d1[lo], pc.tan_sum[lo]
         t = tan_sum - math.pi  # > 0: opening area strictly decreases
         b = c + d0

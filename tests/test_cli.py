@@ -331,7 +331,9 @@ class TestErrors:
              "radius 1e+160: the square overflows"),
             ({}, {"kernel": [[0, 0], [1e160, 0], [1e160, 1e160], [0, 1e160]]}, ["threshold"],
              "vertices span"),
-            ({}, {"kernel": [[0, 0]], "radius": 1e154}, ["threshold"], "geometry area overflows"),
+            ({}, {"kernel": [[0, 0]], "radius": 1e154}, ["threshold"], "set area overflows"),
+            ({}, {"kernel": [[0, 0]], "radius": 1e154}, ["one-step", "--a", "1"],
+             "set area overflows"),
             ({}, {"kernel": [[0, 0], [1.2e154, 0], [0, 1.2e154]]}, ["one-step", "--a", "1"],
              "vertices span"),
         ],

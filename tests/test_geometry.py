@@ -164,6 +164,12 @@ class TestRoundedMeasures:
         with pytest.raises(BadConfigError):
             RoundedSet(ConvexPolygon(SQUARE), radius)
 
+    def test_area_overflow_raises(self):
+        # a ball of radius 1e154 builds, but pi times its squared radius is inf
+        assert rounded_area(RoundedSet.ball((0, 0), 1e153)) == math.pi * 1e153**2
+        with pytest.raises(BadConfigError, match="set area overflows"):
+            rounded_area(RoundedSet.ball((0, 0), 1e154))
+
 
 class TestCentroid:
     def test_square_any_radius(self):
@@ -343,7 +349,7 @@ class TestProperties:
         assert boundary_length_in_disk(ball, (1, -1), 2.0) == 2.0 * math.pi
         assert boundary_length_in_disk(ball, (1, -1), 0.5) == 0.0
 
-    def test_stadium_pieces_are_the_two_gon(self):
+    def test_stadium_pieces_join_up(self, rng):
         # two sides and two half-turn arcs, each side joined to the next
         p, q, r = np.array([0.3, -0.2]), np.array([2.1, 1.4]), 0.35
         pieces = boundary_pieces(RoundedSet.stadium(p, q, r))
@@ -353,6 +359,11 @@ class TestProperties:
             assert np.allclose(c + rho * np.array([math.cos(a0), math.sin(a0)]), end)
         assert np.allclose(pieces[0][1] + pieces[2][2], 2.0 * p)
         assert boundary_pieces(RoundedSet.empty()) == []
+        # the second arc starts where the first ends (the general loop's
+        # atan2(-n) can be 2 pi away), which keeps a stadium's SVG bytes
+        for p, q in rng.random((20, 2, 2)):
+            arcs = boundary_pieces(RoundedSet.stadium(p, q, 0.1))[1::2]
+            assert arcs[1][3] == arcs[0][4] == arcs[0][3] + math.pi
 
     @pytest.mark.parametrize(
         "center, r",
