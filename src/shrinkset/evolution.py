@@ -7,14 +7,15 @@ erosion depth of the kernel.  Its trajectory has three phases:
 
 - opening: on a piece of the erosion profile, with k = tan_sum - pi > 0, the
   ODE is d rho / dt = 1 + M / (2k rho).  With v = (2k rho + M) / M it
-  solves v - ln v = v_s - ln v_s + 2k (t - t_s) / M, so v = -W_-1(-e^(-y))
-  on the lower branch of Lambert W (Corless et al., "On the Lambert W
-  function", 1996).  In depth, the piece maps rho affinely:
+  solves v - ln v = v_s - ln v_s + 2k (t - t_s) / M, a branch of Lambert W
+  (Corless et al., "On the Lambert W function", 1996), which _radius finds
+  by Newton's method.  In depth, the piece maps rho affinely:
   rho_end = e^x rho_start + (M/2k) expm1(x), x = 2k (d1 - d0) / M;
 - stadium, on a segment locus of length L: R = c0 + t + d_max and the
   straight part shrinks as L - (M/2) ln(R / R_s), so the set becomes a ball
   at R_b = R_s e^(2L/M), at the time T† = R_b - c0 - d_max;
-- ball: r' = 1 - r*/r with r* = M / 2pi, so the set dies iff R_b < r*.
+- ball: the opening ODE on the point kernel, k = -pi, so r' = 1 - r*/r with
+  r* = M / 2pi, and the set dies iff R_b < r*.
 
 _Trajectory lists the phases of this trajectory, built once per set (see
 _trajectory), and _Path gives its exact state at any time: simulate samples
@@ -25,25 +26,25 @@ the piece maps: e^x overflows at small M.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw, wrightomega
 
 from .errors import BadConfigError, DegenerateDomainError, OutOfRangeError
 from .geometry import RoundedSet, contains, rounded_area, rounded_perimeter
 from .isoperimetric import _subset
-from .morphology import BALL, OPENING, STADIUM, _profile, dilate
+from .morphology import _ULP, BALL, OPENING, STADIUM, _profile, dilate
 
 # largest number of sample times check_admissible tests
 _ADMISSIBLE_CHECKS = 40
-# least float argument of the principal Lambert W: the float nearest -1/e
-# lies just past the branch point, where scipy's lambertw returns nan
-_W_BRANCH = float(np.nextafter(-math.exp(-1.0), 0.0))
 # coefficients, highest first, of (v - 1) / p as a power series in
-# p = sqrt(2q) at the branch point q = 0 of v - ln v = 1 + q (the reversion
-# of w - ln(1 + w) = p^2 / 2)
+# p = +-sqrt(2q) at the branch point q = 0 of v - ln v = 1 + q (the reversion
+# of w - ln(1 + w) = p^2 / 2), + on the side v >= 1 and - on the side v <= 1
 _BRANCH_SERIES = (1 / 204120, -139 / 5443200, 1 / 17010, 1 / 4320, -1 / 270, 1 / 36, 1 / 3, 1.0)
+# past r0 + s = _FAR |M / k2|, |v| > 9900 on a live row of _radius: each step
+# of its fixed point gains four digits
+_FAR = 1e4
 # phase kinds as the evaluator numbers them
 _CODES = {OPENING: 0, STADIUM: 1, BALL: 2}
 
@@ -81,49 +82,58 @@ class EvolutionTrace:
         return len(self.t)
 
 
-def _lower_branch(q: np.ndarray) -> np.ndarray:
-    """v - 1 for the root v >= 1 of v - ln v = 1 + q, q >= 0, which is
-    -W_-1(-e^(-1-q)) - 1.
-
-    scipy's lambertw loses the argument's distance to the branch point -1/e
-    at small q and underflows past q ~ 745, and wrightomega(-1 - q - i pi)
-    returns the other branch below q ~ 1.  So: the branch-point series below
-    q = 1e-3 (its next term is below 1e-16 relative there), lambertw up to
-    q = 2 and the Wright omega function past it.
+def _radius(k2: np.ndarray, M: float, r0: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """rho at s >= 0 into each row's phase, of radius r0 at its start, on the
+    ODE rho' = 1 + M / (k2 rho), M > 0: an erosion piece, k2 = 2 tan_sum -
+    2pi > 0, or the ball, whose point kernel has k2 = -2pi.  With m = M / k2
+    and v = 1 + rho / m, v - 1 - ln|v| - s/m is constant: the branch-point
+    series gives v near v = 1, Newton in ln|v| elsewhere (Wright omega for a
+    growing ball, v < 0), and past _FAR |m| the fixed point of
+    rho = r0 + s + m ln((rho + m) / (r0 + m)), which stays in the float range.
     """
-    v = np.empty_like(q)
-    near, far = q < 1e-3, q >= 2.0
-    mid = ~(near | far)
-    p = np.sqrt(2.0 * q[near])
-    v[near] = p * np.polyval(_BRANCH_SERIES, p)
-    v[mid] = -lambertw(-np.exp(-1.0 - q[mid]), -1).real - 1.0
-    v[far] = -wrightomega(-1.0 - q[far] - 1j * math.pi).real - 1.0
-    return v
-
-
-def _free_ball_radius(
-    t: np.ndarray, t0: float, r0: float, rstar: float
-) -> np.ndarray:
-    """Radius at times t >= t0 of a free ball, r' = 1 - rstar/r, of radius
-    r0 at t0 (rstar > 0).
-
-    With u0 = r0 - rstar, a dying ball (u0 < 0) has r = rstar*(1 +
-    W0((u0/rstar)*exp((t - t0 + u0)/rstar))) (Corless et al. 1996).  The
-    argument reaches the branch point -1/e at extinction; clamping it to the
-    branch and the radius to [0, r0] keeps a time at or past extinction real
-    and finite (there the radius is at most ~1.3e-8 rstar, the float
-    resolution of W at its branch point).  A growing ball (u0 > 0) has r =
-    rstar*(1 + omega(ln(u0/rstar) + (u0 + t - t0)/rstar)), omega the Wright
-    omega function; at u0 = 0 the ball is stationary.
-    """
-    s = np.asarray(t, dtype=float) - t0
-    u0 = r0 - rstar
-    if u0 < 0.0:
-        z = (u0 / rstar) * np.exp((s + u0) / rstar)
-        return np.clip(rstar * (1.0 + lambertw(np.maximum(z, _W_BRANCH)).real), 0.0, r0)
-    if u0 == 0.0:
-        return np.full_like(s, r0)
-    return rstar * (1.0 + wrightomega(math.log(u0 / rstar) + (u0 + s) / rstar))
+    m = M / k2
+    c, lim = r0 + m, _FAR * np.abs(m)  # c = m v0
+    rho = r0.copy()  # at the phase start, and for a ball at rest at r*
+    fix = (r0 + s > lim) & (c > 0.0)
+    if fix.any():
+        top, base, mf = r0[fix] + s[fix], np.log(c[fix]), m[fix]
+        for _ in range(5):  # the first step gives r0 + s
+            rho[fix] = top + mf * (np.log(rho[fix] + mf) - base)
+    go = (s > 0.0) & (c != 0.0) & ~fix
+    m, r0, s, c, lim = m[go], r0[go], s[go], c[go], lim[go]
+    # ln|v0| from v0 - 1 near v0 = 1, and from c in full precision near a
+    # ball's r0 = r*
+    w, v0 = r0 / m, c / m
+    ln_v0 = np.where(np.abs(w) < 0.5, np.log1p(np.clip(w, -0.5, 0.5)), np.log(np.abs(v0)))
+    g = (r0 + np.minimum(s, lim)) / m - ln_v0  # v - 1 - ln|v|
+    # near extinction a dying ball's g is known to about an ulp of its start
+    # value: the floor keeps its radius above 0 before T*
+    up = v0 > 0.0
+    g[up] = np.maximum(g[up], _ULP * (w[up] - ln_v0[up]))
+    h = np.empty_like(g)  # v - 1
+    series = up & (g < 1e-3)
+    if series.any():
+        p = np.sign(m[series]) * np.sqrt(2.0 * g[series])
+        h[series] = p * np.polyval(_BRANCH_SERIES, p)
+    # each Newton start lies past the root on the side where Newton is monotone
+    rows = up & ~series
+    if rows.any():  # expm1(y) - y = q, on v0's side of 0
+        q, rise = g[rows], m[rows] > 0.0
+        p = np.sqrt(2.0 * q)
+        y = np.where(rise, np.minimum(p, np.log(2.0 + 2.0 * q)), np.maximum(-1.0 - q, -p - q))
+        for _ in range(5):
+            e = np.expm1(y)
+            y -= (e - y - q) / e
+        h[rows] = np.expm1(y)
+    if not up.all():  # e^y + y = x: -v = e^y is Wright omega
+        x = -1.0 - g[~up]
+        y = np.minimum(x, np.log(np.maximum(x, 1.0)))
+        for _ in range(5):
+            e = np.exp(y)
+            y -= (e + y - x) / (e + 1.0)
+        h[~up] = -1.0 - np.exp(y)
+    rho[go] = m * h
+    return rho
 
 
 class _Trajectory:
@@ -156,7 +166,8 @@ class _Trajectory:
     def log_radii(self, M: float) -> np.ndarray:
         """ln rho at the start of the first piece and at the end of each;
         the last is the radius at stadium entry."""
-        x = self._growth / M
+        with np.errstate(over="ignore"):  # at a tiny M, an infinite exponent is the limit
+            x = self._growth / M
         before = np.concatenate(([0.0], np.cumsum(x)))  # exponent up to each end
         # ln of what each piece adds at its end, (M/2k) expm1(x), over
         # e^before; a zero-length piece adds 0
@@ -200,17 +211,21 @@ class _Trajectory:
         log_rb = float(log_rho[-1]) + self._two_l / M
         gap = log_rb - math.log(M / (2.0 * math.pi))
         t_ball = t_star = self.time_at(log_rb)
-        if gap < 0.0:
-            # the free ball's lifetime -r0 - r* ln(1 - r0/r*), with r0/r* =
-            # e^gap and 1 - r0/r* = -expm1(gap) in full precision
-            t_star += -M / (2.0 * math.pi) * (math.exp(gap) + math.log(-math.expm1(gap)))
-        else:
-            t_star = math.inf
         try:
             # R_b from the excess, so it lies on the side of r* that T* says
             r_ball = M / (2.0 * math.pi) * math.exp(gap)
         except OverflowError:  # past the float range, as is T†
             r_ball = math.inf
+        if gap < -4.0:
+            # the free ball's lifetime -r0 - r* ln(1 - x), x = r0/r* = e^gap,
+            # is the series r0 (x/2 + x^2/3 + ...): the closed form cancels
+            x = math.exp(gap)
+            t_star += r_ball * sum(x ** (i - 1) / i for i in range(2, 13))
+        elif gap < 0.0:
+            # the lifetime, with 1 - r0/r* = -expm1(gap) in full precision
+            t_star += -M / (2.0 * math.pi) * (math.exp(gap) + math.log(-math.expm1(gap)))
+        else:
+            t_star = math.inf
         kinds = (OPENING,) * n + (STADIUM, BALL)
         starts, ends = [*start, t_ball], [*start[1:], t_ball, t_star]
         radii = [*rho.tolist(), r_ball]
@@ -253,15 +268,9 @@ class _Path:
         # without control every radius grows at unit speed
         rho = r_s + (t - t_s)
         if M > 0.0:
-            rows = code == 0
-            k2 = 2.0 * (tan_sum[rows] - math.pi)
-            w = k2 * r_s[rows] / M  # v - 1 at the piece start
-            q = np.maximum(w - np.log1p(w) + k2 * (t[rows] - t_s[rows]) / M, 0.0)
-            rho[rows] = np.where(t[rows] == t_s[rows], r_s[rows], M / k2 * _lower_branch(q))
-            rows = code == 2
-            if rows.any():
-                rstar = M / (2.0 * math.pi)
-                rho[rows] = _free_ball_radius(t[rows], self.t0[-1], self.rho0[-1], rstar)
+            # the ball is the opening of its point kernel, tan_sum = 0
+            rows = code != 1
+            rho[rows] = _radius(2.0 * (tan_sum[rows] - math.pi), M, r_s[rows], t[rows] - t_s[rows])
         # the opening at rho of the kernel eroded to depth d0 + x
         x = np.clip(rho - (traj.c0 + t) - d0, 0.0, d1 - d0)
         edge = perim0 - 2.0 * tan_sum * x  # perimeter of the eroded kernel
@@ -318,8 +327,10 @@ def simulate(
     """The exact evolution from the full initial area until the horizon or
     extinction, whichever comes first, sampled at the multiples of dt and at
     every kink: each phase start and T*."""
-    if M < 0 or not math.isfinite(M):
-        raise BadConfigError(f"budget M must be finite and nonnegative, got {M}")
+    if not (M == 0.0 or sys.float_info.min <= M <= sys.float_info.max):
+        raise BadConfigError(
+            f"budget M must be 0 or finite and at least {sys.float_info.min}, got {M}"
+        )
     if not (horizon > 0 and math.isfinite(horizon)):
         raise BadConfigError(f"horizon must be positive and finite, got {horizon}")
     if dt is None:
@@ -333,7 +344,10 @@ def simulate(
     end = min(horizon, t_star)
     t = _sample_times(end, dt, np.array([p[2] for p in phases] + [t_star]))
     path = _Path(traj, M, phases)
-    j, a, perim, rho, _ = path.at(t)
+    with np.errstate(over="ignore"):  # an area past the float range is refused below
+        j, a, perim, rho, _ = path.at(t)
+    if not np.isfinite(a).all():
+        raise BadConfigError(f"the area passes the float range before the horizon {horizon}")
     regime = tuple(map(path.kinds.__getitem__, j.tolist()))
     return EvolutionTrace(
         omega0, M, t, a, perim, regime, rho,

@@ -7,6 +7,7 @@ the one root of ln R_b(M) - ln(M / 2pi).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BadConfigError, NotCriticalError
@@ -24,8 +25,8 @@ class Outcome:
 
 
 def _check_budget(M: float) -> None:
-    if not (M > 0.0 and math.isfinite(M)):
-        raise BadConfigError(f"budget M must be positive and finite, got {M}")
+    if not sys.float_info.min <= M <= sys.float_info.max:
+        raise BadConfigError(f"budget M must be finite and at least {sys.float_info.min}, got {M}")
 
 
 def _check_tol(tol: float) -> None:

@@ -24,7 +24,7 @@ from shrinkset import (
     simulate,
 )
 from shrinkset import evolution
-from shrinkset.evolution import _free_ball_radius, _lower_branch, _path
+from shrinkset.evolution import _path, _radius
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 RECTANGLE = [(0, 0), (2, 0), (2, 1), (0, 1)]
@@ -38,6 +38,32 @@ def sq(radius=0.0):
 
 def unit_ball(radius=1.0, center=(0.0, 0.0)):
     return RoundedSet.ball(center, radius)
+
+
+def exact_radius(k2, M, r0, s):
+    """rho of _radius at 50 digits from the same float inputs: with m = M /
+    k2 and v = 1 + rho / m, v - ln|v| - s / m is constant, so -v is a branch
+    of Lambert W (Corless et al. 1996), and W0(e^x) is Wright omega."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        k2, M, r0, s = map(mpmath.mpf, (float(k2), M, float(r0), float(s)))
+        m = M / k2
+        v0 = 1 + r0 / m
+        g = v0 - mpmath.log(abs(v0)) + s / m
+        if v0 > 0:
+            v = -mpmath.lambertw(-mpmath.exp(-g), -1 if v0 >= 1 else 0).real
+        else:
+            v = -mpmath.lambertw(mpmath.exp(-g)).real
+        return m * (v - 1)
+
+
+def assert_radius_matches(k2, M, r0, s, rel):
+    got = _radius(np.asarray(k2, float), M, np.asarray(r0, float), np.asarray(s, float))
+    assert got.dtype == np.float64
+    for rho, *row in zip(got, k2, r0, s):
+        exact = exact_radius(*row[:1], M, *row[1:])
+        assert abs(rho - exact) <= rel * exact, (row, rho, float(exact))
 
 
 class TestFreeBallRadius:
@@ -54,7 +80,8 @@ class TestFreeBallRadius:
         t_end = t0 - r0 - rstar * math.log1p(-r0 / rstar)
         fractions = [0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1 - 1e-5, 1 - 1e-6, 1 - 1e-7]
         times = np.array([t0 + f * (t_end - t0) for f in fractions])
-        radii = _free_ball_radius(times, t0, r0, rstar)
+        n = len(times)
+        radii = _radius(np.full(n, -2.0 * math.pi), 4.0, np.full(n, r0), times - t0)
         with mpmath.workdps(50):
             rs, r0_ = mpmath.mpf(rstar), mpmath.mpf(r0)
             for t, r in zip(times, radii):
@@ -67,31 +94,55 @@ class TestFreeBallRadius:
                 assert abs(r - exact) <= 1e-14 * rstar * max(1.0, rstar / exact)
 
     def test_real_and_bounded_at_extinction(self):
-        # the float nearest -1/e lies past the branch point of W0
-        rstar, r0, t0 = 0.5, 0.4, 0.0
-        t_end = t0 - r0 - rstar * math.log1p(-r0 / rstar)
-        times = np.array([t0, t_end, math.nextafter(t_end, math.inf), 2 * t_end])
-        radii = _free_ball_radius(times, t0, r0, rstar)
+        # past extinction q is negative; at it, known to about an ulp
+        rstar, r0 = 0.5, 0.4
+        t_end = -r0 - rstar * math.log1p(-r0 / rstar)
+        s = np.array([0.0, t_end, math.nextafter(t_end, math.inf), 2 * t_end])
+        radii = _radius(np.full(4, -2.0 * math.pi), 2.0 * math.pi * rstar, np.full(4, r0), s)
         assert radii.dtype == np.float64 and np.all(np.isfinite(radii))
-        assert radii[0] == pytest.approx(r0, rel=1e-15)
+        assert radii[0] == r0
         assert np.all((radii >= 0.0) & (radii <= r0))
         assert np.all(radii[1:] <= 1e-7 * rstar)
+
+    def test_dying_ball_matches_mpmath(self):
+        # r* = 1, r0 = 1 - 2^-k, at fractions of the lifetime that keep q
+        # within ten times its float error: v - ln v from 1 + 1e-17 to 1 + 36
+        r0 = 1.0 - 2.0 ** -np.repeat(np.arange(1, 53), 5)
+        life = -r0 - np.log(1.0 - r0)
+        s = np.tile([0.1, 0.3, 0.5, 0.7, 0.9], 52) * life
+        assert_radius_matches(-np.ones(len(s)), 1.0, r0, s, 5e-15)
+
+    def test_growing_ball_matches_mpmath(self):
+        # r* = 1, r0 = 1 + u0: omega(x) for x = ln u0 + u0 + s from -36 (u0
+        # is at least an ulp of r*) past 1e4, where the fixed point takes over
+        u0, s = np.meshgrid(np.logspace(-15, 6, 22), np.logspace(-3, 300, 41))
+        assert_radius_matches(-np.ones(u0.size), 1.0, 1.0 + u0.ravel(), s.ravel(), 5e-15)
+
+    def test_ball_at_rest(self):
+        rstar = 3.0 / (2.0 * math.pi)
+        radii = _radius(np.full(2, -2.0 * math.pi), 3.0, np.full(2, rstar), np.array([1.0, 1e300]))
+        assert np.all(radii == rstar)
 
 
 class TestLowerBranch:
     def test_matches_mpmath(self):
-        # v - 1 for the root v >= 1 of v - ln v = 1 + q, across the branch
-        # point series, lambertw and Wright omega
-        import mpmath
+        # an erosion piece with r0 = 0, k2 = M = 1: v - 1 - ln v = s on the
+        # side v >= 1, through the branch-point series, Newton and, past
+        # s = 1e4, the fixed point
+        s = np.concatenate(([0.0], np.logspace(-12, 6, 91), [1e-3, 2.0], np.logspace(6, 300, 50)))
+        n = len(s)
+        assert_radius_matches(np.ones(n), 1.0, np.zeros(n), s, 5e-15)
 
-        q = np.concatenate(([0.0], np.logspace(-12, 6, 91), [1e-3, 2.0]))
-        got = _lower_branch(q)
-        with mpmath.workdps(40):
-            for qi, wi in zip(q, got):
-                qm = mpmath.mpf(float(qi))
-                w0 = mpmath.sqrt(2 * qm) if qm < 1 else qm + mpmath.log(1 + qm)
-                exact = mpmath.findroot(lambda w: w - mpmath.log1p(w) - qm, w0)
-                assert abs(wi - exact) <= 1e-10 * exact
+
+@pytest.mark.parametrize("k2", [1.7, -2.0 * math.pi])
+def test_radius_past_the_float_range(k2):
+    # s / m overflows on a piece and on a growing ball: the growth is
+    # uncontrolled to rounding
+    r0, s = np.array([0.0, 2.0, 1e10]), np.array([1e10, 1e10, 1e-5])
+    if k2 < 0.0:
+        r0 = r0 + 1.0
+    radii = _radius(np.full(3, k2), 1e-300, r0, s)
+    assert np.all(np.abs(radii - (r0 + s)) <= 4e-16 * (r0 + s))
 
 
 class TestAreaRate:
@@ -208,7 +259,7 @@ class TestSimulate:
         assert 12 <= ratio <= 20
 
     def test_small_budget_stays_finite(self):
-        # the opening phase's q = 2kt/M reaches 1.7e4, past lambertw's range
+        # the opening phase's q = 2kt/M reaches 1.7e4, past Newton's range
         trace = simulate(sq(), 1e-3, horizon=10.0)
         assert trace.T_star is None and trace.T_dagger is None
         assert np.all(np.isfinite(trace.a)) and np.all(np.diff(trace.a) > 0.0)
@@ -298,6 +349,62 @@ class TestSimulate:
         # the ball's radius squares to 1e308, but pi times that is inf
         with pytest.raises(BadConfigError, match="area overflows"):
             simulate(unit_ball(1e154), 1.0, horizon=1.0)
+
+    def test_area_past_the_float_range(self):
+        # pi rho^2 overflows once rho passes 1.3e154: these rows were inf
+        with pytest.raises(BadConfigError, match="float range"):
+            simulate(sq(), 1.0, horizon=1e200, dt=1e198)
+
+    @pytest.mark.parametrize("M", [5e-324, 1e-310])
+    def test_subnormal_budget(self, M):
+        # ln(M / 2pi) raised ValueError at 5e-324
+        with pytest.raises(BadConfigError):
+            simulate(sq(), M, horizon=1.0)
+        with pytest.raises(BadConfigError):
+            classify(sq(), M)
+        with pytest.raises(BadConfigError):
+            ball_time_at_critical(sq(), M)
+
+    @pytest.mark.parametrize("M", [1e-300, 2.2250738585072014e-308])
+    def test_tiny_budget_is_uncontrolled_growth(self, M):
+        # a square 1e10 across: 2k s / M passes the float range, and these
+        # rows read inf; the growth is rho = s to rounding
+        big = RoundedSet.from_polygon(1e10 * np.array(SQUARE))
+        trace = simulate(big, M, horizon=1e10)
+        assert trace.T_star is None and set(trace.regime) == {"Opening"}
+        assert np.all(np.abs(trace.rho - trace.t) <= 4e-16 * trace.t)
+        steiner = 1e20 + 4e10 * trace.t + math.pi * trace.t**2
+        assert np.all(np.abs(trace.a - steiner) <= 1e-15 * steiner)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("M", [1e3, 1e8, 1e12, 1e15, 1e100, 1e300])
+    def test_ball_lifetime_at_large_budgets(self, M, scale):
+        # -r0 - r* ln(1 - r0/r*) cancelled to garbage once r0/r* is small
+        # (T* = -0.0052 on the unit square at M = 1e15); the lifetime is
+        # about r0^2 / 2r*
+        import mpmath
+
+        def lifetime(r0):
+            # digits enough for the cancellation down to r0^2 / 2r*
+            with mpmath.workdps(700):
+                rstar = mpmath.mpf(M) / (2 * mpmath.pi)
+                return float(-r0 - rstar * mpmath.log1p(-mpmath.mpf(r0) / rstar))
+
+        ball = unit_ball(scale)
+        trace = simulate(ball, M, horizon=10.0 * scale)
+        if M / (2.0 * math.pi) > scale:
+            assert trace.T_dagger == 0.0 and trace.T_star is not None
+            assert trace.T_star == pytest.approx(lifetime(scale), rel=1e-12, abs=1e-320)
+        assert trace.t[0] == 0.0 and trace.a[0] == pytest.approx(rounded_area(ball), rel=1e-12)
+        square = RoundedSet.from_polygon(scale * np.array(SQUARE))
+        _, _, t_ball, t_star, r_ball = evolution._trajectory(square).phases(M)[-1]
+        assert 0.0 <= t_ball <= t_star
+        if t_star < math.inf:
+            assert t_star - t_ball == pytest.approx(
+                lifetime(r_ball), rel=1e-12, abs=4 * math.ulp(t_star)
+            )
+        trace = simulate(square, M, horizon=10.0 * scale)
+        assert trace.t[0] == 0.0 and trace.T_star == (t_star if t_star < math.inf else None)
 
 
 class TestReconstruct:
@@ -509,8 +616,13 @@ class TestAdmissibility:
         # area ODE's: only the removal-rate test sees it
         from shrinkset import evolution
 
-        branch = evolution._lower_branch
-        monkeypatch.setattr(evolution, "_lower_branch", lambda q: 1.001 * branch(q))
+        # after each phase start only: scaling the start too moves the rows
+        # and the evaluator together, and the removal rate holds
+        radius = evolution._radius
+        monkeypatch.setattr(
+            evolution, "_radius",
+            lambda k2, M, r0, s: np.where(s > 0.0, 1.001, 1.0) * radius(k2, M, r0, s),
+        )
         trace = simulate(sq(0.2), 1.0, horizon=1.0)
         assert not check_admissible(trace, 1e-4, 1e-2)
 
