@@ -42,6 +42,8 @@ _ADMISSIBLE_CHECKS = 40
 # p = +-sqrt(2q) at the branch point q = 0 of v - ln v = 1 + q (the reversion
 # of w - ln(1 + w) = p^2 / 2), + on the side v >= 1 and - on the side v <= 1
 _BRANCH_SERIES = (1 / 204120, -139 / 5443200, 1 / 17010, 1 / 4320, -1 / 270, 1 / 36, 1 / 3, 1.0)
+# 1/16!, ..., 1/2!: (expm1(x) - x) / x^2 to an ulp on 0 <= x < 1/2
+_EXPM1_SERIES = tuple(1.0 / math.factorial(n) for n in range(16, 1, -1))
 # past r0 + s = _FAR |M / k2|, |v| > 9900 on a live row of _radius: each step
 # of its fixed point gains four digits
 _FAR = 1e4
@@ -150,13 +152,12 @@ class _Trajectory:
         # rows d0, d1, area0, perim0, tan_sum; columns the pieces
         self.pieces = np.array([pc.d0, pc.d1, pc.area0, pc.perim0, pc.tan_sum])
         d0, d1, _, _, tan_sum = self.pieces
-        k2 = 2.0 * (tan_sum - math.pi)
+        self._k2 = k2 = 2.0 * (tan_sum - math.pi)
         self._log_k2 = np.log(k2)
         self._growth = k2 * (d1 - d0)  # x * M per piece
         self._log_c0 = math.log(self.c0) if self.c0 > 0.0 else -math.inf
         self._two_l = 2.0 * prof.locus_len
         self.rbar = prof.rbar(self.c0)  # c0 + d_max
-        self._log_rbar = math.log(self.rbar)
         # isoperimetric floor: below it the area grows at all times
         self.floor = 2.0 * math.sqrt(math.pi * area)
         # here each phase's exponents sum to at most 1/2, so by Gronwall
@@ -179,16 +180,6 @@ class _Trajectory:
         """ln R_b - ln(M / 2pi): negative iff the budget-M evolution dies."""
         return float(self.log_radii(M)[-1]) + self._two_l / M - math.log(M / (2.0 * math.pi))
 
-    def time_at(self, log_r: float) -> float:
-        """The time t >= 0 with c0 + t + d_max = e^log_r after the opening
-        phase: 0 for a ball, inf past the float range."""
-        if log_r <= self._log_rbar:
-            return 0.0
-        try:
-            return max(math.exp(log_r) - self.rbar, 0.0)
-        except OverflowError:
-            return math.inf
-
     def phases(self, M: float) -> tuple[tuple[str, int | None, float, float, float], ...]:
         """The budget-M evolution's phases (kind, piece, t_start, t_end,
         rho_start) in time order, less the empty ones: the opening pieces,
@@ -199,18 +190,26 @@ class _Trajectory:
             # no control: the set is the whole grown domain, of radius c0 + t
             kind = OPENING if n else STADIUM if self._two_l > 0.0 else BALL
             return ((kind, 0 if n else None, 0.0, math.inf, self.c0),)
-        # rho and time at each piece start and at stadium entry, which is T†
-        # itself on a point locus
         log_rho = self.log_radii(M)
-        with np.errstate(over="ignore"):  # inf past the float range
-            rho = np.exp(log_rho)
-        rho[0] = self.c0
-        start = rho - (self.c0 + np.concatenate(([0.0], self.pieces[1])))
-        start[-1] = self.time_at(float(log_rho[-1]))
-        start = np.maximum.accumulate(np.maximum(start, 0.0)).tolist()
-        log_rb = float(log_rho[-1]) + self._two_l / M
-        gap = log_rb - math.log(M / (2.0 * math.pi))
-        t_ball = t_star = self.time_at(log_rb)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range
+            rho = np.exp(log_rho[:-1])  # at each piece start
+            rho[:1] = self.c0
+            # a piece lasts expm1(x) rho_start + (M/k2)(expm1(x) - x), where
+            # expm1(x) - x = x^2 (1/2! + x/3! + ...) cancels at small x
+            x = self._growth / M
+            e = np.expm1(x)
+            dd = self.pieces[1] - self.pieces[0]  # each piece's depth
+            lasts = np.where(x < 0.5, dd * x * np.polyval(_EXPM1_SERIES, x), M / self._k2 * e - dd)
+            # e * rho is 0 at rho = 0, even where e is inf
+            lasts += np.where(rho > 0.0, e * rho, 0.0)
+            # each piece start, then stadium entry, where R = rbar + t
+            start = np.concatenate(([0.0], np.cumsum(lasts))).tolist()
+            r_stadium = self.rbar + start[-1]
+            # R grows by the factor e^(2L/M) on the stadium, and T† ends it
+            t_ball = t_star = start[-1] + (
+                float(r_stadium * np.expm1(self._two_l / M)) if self._two_l > 0.0 else 0.0
+            )
+        gap = float(log_rho[-1]) + self._two_l / M - math.log(M / (2.0 * math.pi))
         try:
             # R_b from the excess, so it lies on the side of r* that T* says
             r_ball = M / (2.0 * math.pi) * math.exp(gap)
@@ -228,7 +227,7 @@ class _Trajectory:
             t_star = math.inf
         kinds = (OPENING,) * n + (STADIUM, BALL)
         starts, ends = [*start, t_ball], [*start[1:], t_ball, t_star]
-        radii = [*rho.tolist(), r_ball]
+        radii = [*rho.tolist(), r_stadium, r_ball]
         return tuple(
             (kind, p if p < n else None, t0, t1, r0)
             for p, (kind, t0, t1, r0) in enumerate(zip(kinds, starts, ends, radii))

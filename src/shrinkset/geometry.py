@@ -5,7 +5,7 @@ kernel Minkowski-summed with a closed disk.  Kernels may be degenerate
 (empty, a point, or a segment), which makes balls and stadiums ordinary
 members of the same family instead of special cases: the polygon formulas
 take a segment as the closed 2-gon v0 -> v1 -> v0.  Still branching: kernels
-without an edge, polygon_area's zero-area fast path, and boundary_pieces.
+without an edge and polygon_area's zero-area fast path.
 """
 
 from __future__ import annotations
@@ -298,18 +298,32 @@ class RoundedSet:
         return f"RoundedSet(kernel={self.kernel!r}, radius={self.radius!r})"
 
 
-def random_rounded_set(rng: np.random.Generator) -> RoundedSet:
-    """Convex hull of 4 to 9 uniform points in [0, 2]^2, rounded by a radius
-    uniform in [0, 0.5); the random sets of the tests and of `validate`."""
-    from scipy.spatial import ConvexHull, QhullError
+def _hull(pts: np.ndarray) -> list[int]:
+    """Indices of the convex hull's vertices, counterclockwise (Andrew's
+    monotone chain, 1979); fewer than 3 for collinear or coincident points."""
+    xy = pts.tolist()
+    order = sorted(range(len(xy)), key=xy.__getitem__)
+    hull: list[int] = []
+    for chain in (order, order[::-1]):  # the lower hull, then the upper
+        base = len(hull)
+        for i in chain:
+            while len(hull) > base + 1:
+                (ax, ay), (bx, by), (cx, cy) = xy[hull[-2]], xy[hull[-1]], xy[i]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0.0:
+                    break
+                hull.pop()
+            hull.append(i)
+        hull.pop()  # the chain's last point starts the other chain
+    return hull
 
+
+def random_rounded_set(rng: np.random.Generator) -> RoundedSet:
+    """Convex hull of 4 to 9 uniform points in [0, 2]^2 (drawn again if flat)
+    rounded by a radius uniform in [0, 0.5): the tests' and `validate`'s sets."""
     while True:
         pts = rng.random((int(rng.integers(4, 10)), 2)) * 2.0
-        try:
-            hull = ConvexHull(pts)
-        except QhullError:
-            continue
-        return RoundedSet.from_polygon(pts[hull.vertices], float(rng.random() * 0.5))
+        if len(hull := _hull(pts)) >= 3:
+            return RoundedSet.from_polygon(pts[hull], float(rng.random() * 0.5))
 
 
 def rounded_area(s: RoundedSet) -> float:
@@ -344,19 +358,6 @@ def boundary_pieces(s: RoundedSet):
     if len(v) == 1:
         if r > 0:
             pieces.append(("arc", v[0], r, 0.0, 2.0 * math.pi))
-        return pieces
-    if len(v) == 2:
-        # as the loop below, but with ends at a0 + pi: _svg_path splits an arc
-        # whose span rounds above pi, so other roundings change the SVG bytes
-        d = v[1] - v[0]
-        n = np.array([d[1], -d[0]]) / np.linalg.norm(d)
-        pieces.append(("seg", v[0] + r * n, v[1] + r * n))
-        a0 = math.atan2(n[1], n[0])
-        if r > 0:
-            pieces.append(("arc", v[1], r, a0, a0 + math.pi))
-        pieces.append(("seg", v[1] - r * n, v[0] - r * n))
-        if r > 0:
-            pieces.append(("arc", v[0], r, a0 + math.pi, a0 + 2.0 * math.pi))
         return pieces
     normals = s.kernel.edge_normals()
     nxt = cycled(v)

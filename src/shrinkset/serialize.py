@@ -102,8 +102,8 @@ def _svg_path(s: RoundedSet) -> str:
             span = (a1 - a0) % (2.0 * math.pi)
             if span == 0.0:
                 span = 2.0 * math.pi
-            # SVG arcs cannot span a full turn; split in half if needed
-            stops = [a0 + span] if span <= math.pi else [a0 + span / 2, a0 + span]
+            # SVG arcs cannot span a full turn; split one past pi and its rounding
+            stops = [a0 + span] if span <= math.pi * (1.0 + 1e-12) else [a0 + span / 2, a0 + span]
             for stop in stops:
                 end = (center[0] + r * math.cos(stop), center[1] + r * math.sin(stop))
                 cmds.append(f"A {fmt(r)} {fmt(r)} 0 0 1 {fmt(end[0])} {fmt(end[1])}")

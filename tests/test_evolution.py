@@ -406,6 +406,39 @@ class TestSimulate:
         trace = simulate(square, M, horizon=10.0 * scale)
         assert trace.t[0] == 0.0 and trace.T_star == (t_star if t_star < math.inf else None)
 
+    @pytest.mark.parametrize("shape", [SQUARE, RECTANGLE])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("M", [1e4, 1e8, 1e12, 1e15, 1e100, 1e300])
+    def test_phase_starts_at_large_budgets(self, M, scale, shape):
+        # each start was rho - (c0 + d1) and T† exp(ln R_b) - rbar, which
+        # cancel once the opening lasts about 1/M: the square's T† was off by
+        # 2.6e-3 at M = 1e12 and 0 at 1e15, which dropped the opening phase
+        import mpmath
+
+        s = RoundedSet.from_polygon(scale * np.array(shape))
+        traj = evolution._trajectory(s)
+        with mpmath.workdps(700):  # rho - (c0 + d1) cancels to about d1 / M
+            m, rho, want = mpmath.mpf(M), mpmath.mpf(traj.c0), [0.0]
+            for d0, d1, _, _, tan_sum in traj.pieces.T:
+                k2 = 2 * (mpmath.mpf(tan_sum) - mpmath.pi)
+                x = k2 * (mpmath.mpf(d1) - mpmath.mpf(d0)) / m
+                rho = mpmath.exp(x) * rho + m / k2 * mpmath.expm1(x)
+                want.append(rho - traj.c0 - mpmath.mpf(d1))
+            # the stadium's R grows by e^(2L/M), from rbar + its start to R_b
+            r_s = traj.rbar + want[-1]
+            want.append(want[-1] + r_s * mpmath.expm1(2 * mpmath.mpf(traj.prof.locus_len) / m))
+            want = [float(w) for w in want]
+        phases = traj.phases(M)
+        kinds = ["Opening", "Stadium", "Ball"] if shape is RECTANGLE else ["Opening", "Ball"]
+        assert [p[0] for p in phases] == kinds
+        # a subnormal start (2e-313 at M = 1e300, scale 1e-6) keeps fewer digits
+        got = [p[2] for p in phases]
+        assert got == pytest.approx(want[: len(got) - 1] + want[-1:], rel=1e-12, abs=1e-320)
+        for before, after in zip(phases, phases[1:]):
+            assert 0.0 < after[2] == before[3]
+        trace = simulate(s, M, horizon=10.0 * scale)
+        assert trace.regime[0] == "Opening" and trace.a[0] == rounded_area(s)
+
 
 class TestReconstruct:
     def test_initial_time_returns_domain(self):
