@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import raster as ras
-from .errors import BadConfigError, ShrinksetError
+from .errors import BadConfigError, ShrinksetError, require_finite
 from .evolution import compute_cost, reconstruct_set, simulate
 from .geometry import (
     RoundedSet,
@@ -176,8 +176,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise BadConfigError("simulate needs a budget M")
     period = cfg.get("svg_every")
     if period is not None:
-        if not (period > 0 and math.isfinite(period)):
-            raise BadConfigError(f"svg_every must be positive and finite, got {period}")
+        require_finite("svg_every", period, 0.0, strict=True)
     trace = simulate(
         omega0, cfg["M"], cfg.get("horizon", 10.0), cfg.get("dt")
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfigError, DegenerateDomainError, OutOfRangeError
+from .errors import BadConfigError, DegenerateDomainError, OutOfRangeError, require_finite
 from .geometry import RoundedSet, contains, rounded_area, rounded_perimeter
 from .isoperimetric import _subset
 from .morphology import _ULP, BALL, OPENING, STADIUM, _profile, dilate
@@ -326,16 +326,12 @@ def simulate(
     """The exact evolution from the full initial area until the horizon or
     extinction, whichever comes first, sampled at the multiples of dt and at
     every kink: each phase start and T*."""
-    if not (M == 0.0 or sys.float_info.min <= M <= sys.float_info.max):
-        raise BadConfigError(
-            f"budget M must be 0 or finite and at least {sys.float_info.min}, got {M}"
-        )
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise BadConfigError(f"horizon must be positive and finite, got {horizon}")
+    if M != 0.0:
+        require_finite("budget M", M, sys.float_info.min)
+    require_finite("horizon", horizon, 0.0, strict=True)
     if dt is None:
         dt = default_step(omega0)
-    if not (dt > 0 and math.isfinite(dt)):
-        raise BadConfigError(f"dt must be positive and finite, got {dt}")
+    require_finite("dt", dt, 0.0, strict=True)
 
     traj = _trajectory(omega0)
     phases = traj.phases(M)
@@ -380,8 +376,8 @@ def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float
     with a point for the piece: k = -pi and m = -M/2pi.  On the stadium the
     area is pi*R^2 + 2*R*l with R' = 1 and l' = -M/2R, which integrates to
     pi*R^3/3 + R^2*l + M*R^2/4."""
-    if not (math.isfinite(c1) and math.isfinite(c2)):
-        raise BadConfigError(f"cost weights must be finite, got c1={c1}, c2={c2}")
+    require_finite("cost weight c1", c1)
+    require_finite("cost weight c2", c2)
     t_end = float(trace.t[-1])
     if not (T >= 0.0 and (T <= t_end + 1e-12 or trace.T_star is not None)):
         raise OutOfRangeError(f"cost horizon {T} beyond the trace range")
@@ -411,10 +407,8 @@ def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
     """Discrete admissibility: the rows are those of the trajectory, the set
     at t+delta fits in the delta-dilation of the set at t, and the area
     removed per unit time is the budget M."""
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise BadConfigError(f"delta must be positive and finite, got {delta}")
-    if not (tol >= 0.0 and math.isfinite(tol)):
-        raise BadConfigError(f"tol must be finite and nonnegative, got {tol}")
+    require_finite("delta", delta, 0.0, strict=True)
+    require_finite("tol", tol, 0.0)
     path = _path(trace)
     _, a, perim, _, _ = path.at(trace.t)
     # an area row off by e moves the removal rate below by e / delta

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadConfigError, EmptySetError
+from .errors import BadConfigError, EmptySetError, require_finite
 
 # Relative tolerances for canonicalization (see ConvexPolygon).
 MERGE_REL_TOL = 1e-12
@@ -66,10 +66,7 @@ def _merge_close(v: np.ndarray, tol: float) -> np.ndarray:
 def _collinear_extremes(v: np.ndarray) -> np.ndarray:
     """Reduce a set of (nearly) collinear points to its extreme pair."""
     direction = v[np.argmax(np.linalg.norm(v - v[0], axis=1))] - v[0]
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        return v[:1].copy()
-    s = (v - v[0]) @ (direction / norm)
+    s = (v - v[0]) @ (direction / np.linalg.norm(direction))
     return np.array([v[np.argmin(s)], v[np.argmax(s)]], float)
 
 
@@ -162,7 +159,7 @@ class ConvexPolygon:
             before = v - cycled(v, -1)
             cr = cross2(before, cycled(before))
             if np.any(cr < -cross_tol):
-                raise ValueError("vertices do not describe a convex polygon")
+                raise BadConfigError("vertices do not describe a convex polygon")
             keep = cr > cross_tol
             changed = not keep.all()
             if changed:  # the relative bound is the lower one
@@ -261,8 +258,7 @@ class RoundedSet:
     __setattr__ = _refuse_public
 
     def __init__(self, kernel: ConvexPolygon, radius: float):
-        if not (radius >= 0 and math.isfinite(radius)):
-            raise BadConfigError("radius must be finite and nonnegative")
+        require_finite("radius", radius, 0.0)
         radius = float(radius)
         if not math.isfinite(radius * radius):  # rounded_area squares it
             raise BadConfigError(f"radius {radius}: the square overflows")
@@ -398,6 +394,7 @@ def rounded_centroid(s: RoundedSet) -> Point2:
 
 def support(s: RoundedSet, theta: float) -> float:
     """Support function h(theta) = max over the set of p . (cos, sin)."""
+    require_finite("theta", theta)
     if s.is_empty:
         raise EmptySetError("support of empty set")
     u = np.array([math.cos(theta), math.sin(theta)])
@@ -421,6 +418,7 @@ def _probe_directions(a: RoundedSet, b: RoundedSet) -> np.ndarray:
 def contains(a: RoundedSet, b: RoundedSet, tol: float) -> bool:
     """b subset of a, up to tol, tested on support functions at the kernels'
     edge normals plus a uniform angular grid."""
+    require_finite("tol", tol, 0.0)
     if b.is_empty:
         return True
     if a.is_empty:
@@ -483,8 +481,7 @@ def boundary_length_in_disk(s: RoundedSet, center, r: float) -> float:
     """Exact length of the part of the boundary of s inside the disk
     B_r(center) (segment/arc vs circle clipping)."""
     center = np.asarray(center, float)
-    if not (r >= 0 and math.isfinite(r)):
-        raise BadConfigError(f"radius must be finite and nonnegative, got {r}")
+    require_finite("radius", r, 0.0)
     if not np.all(np.isfinite(center)):
         raise BadConfigError("center must be finite")
     total = 0.0

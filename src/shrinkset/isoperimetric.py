@@ -17,6 +17,7 @@ form; no iteration is needed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ from .morphology import (
     ErosionProfile,
     _profile,
     opening,
-    polygon_erode,
 )
 
 # perfbench/run.py traces the one-step query under this older name
@@ -110,12 +110,14 @@ def invert_opening_area(s: RoundedSet, a: float) -> float:
 
 def free_arc_turning(s: RoundedSet, rho: float) -> float:
     """Total turning excess sum_i (2 tan(theta_i/2) - theta_i) of the free
-    arcs of opening(s, rho); equals -d(perimeter)/d(rho)."""
-    rbar = _profile(s.kernel).rbar(s.radius)
+    arcs of opening(s, rho); equals -d(perimeter)/d(rho).  The theta_i sum
+    to 2pi: it is 2 tan_sum - 2pi of the piece holding depth rho - radius."""
+    prof = _profile(s.kernel)
+    rbar = prof.rbar(s.radius)
     if not (s.radius < rho < rbar):
         raise OutOfRegimeError(
             f"rho {rho} outside the corner-rounding range ({s.radius}, {rbar})"
         )
-    eroded = polygon_erode(s.kernel, rho - s.radius)
-    theta = eroded.exterior_angles()
-    return float((2.0 * np.tan(0.5 * theta) - theta).sum())
+    pc = prof.pieces
+    p = min(bisect_right(pc.d1, rho - s.radius), len(pc) - 1)
+    return 2.0 * pc.tan_sum[p] - 2.0 * math.pi

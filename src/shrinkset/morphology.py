@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AreaExceedsDomainError, EmptySetError, NonpositiveAreaError
+from .errors import (
+    AreaExceedsDomainError, BadConfigError, EmptySetError, NonpositiveAreaError, require_finite
+)
 from .geometry import (
     COLLINEAR_REL_TOL,
     ConvexPolygon,
@@ -343,8 +345,7 @@ def _profile(poly: ConvexPolygon) -> ErosionProfile:
 
 def dilate(s: RoundedSet, r: float) -> RoundedSet:
     """Minkowski sum with the disk of radius r (kernel unchanged)."""
-    if not (r >= 0.0 and math.isfinite(r)):
-        raise ValueError("dilation radius must be finite and nonnegative")
+    require_finite("dilation radius", r, 0.0)
     if s.is_empty:
         return s
     return RoundedSet(s.kernel, s.radius + r)
@@ -355,10 +356,9 @@ def polygon_erode(poly: ConvexPolygon, d: float) -> ConvexPolygon:
 
     The result may degenerate to a segment, a point, or the empty polygon.
     """
-    if not d >= 0:
-        raise ValueError("erosion depth must be nonnegative")
+    require_finite("erosion depth", d, 0.0)
     if len(poly) < 3:
-        raise ValueError("polygon_erode needs at least 3 vertices")
+        raise BadConfigError("polygon_erode needs at least 3 vertices")
     prof = _profile(poly)
     if d > prof.d_max + prof.tol:
         return ConvexPolygon.empty()
@@ -369,8 +369,7 @@ def polygon_erode(poly: ConvexPolygon, d: float) -> ConvexPolygon:
 
 def erode(s: RoundedSet, r: float) -> RoundedSet:
     """Adjoint of dilate: erode(s, r) = {x : B_r(x) inside s}."""
-    if not (r >= 0.0 and math.isfinite(r)):
-        raise ValueError("erosion radius must be finite and nonnegative")
+    require_finite("erosion radius", r, 0.0)
     if s.is_empty or r == 0.0:
         return s
     if r <= s.radius:
@@ -383,8 +382,7 @@ def erode(s: RoundedSet, r: float) -> RoundedSet:
 
 def opening(s: RoundedSet, rho: float) -> RoundedSet:
     """Union of all rho-balls contained in s: erosion then dilation."""
-    if rho <= 0:
-        raise ValueError("opening radius must be positive")
+    require_finite("opening radius", rho, 0.0, strict=True)
     if s.is_empty:
         return s
     if rho <= s.radius:

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import require_finite
 from .geometry import Point2, RoundedSet
 
 # rasterize decides whole BLOCK x BLOCK tiles of cells from one distance at
@@ -85,8 +86,7 @@ def rasterize(s: RoundedSet, h: float) -> RasterGrid:
     for the coordinates' magnitude.  Every other cell gets the distance
     from its own centre, so the mask equals the cell-by-cell one.
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("cell size must be finite and positive")
+    require_finite("cell size", h, 0.0, strict=True)
     if s.is_empty:
         return RasterGrid(Point2(0.0, 0.0), h, np.zeros((0, 0), dtype=bool))
     v = s.kernel.vertices
@@ -170,8 +170,7 @@ def _cover(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def raster_dilate(grid: RasterGrid, r: float) -> RasterGrid:
     """Mark every cell within distance r of an occupied cell."""
-    if not (r >= 0.0 and math.isfinite(r)):
-        raise ValueError("dilation radius must be finite and nonnegative")
+    require_finite("dilation radius", r, 0.0)
     if grid.occupancy.size == 0 or not grid.occupancy.any():
         return grid
     cells = int(math.ceil(r / grid.h)) + 2
@@ -188,8 +187,7 @@ def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
     The mask is read-only and memoized per radius on the grid, so an
     erosion and an opening by the same r share one pass.
     """
-    if not (r >= 0.0 and math.isfinite(r)):
-        raise ValueError("erosion radius must be finite and nonnegative")
+    require_finite("erosion radius", r, 0.0)
     if grid.occupancy.size == 0 or not grid.occupancy.any():
         return grid
     mask = grid._erosions.get(r)
@@ -204,8 +202,7 @@ def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
 
 
 def raster_opening(grid: RasterGrid, rho: float) -> RasterGrid:
-    if not rho > 0:
-        raise ValueError("opening radius must be positive")
+    require_finite("opening radius", rho, 0.0, strict=True)
     return raster_dilate(raster_erode(grid, rho), rho)
 
 

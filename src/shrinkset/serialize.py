@@ -39,6 +39,8 @@ def set_from_dict(d: dict) -> RoundedSet:
         kernel = d["kernel"]
         radius = float(d.get("radius", 0.0))
         return RoundedSet(ConvexPolygon(kernel), radius)
+    except BadConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise BadConfigError(f"invalid geometry JSON: {exc}") from exc
 

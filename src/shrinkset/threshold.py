@@ -10,7 +10,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import BadConfigError, NotCriticalError
+from .errors import NotCriticalError, require_finite
 from .evolution import _trajectory
 from .geometry import RoundedSet
 
@@ -24,20 +24,10 @@ class Outcome:
     time: float  # extinction time T* if Extinct, ball-entry time T† if Grows
 
 
-def _check_budget(M: float) -> None:
-    if not sys.float_info.min <= M <= sys.float_info.max:
-        raise BadConfigError(f"budget M must be finite and at least {sys.float_info.min}, got {M}")
-
-
-def _check_tol(tol: float) -> None:
-    if not (tol > 0 and math.isfinite(tol)):
-        raise BadConfigError(f"tol must be positive and finite, got {tol}")
-
-
 def classify(omega0: RoundedSet, M: float) -> Outcome:
     """Extinct at the extinction time T*, or Grows (for ever) from the
     ball-entry time T†: the outcome of the budget-M evolution."""
-    _check_budget(M)
+    require_finite("budget M", M, sys.float_info.min)
     _, _, t_ball, t_star, _ = _trajectory(omega0).phases(M)[-1]
     return Outcome(GROWS, t_ball) if t_star == math.inf else Outcome(EXTINCT, t_star)
 
@@ -49,7 +39,7 @@ def critical_budget(omega0: RoundedSet, tol: float = 1e-3, full_output: bool = F
     most tol wide or no float lies strictly inside it.  Returns the root of
     the chord through the final bracket's ends; with full_output, also the
     final bracket [lo, hi] and the number of bisection steps."""
-    _check_tol(tol)
+    require_finite("tol", tol, 0.0, strict=True)
     traj = _trajectory(omega0)
     lo, hi = traj.floor, traj.cap
     f_lo, f_hi = traj.excess(lo), traj.excess(hi)
@@ -75,7 +65,7 @@ def ball_time_at_critical(omega0: RoundedSet, M: float) -> float:
     """First time the controlled set becomes a ball, at a near-critical M.
     A budget below the isoperimetric floor 2 sqrt(pi * area), which no
     critical budget undercuts, raises NotCriticalError."""
-    _check_budget(M)
+    require_finite("budget M", M, sys.float_info.min)
     traj = _trajectory(omega0)
     if M < traj.floor:
         raise NotCriticalError(f"budget {M} is below the isoperimetric floor {traj.floor}")

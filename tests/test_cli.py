@@ -174,7 +174,7 @@ class TestSimulate:
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 1
-        assert "svg_every must be positive and finite" in done.stderr
+        assert "svg_every must be finite and positive" in done.stderr
         assert not list(tmp_path.glob("*.svg"))
 
     @pytest.mark.parametrize("period", ["nan", "inf"])
@@ -184,7 +184,7 @@ class TestSimulate:
             "simulate", "--geometry", str(geom), "--M", "4", "--horizon", "1",
             "--svg-every", period, "--out", str(out),
         ]) == 1
-        assert "svg_every must be positive and finite" in capsys.readouterr().err
+        assert "svg_every must be finite and positive" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.svg"))
 
     def test_config_file_with_override(self, geom, tmp_path):
@@ -338,7 +338,8 @@ class TestErrors:
              "vertices span"),
             # ln(M / 2pi) raised ValueError, and pi rho^2 overflowed to inf
             # rows with a warning
-            ({}, SQUARE_GEOM, ["simulate", "--M", "5e-324"], "budget M must be 0 or finite"),
+            ({}, SQUARE_GEOM, ["simulate", "--M", "5e-324"],
+             "budget M must be finite and at least"),
             ({}, SQUARE_GEOM, ["simulate", "--M", "1", "--horizon", "1e200", "--dt", "1e198"],
              "the area passes the float range"),
         ],

@@ -196,6 +196,7 @@ class TestRoundedMeasures:
     def test_empty(self):
         assert rounded_area(RoundedSet.empty()) == 0.0
         assert rounded_perimeter(RoundedSet.empty()) == 0.0
+        assert RoundedSet.empty().diameter == 0.0
 
     # a radius whose square overflows made rounded_area raise OverflowError
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, 1e160, np.float64(1e160)])
@@ -382,6 +383,17 @@ class TestProperties:
             big = 10.0 * s.diameter
             got = boundary_length_in_disk(s, (0.0, 0.0), big)
             assert got == pytest.approx(rounded_perimeter(s), rel=1e-12)
+
+    def test_edge_offset_to_a_point(self):
+        # a triangle with 1e-9 sides rounded by 1e9: two offset edges round
+        # to points, and the clipped length is the arcs' full turn
+        s = RoundedSet.from_polygon(
+            [(0, 0), (1e-9, 0), (0.5e-9, math.sqrt(3) / 2 * 1e-9)], 1e9
+        )
+        sides = [p for p in boundary_pieces(s) if p[0] == "seg"]
+        assert any(np.array_equal(p[1], p[2]) for p in sides)
+        got = boundary_length_in_disk(s, (0.0, 0.0), 2e9)
+        assert got == pytest.approx(rounded_perimeter(s), rel=1e-12)
 
     def test_concentric_disk_clips_a_ball(self):
         ball = RoundedSet.ball((1, -1), 1.0)

@@ -23,6 +23,7 @@ from shrinkset import (
     rounded_perimeter,
 )
 from shrinkset.geometry import ConvexPolygon, polygon_area, polygon_perimeter
+from shrinkset.morphology import _AREA_REL_TOL, _profile
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 RECT = [(0, 0), (2, 0), (2, 1), (0, 1)]
@@ -201,6 +202,22 @@ class TestFreeArcTurning:
             4 * math.sqrt(3) - 2 * math.pi
         )
 
+    @pytest.mark.parametrize(
+        "vertices, want",
+        [
+            (SQUARE, 8 - 2 * math.pi),
+            (RECT, 8 - 2 * math.pi),
+            (TRIANGLE, 6 * math.sqrt(3) - 2 * math.pi),
+        ],
+        ids=["square", "rectangle", "triangle"],
+    )
+    def test_within_the_profile_tolerance_of_rbar(self, vertices, want):
+        # polygon_erode snaps to the locus there: the 2x1 rectangle gave 0.0
+        # and the unit square -2pi
+        s = RoundedSet.from_polygon(vertices)
+        rbar, _ = inner_radius(s)
+        assert free_arc_turning(s, rbar * (1 - 1e-13)) == pytest.approx(want, rel=1e-12)
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRegimeError):
             free_arc_turning(sq(), 0.6)
@@ -218,6 +235,20 @@ class TestFreeArcTurning:
                 - rounded_perimeter(opening(s, rho - d))
             ) / (2 * d)
             assert fd == pytest.approx(free_arc_turning(s, rho), rel=1e-3)
+
+
+class TestDegenerateKernels:
+    def test_segment_opening_below_the_plateau(self):
+        # for a segment kernel area_hat(c) falls below area_full(c) by a few
+        # ulps, so an area just below the plateau reaches the opening branch,
+        # whose opening is the whole stadium
+        s = RoundedSet.stadium((0.3, 0.7), (0.7, 0.1), 0.1)
+        prof = _profile(s.kernel)
+        full = prof.area_full(s.radius)
+        tol = _AREA_REL_TOL * full
+        a = math.nextafter(full - tol, -math.inf)
+        assert prof.area_hat(s.radius) - tol <= a
+        assert prof.query(s.radius, a) == (rounded_perimeter(s), "Opening", 0.1, 0.0)
 
 
 class TestStructure:

@@ -124,9 +124,9 @@ class TestPolygonErode:
         with pytest.raises(EmptySetError):
             ErosionProfile(ConvexPolygon.empty())
 
-    @pytest.mark.parametrize("d", [-0.1, math.nan])
+    @pytest.mark.parametrize("d", [-0.1, math.nan, math.inf])
     def test_bad_depth_raises(self, d):
-        # a nan depth gave the empty polygon
+        # a nan or infinite depth gave the empty polygon
         with pytest.raises(ValueError):
             polygon_erode(ConvexPolygon(SQUARE), d)
 
@@ -140,6 +140,12 @@ class TestErode:
     def test_polygon_shrink(self):
         e = erode(sq(), 0.3)
         assert rounded_area(e) == pytest.approx(0.16)
+
+    def test_empty_or_zero_radius_is_unchanged(self):
+        empty = RoundedSet.empty()
+        assert erode(empty, 1.0) is empty
+        s = sq(0.2)
+        assert erode(s, 0.0) is s
 
     def test_ball_to_empty(self):
         assert erode(RoundedSet.ball((0, 0), 1.0), 2.0).is_empty

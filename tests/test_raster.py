@@ -368,15 +368,18 @@ class TestRadiusChecks:
             (raster_opening, opening, 0.0, "positive"),
             (raster_opening, opening, -0.1, "positive"),
             (raster_opening, opening, NAN, "positive"),
-            (raster_opening, opening, INF, "finite and nonnegative"),
+            (raster_opening, opening, INF, "finite and positive"),
         ],
     )
     def test_rejected_like_the_exact_layer(self, raster_op, exact_op, r, message):
         s = sq(0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exact:
             exact_op(s, r)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as raised:
             raster_op(rasterize(s, 0.01), r)
+        # both layers name the radius in the same words
+        assert str(raised.value) == str(exact.value)
+        assert "radius must be" in str(raised.value)
 
     @pytest.mark.parametrize("h", [0.0, -0.01, NAN, INF])
     def test_bad_cell_size(self, h):
