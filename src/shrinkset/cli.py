@@ -3,8 +3,9 @@
 Configuration comes from a JSON file (--config) with per-field command-line
 overrides, and every output is deterministic for a fixed config and seed.
 
-Exit codes: 0 success, 1 usage or config error, 2 numeric failure,
-3 validation failure.
+Exit codes: 0 success, 1 usage or config error (a non-finite number
+included), 2 an input outside the problem's domain, such as a one-step
+area a <= 0 or above the set's area, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def _geometry(cfg: dict) -> RoundedSet:
     if "geometry" not in cfg:
         raise BadConfigError("no geometry given (config key 'geometry' or --geometry)")
     s = set_from_dict(cfg["geometry"])
-    if s.is_empty or rounded_area(s) <= 0.0:
+    if rounded_area(s) <= 0.0:  # 0 for an empty set
         raise BadConfigError("geometry has zero area")
     return s
 
@@ -296,7 +297,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2, with the message on stderr,
-        # on a usage error; 2 is this program's numeric-failure code
+        # on a usage error; 2 is this program's code for an input outside
+        # the problem's domain
         return EXIT_OK if not exc.code else EXIT_USAGE
     handlers = {
         "simulate": cmd_simulate,

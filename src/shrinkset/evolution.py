@@ -142,7 +142,7 @@ class _Trajectory:
     """The budget-M evolution of one initial set, in closed form."""
 
     def __init__(self, omega0: RoundedSet):
-        area = 0.0 if omega0.is_empty else rounded_area(omega0)
+        area = rounded_area(omega0)  # 0 for an empty set
         if not area > 0.0:
             raise DegenerateDomainError("domain has zero area")
         # not the set, which holds this trajectory: a cycle outlives its last use
@@ -361,6 +361,7 @@ def reconstruct_set(trace: EvolutionTrace, t: float) -> RoundedSet:
     """The controlled set at time t, exact at every t (see _Path.sets)."""
     t_end = float(trace.t[-1])
     if not 0.0 <= t <= t_end + 1e-12:
+        require_finite("time", t)
         raise OutOfRangeError(f"time {t} outside the trace range [0, {t_end}]")
     return _path(trace).sets(np.array([t], dtype=float))[0]
 
@@ -380,6 +381,7 @@ def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float
     require_finite("cost weight c2", c2)
     t_end = float(trace.t[-1])
     if not (T >= 0.0 and (T <= t_end + 1e-12 or trace.T_star is not None)):
+        require_finite("cost horizon", T)
         raise OutOfRangeError(f"cost horizon {T} beyond the trace range")
     path = _path(trace)
     # every phase that starts before T, from its start to its end or T

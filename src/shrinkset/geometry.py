@@ -22,8 +22,10 @@ MERGE_REL_TOL = 1e-12
 COLLINEAR_REL_TOL = 1e-12
 
 # Number of uniformly spaced angles added to the exact kernel normals when
-# comparing support functions.
+# comparing support functions, and their unit vectors, built once.
 SUPPORT_GRID = 1024
+_GRID_ANGLES = np.linspace(0.0, 2.0 * math.pi, SUPPORT_GRID, endpoint=False)
+_GRID_DIRECTIONS = np.stack([np.cos(_GRID_ANGLES), np.sin(_GRID_ANGLES)], axis=1)
 
 
 class Point2(NamedTuple):
@@ -160,12 +162,9 @@ class ConvexPolygon:
             cr = cross2(before, cycled(before))
             if np.any(cr < -cross_tol):
                 raise BadConfigError("vertices do not describe a convex polygon")
-            keep = cr > cross_tol
+            sq = (before * before).sum(axis=1)
+            keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * cycled(sq))
             changed = not keep.all()
-            if changed:  # the relative bound is the lower one
-                sq = (before * before).sum(axis=1)
-                keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * cycled(sq))
-                changed = not keep.all()
             v = v[keep]
         if len(v) < 3:
             return _collinear_extremes(merged)
@@ -406,8 +405,7 @@ def _support_values(s: RoundedSet, dirs: np.ndarray) -> np.ndarray:
 
 
 def _probe_directions(a: RoundedSet, b: RoundedSet) -> np.ndarray:
-    angles = np.linspace(0.0, 2.0 * math.pi, SUPPORT_GRID, endpoint=False)
-    dirs = [np.stack([np.cos(angles), np.sin(angles)], axis=1)]
+    dirs = [_GRID_DIRECTIONS]
     for s in (a, b):
         n = s.kernel.edge_normals()
         if len(n):

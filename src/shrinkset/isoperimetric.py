@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRegimeError
+from .errors import OutOfRegimeError, require_finite
 from .geometry import RoundedSet, rounded_perimeter
 from .morphology import (
     _AREA_REL_TOL,
@@ -101,6 +101,7 @@ def invert_opening_area(s: RoundedSet, a: float) -> float:
     a_full = prof.area_full(c)
     tol = _AREA_REL_TOL * a_full
     if not prof.area_hat(c) - tol <= a <= a_full + tol:
+        require_finite("area", a)
         raise OutOfRegimeError(
             f"area {a} outside the opening range "
             f"[{prof.area_hat(c)}, {a_full}]"
@@ -115,6 +116,7 @@ def free_arc_turning(s: RoundedSet, rho: float) -> float:
     prof = _profile(s.kernel)
     rbar = prof.rbar(s.radius)
     if not (s.radius < rho < rbar):
+        require_finite("rho", rho)
         raise OutOfRegimeError(
             f"rho {rho} outside the corner-rounding range ({s.radius}, {rbar})"
         )

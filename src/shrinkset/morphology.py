@@ -28,6 +28,7 @@ from .geometry import (
     _merge_close,
     Point2,
     RoundedSet,
+    cross2,
     cycled,
     hausdorff,
     polygon_area,
@@ -107,21 +108,18 @@ class ErosionProfile:
             normals = self._normals = kernel.edge_normals()
             self._offsets = (normals * v).sum(axis=1)
             _, w = self._corners(np.arange(n))
-            edges = cycled(v) - v
-            lengths = np.linalg.norm(edges, axis=1)
-            units = edges / lengths[:, None]
-            shrink = ((cycled(w) - w) * units).sum(axis=1)
+            lengths = np.linalg.norm(cycled(v) - v, axis=1)
+            shrink = cross2(normals, cycled(w) - w)
             with np.errstate(divide="ignore"):
                 events = np.where(shrink > 1e-14, lengths / shrink, np.inf)
             tau = np.tan(0.5 * kernel.exterior_angles())
             d, area, perim, tan_sum = 0.0, self.area0, self.perim0, float(tau.sum())
-            # per edge, as Python floats: its unit normal and direction; its
-            # start vertex, at (px, py) at depth pd and moving by -(wx, wy)
-            # per unit depth, and tan(theta / 2) there; the length it loses
-            # per unit depth (rate) and the depth where it vanishes (key);
+            # per edge, as Python floats: its unit normal (nx, ny) and direction
+            # (-ny, nx); its start vertex, at (px, py) at depth pd and moving by
+            # -(wx, wy) per unit depth, and tan(theta / 2) there; the length it
+            # loses per unit depth (rate) and the depth where it vanishes (key);
             # its neighbours in the ring of live edges
             nx, ny = normals[:, 0].tolist(), normals[:, 1].tolist()
-            ux, uy = units[:, 0].tolist(), units[:, 1].tolist()
             px, py, pd = v[:, 0].tolist(), v[:, 1].tolist(), [0.0] * n
             wx, wy = w[:, 0].tolist(), w[:, 1].tolist()
             tau, rate, key = tau.tolist(), shrink.tolist(), events.tolist()
@@ -136,7 +134,7 @@ class ErosionProfile:
                 h = nxt[g]
                 dx = px[h] - (depth - pd[h]) * wx[h] - px[g] + (depth - pd[g]) * wx[g]
                 dy = py[h] - (depth - pd[h]) * wy[h] - py[g] + (depth - pd[g]) * wy[g]
-                return dx * ux[g] + dy * uy[g]
+                return dy * nx[g] - dx * ny[g]
 
             def polygon_before(depth: float) -> np.ndarray:
                 # vertices at depth of the edges alive just before it
@@ -210,12 +208,12 @@ class ErosionProfile:
                     ax = px[a] - (depth - pd[a]) * wx[a]
                     ay = py[a] - (depth - pd[a]) * wy[a]
                     r = ((qx - ax) * nx[a] + (qy - ay) * ny[a]) / s
-                    px[c], py[c], pd[c] = qx + r * ux[c], qy + r * uy[c], depth
+                    px[c], py[c], pd[c] = qx - r * ny[c], qy + r * nx[c], depth
                     # the same 2x2 system as the first piece's, by Cramer
                     wx[c], wy[c] = (ny[c] - ny[a]) / s, (nx[a] - nx[c]) / s
                 for g in joins | {prev[c] for c in joins}:
                     h = nxt[g]
-                    rate[g] = (wx[h] - wx[g]) * ux[g] + (wy[h] - wy[g]) * uy[g]
+                    rate[g] = (wy[h] - wy[g]) * nx[g] - (wx[h] - wx[g]) * ny[g]
                     if rate[g] > 1e-14:
                         key[g] = depth + length(g, depth) / rate[g]
                         heapq.heappush(heap, (key[g], g))
@@ -264,8 +262,6 @@ class ErosionProfile:
 
     def polygon_at(self, d: float) -> ConvexPolygon:
         """The kernel eroded by d < d_max (polygon_erode returns the locus)."""
-        if d <= 0.0:
-            return ConvexPolygon(self._vertices)
         x, w = self._corners(np.flatnonzero(self.death > d))
         return ConvexPolygon(x - d * w)
 
@@ -314,8 +310,10 @@ class ErosionProfile:
         a_full = self.area_full(c)
         tol = _AREA_REL_TOL * a_full
         if not a > 0.0:
+            require_finite("target area", a)
             raise NonpositiveAreaError(f"target area {a} is not positive")
         if a > a_full + tol:
+            require_finite("target area", a)
             raise AreaExceedsDomainError(
                 f"target area {a} exceeds domain area {a_full}"
             )
@@ -381,16 +379,12 @@ def erode(s: RoundedSet, r: float) -> RoundedSet:
 
 
 def opening(s: RoundedSet, rho: float) -> RoundedSet:
-    """Union of all rho-balls contained in s: erosion then dilation."""
+    """Union of all rho-balls contained in s: erosion then dilation, which
+    keep an empty set as it is."""
     require_finite("opening radius", rho, 0.0, strict=True)
-    if s.is_empty:
-        return s
     if rho <= s.radius:
         return s
-    core = erode(s, rho)
-    if core.is_empty:
-        return core
-    return dilate(core, rho)
+    return dilate(erode(s, rho), rho)
 
 
 def inner_radius(s: RoundedSet) -> tuple[float, InnerBallLocus]:

@@ -171,7 +171,7 @@ def _cover(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
 def raster_dilate(grid: RasterGrid, r: float) -> RasterGrid:
     """Mark every cell within distance r of an occupied cell."""
     require_finite("dilation radius", r, 0.0)
-    if grid.occupancy.size == 0 or not grid.occupancy.any():
+    if not grid.occupancy.any():  # also a grid without cells
         return grid
     cells = int(math.ceil(r / grid.h)) + 2
     occ = np.pad(grid.occupancy, cells)
@@ -188,7 +188,7 @@ def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
     erosion and an opening by the same r share one pass.
     """
     require_finite("erosion radius", r, 0.0)
-    if grid.occupancy.size == 0 or not grid.occupancy.any():
+    if not grid.occupancy.any():  # also a grid without cells
         return grid
     mask = grid._erosions.get(r)
     if mask is None:

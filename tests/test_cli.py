@@ -342,6 +342,8 @@ class TestErrors:
              "budget M must be finite and at least"),
             ({}, SQUARE_GEOM, ["simulate", "--M", "1", "--horizon", "1e200", "--dt", "1e198"],
              "the area passes the float range"),
+            # a NaN target area exited 2, as an area outside the domain does
+            ({}, SQUARE_GEOM, ["one-step", "--a", "nan"], "target area must be finite"),
         ],
     )
     def test_input_error_message(self, config, geometry, argv, message, tmp_path, capsys):
@@ -381,7 +383,7 @@ class TestErrors:
         ],
     )
     def test_usage_error(self, argv, geom, monkeypatch, capsys):
-        # exit 2 is reserved for numeric failure
+        # exit 2 is reserved for an input outside the problem's domain
         monkeypatch.chdir(geom.parent)
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err

@@ -502,9 +502,9 @@ class TestReconstruct:
         with pytest.raises(OutOfRangeError):
             reconstruct_set(trace, 1.1)
 
-    def test_nan_time_is_out_of_range(self):
+    def test_nan_time_is_refused(self):
         trace = simulate(sq(), 4.0, horizon=5.0)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadConfigError, match="^time must be finite"):
             reconstruct_set(trace, math.nan)
 
 
@@ -528,8 +528,15 @@ class TestCost:
         trace = simulate(sq(), 3.0, horizon=0.5)
         with pytest.raises(OutOfRangeError):
             compute_cost(trace, 1.0, 0.0, 1.0)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadConfigError, match="^cost horizon must be finite"):
             compute_cost(trace, 1.0, 0.0, math.nan)
+
+    def test_infinite_horizon_costs_the_whole_run(self):
+        # from extinction on the area is 0, so T = inf costs what T = T* does
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        whole = compute_cost(trace, 1.0, 1.0, math.inf)
+        assert whole == compute_cost(trace, 1.0, 1.0, trace.T_star)
+        assert whole == pytest.approx(0.5466510976061638, rel=1e-12)
 
     @pytest.mark.parametrize("c1, c2", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
     def test_non_finite_weights(self, c1, c2):

@@ -20,12 +20,17 @@ from shrinkset import (
     critical_budget,
     dilate,
     erode,
+    free_arc_turning,
+    invert_opening_area,
     opening,
+    optimal_subset,
+    perimeter_of_area,
     polygon_erode,
     raster_dilate,
     raster_erode,
     raster_opening,
     rasterize,
+    reconstruct_set,
     simulate,
     support,
 )
@@ -41,6 +46,13 @@ def sq() -> RoundedSet:
 @functools.cache
 def _trace():
     return simulate(sq(), 4.0, 1.0)
+
+
+@functools.cache
+def _live_trace():
+    # the square at M = 4 dies at T* = 0.83: up to 0.5 the trace has no T*,
+    # so an infinite cost horizon lies beyond it
+    return simulate(sq(), 4.0, 0.5)
 
 
 @functools.cache
@@ -67,6 +79,12 @@ CASES = [
     ("simulate-dt", lambda x: simulate(sq(), 4.0, 1.0, x), "dt"),
     ("compute_cost-c1", lambda x: compute_cost(_trace(), x, 0.0, 0.5), "cost weight c1"),
     ("compute_cost-c2", lambda x: compute_cost(_trace(), 0.0, x, 0.5), "cost weight c2"),
+    ("compute_cost-T", lambda x: compute_cost(_live_trace(), 1.0, 0.0, x), "cost horizon"),
+    ("reconstruct_set-t", lambda x: reconstruct_set(_trace(), x), "time"),
+    ("optimal_subset-a", lambda x: optimal_subset(sq(), x), "target area"),
+    ("perimeter_of_area-a", lambda x: perimeter_of_area(sq(), x), "target area"),
+    ("invert_opening_area-a", lambda x: invert_opening_area(sq(), x), "area"),
+    ("free_arc_turning-rho", lambda x: free_arc_turning(sq(), x), "rho"),
     ("check_admissible-delta", lambda x: check_admissible(_trace(), x, 1e-9), "delta"),
     ("check_admissible-tol", lambda x: check_admissible(_trace(), 0.01, x), "tol"),
     ("classify-M", lambda x: classify(sq(), x), "budget M"),

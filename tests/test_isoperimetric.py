@@ -6,6 +6,7 @@ from scipy.spatial import ConvexHull
 
 from shrinkset import (
     AreaExceedsDomainError,
+    BadConfigError,
     NonpositiveAreaError,
     OutOfRegimeError,
     RoundedSet,
@@ -93,7 +94,7 @@ class TestRegimes:
             optimal_subset(sq(), 2.0)
 
     def test_nan_area_rejected(self):
-        with pytest.raises(NonpositiveAreaError):
+        with pytest.raises(BadConfigError, match="^target area must be finite"):
             optimal_subset(sq(), math.nan)
 
 
@@ -114,7 +115,7 @@ class TestInvertOpeningArea:
             invert_opening_area(sq(), 0.5)
 
     def test_nan_area_rejected(self):
-        with pytest.raises(OutOfRegimeError):
+        with pytest.raises(BadConfigError, match="^area must be finite"):
             invert_opening_area(sq(), math.nan)
 
     def test_roundtrip(self, rng):
@@ -135,7 +136,7 @@ class TestPerimeterOfArea:
         assert perimeter_of_area(sq(), 0.9) == pytest.approx(4 - 2 * (4 - math.pi) * rho)
 
     def test_nan_area_rejected(self):
-        with pytest.raises(NonpositiveAreaError):
+        with pytest.raises(BadConfigError, match="^target area must be finite"):
             perimeter_of_area(sq(), math.nan)
 
     def test_monotone_nondecreasing(self, rng):

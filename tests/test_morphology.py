@@ -116,6 +116,13 @@ class TestPolygonErode:
     def test_past_depth_is_empty(self):
         assert len(polygon_erode(ConvexPolygon(SQUARE), 0.51)) == 0
 
+    def test_zero_depth_is_the_kernel(self, rng):
+        # the corners at depth 0 are the kernel's own vertices (as numbers:
+        # x - 0 * w turns a -0.0 coordinate into 0.0)
+        for _ in range(20):
+            kernel = random_rounded_set(rng).kernel
+            assert np.array_equal(polygon_erode(kernel, 0.0).vertices, kernel.vertices)
+
     def test_segment_raises(self):
         with pytest.raises(ValueError, match="at least 3 vertices"):
             polygon_erode(ConvexPolygon.segment((0, 0), (1, 0)), 0.1)
@@ -166,6 +173,10 @@ class TestOpening:
 
     def test_empty(self):
         assert opening(RoundedSet.empty(), 0.3).is_empty
+        # erode and dilate return an empty set itself, so opening does too
+        for empty in (RoundedSet.empty(), RoundedSet(ConvexPolygon.empty(), 0.5)):
+            assert opening(empty, 0.3) is empty and opening(empty, 0.8) is empty
+        assert opening(RoundedSet.ball((0, 0), 1.0), 2.0).is_empty
 
     def test_below_radius_is_identity(self):
         s = sq(0.2)
