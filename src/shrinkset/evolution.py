@@ -176,9 +176,14 @@ class _Trajectory:
             terms = math.log(M) - self._log_k2 + np.log(-np.expm1(-x)) - before[:-1]
         return before + np.logaddexp.accumulate(np.concatenate(([self._log_c0], terms)))
 
-    def excess(self, M: float) -> float:
-        """ln R_b - ln(M / 2pi): negative iff the budget-M evolution dies."""
-        return float(self.log_radii(M)[-1]) + self._two_l / M - math.log(M / (2.0 * math.pi))
+    def excess(self, M: float, log_rho: np.ndarray | None = None) -> float:
+        """ln R_b - ln(M / 2pi), from log_radii(M) if given: negative iff the
+        budget-M evolution dies."""
+        log_rho = self.log_radii(M) if log_rho is None else log_rho
+        gap = float(log_rho[-1]) + self._two_l / M - math.log(M / (2.0 * math.pi))
+        if math.isnan(gap):
+            raise DegenerateDomainError(f"the excess at budget {M} is NaN")
+        return gap
 
     def phases(self, M: float) -> tuple[tuple[str, int | None, float, float, float], ...]:
         """The budget-M evolution's phases (kind, piece, t_start, t_end,
@@ -209,7 +214,7 @@ class _Trajectory:
             t_ball = t_star = start[-1] + (
                 float(r_stadium * np.expm1(self._two_l / M)) if self._two_l > 0.0 else 0.0
             )
-        gap = float(log_rho[-1]) + self._two_l / M - math.log(M / (2.0 * math.pi))
+        gap = self.excess(M, log_rho)
         try:
             # R_b from the excess, so it lies on the side of r* that T* says
             r_ball = M / (2.0 * math.pi) * math.exp(gap)

@@ -168,6 +168,10 @@ class ConvexPolygon:
             v = v[keep]
         if len(v) < 3:
             return _collinear_extremes(merged)
+        # every turn is to the left: they sum to a whole number of turns,
+        # more than one for a star or a zig-zag
+        if np.arctan2(cr, (before * cycled(before)).sum(axis=1)).sum() > 3.0 * math.pi:
+            raise BadConfigError("vertices do not describe a convex polygon")
         return v
 
     # -- constructors ---------------------------------------------------

@@ -54,11 +54,7 @@ def optimal_subset(s: RoundedSet, a: float) -> IsoperimetricSolution:
     Ball-regime solutions are centered at the centroid of the maximal
     opening, i.e. at the midpoint of the inscribed-ball locus.
     """
-    prof = _profile(s.kernel)
-    perim, regime, rho, d = prof.query(s.radius, a)
-    length = 0.0
-    if regime == STADIUM:
-        length = min(max((a - math.pi * rho * rho) / (2.0 * rho), 0.0), prof.locus_len)
+    _, regime, rho, length = _profile(s.kernel).query(s.radius, a)
     sub = _subset(s, regime, rho, length)
     kappa = 1.0 / rho if rho > 0.0 else math.inf
     return IsoperimetricSolution(

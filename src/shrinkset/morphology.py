@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -88,8 +89,10 @@ class ErosionProfile:
     vertex (where their lines cross) and a new collapse depth, which the
     queue orders.  Each piece's area, perimeter and tan_sum follow from
     the previous piece in closed form.  `death` holds the depth at which
-    each edge vanishes, and polygon_at rebuilds any eroded polygon from the
-    edges alive at its depth.
+    each edge vanishes, and the build keeps every start vertex it sets, so
+    polygon_at rebuilds any eroded polygon from the edges alive at its
+    depth.  A kernel far from the origin is built in its own frame (see
+    `origin`), since the build's rounding grows with its coordinates.
     """
 
     def __init__(self, kernel: ConvexPolygon):
@@ -100,14 +103,20 @@ class ErosionProfile:
         self.perim0 = polygon_perimeter(kernel)
         scale = kernel.diameter
         self.tol = tol = _DEPTH_REL_TOL * max(scale, 1.0)
-        v = self._vertices = kernel.vertices
-        n = len(v)
+        n = len(kernel)
         if n < 3:
             self.d_max, self.death, self.locus = 0.0, np.zeros(0), kernel
         else:
-            normals = self._normals = kernel.edge_normals()
-            self._offsets = (normals * v).sum(axis=1)
-            _, w = self._corners(np.arange(n))
+            # the build's rounding grows with its coordinates: its origin is
+            # the vertex mean rounded to a grid of 4x the power of two above
+            # the diameter, 0 near the origin and an exact shift far from it
+            grid = math.ldexp(4.0, math.frexp(scale)[1])
+            self.origin = origin = grid * np.round(kernel.vertices.sum(axis=0) / (n * grid))
+            v = kernel.vertices - origin
+            normals = kernel.edge_normals()
+            # vertex i slides so it stays on the offset lines of edges i - 1, i
+            lines = np.stack([cycled(normals, -1), normals], axis=1)
+            w = np.linalg.solve(lines, np.ones((n, 2, 1)))[..., 0]
             lengths = np.linalg.norm(cycled(v) - v, axis=1)
             shrink = cross2(normals, cycled(w) - w)
             with np.errstate(divide="ignore"):
@@ -128,7 +137,10 @@ class ErosionProfile:
             heap = [(k, e) for e, k in enumerate(key) if k < math.inf]
             heapq.heapify(heap)
             live = n
-            mag = scale + float(np.abs(v).max())
+            # the collapse residue is noise of the input's own coordinates
+            mag = scale + float(np.abs(kernel.vertices).max())
+            # each start vertex the build sets, in its frame: (edge, x, y, depth, wx, wy)
+            rows = [*zip(range(n), px, py, pd, wx, wy)]
 
             def length(g: int, depth: float) -> float:
                 h = nxt[g]
@@ -211,6 +223,7 @@ class ErosionProfile:
                     px[c], py[c], pd[c] = qx - r * ny[c], qy + r * nx[c], depth
                     # the same 2x2 system as the first piece's, by Cramer
                     wx[c], wy[c] = (ny[c] - ny[a]) / s, (nx[a] - nx[c]) / s
+                    rows.append((c, px[c], py[c], depth, wx[c], wy[c]))
                 for g in joins | {prev[c] for c in joins}:
                     h = nxt[g]
                     rate[g] = (wy[h] - wy[g]) * nx[g] - (wx[h] - wx[g]) * ny[g]
@@ -225,14 +238,11 @@ class ErosionProfile:
             u = polygon_before(depth) if point is None else point
             # merge at the parent scale: a collapse event leaves clusters of
             # float noise that the polygon's own bbox tolerance cannot see
-            self.locus = ConvexPolygon(_merge_close(u, tol))
-        # area and perimeter of the sharp kernel's opening at rho = d1 of
-        # every piece but the last; rounded by c, that opening has area
-        # area + c * (perim + pi * c)
-        self._ends = [
-            (a1 + d1 * p1 + math.pi * d1 * d1, p1 + 2.0 * math.pi * d1)
-            for d1, a1, p1 in zip(pc.d1, pc.area0[1:], pc.perim0[1:])
-        ]
+            self.locus = ConvexPolygon(_merge_close(u, tol) + origin)
+            # grouped by edge, each group in event order
+            rows = np.fromiter(chain.from_iterable(rows), float, 6 * len(rows)).reshape(-1, 6)
+            self._rows = rows = rows[np.argsort(rows[:, 0], kind="stable")]
+            self._start = np.searchsorted(rows[:, 0], np.arange(n))
         lv = self.locus.vertices
         if len(lv) == 2:
             e = lv[1] - lv[0]
@@ -244,26 +254,13 @@ class ErosionProfile:
             self.locus_center = Point2(*lv[0])
             self.locus_dir = Point2(1.0, 0.0)
 
-    def _corners(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vertices x and inward velocities w of the polygon bounded by the
-        offset lines of the edges idx (in ring order): its vertices at depth
-        d are x - d * w.  A vertex of the kernel keeps its coordinates; one
-        left by vanished edges is where the two lines cross at depth 0."""
-        prv = cycled(idx, -1)
-        lines = np.stack([self._normals[prv], self._normals[idx]], axis=1)
-        # vertex i slides so it stays on both adjacent offset lines
-        w = np.linalg.solve(lines, np.ones((len(idx), 2, 1)))[..., 0]
-        x = self._vertices[idx]
-        joined = prv != (idx - 1) % len(self._vertices)
-        if joined.any():
-            rhs = np.stack([self._offsets[prv], self._offsets[idx]], axis=1)[joined]
-            x[joined] = np.linalg.solve(lines[joined], rhs[..., None])[..., 0]
-        return x, w
-
     def polygon_at(self, d: float) -> ConvexPolygon:
-        """The kernel eroded by d < d_max (polygon_erode returns the locus)."""
-        x, w = self._corners(np.flatnonzero(self.death > d))
-        return ConvexPolygon(x - d * w)
+        """The kernel eroded by d < d_max (polygon_erode returns the locus):
+        each edge alive at d starts at the last vertex the build set for it
+        at or before d, moved on to d."""
+        rows, start = self._rows, self._start
+        i = (start + np.add.reduceat(rows[:, 3] <= d, start) - 1)[self.death > d]
+        return ConvexPolygon(rows[i, 1:3] - (d - rows[i, 3:4]) * rows[i, 4:6] + self.origin)
 
     def rbar(self, c: float) -> float:
         """Inner radius of the kernel rounded by c."""
@@ -280,24 +277,25 @@ class ErosionProfile:
     def _opening_depth(self, c: float, a: float) -> tuple[float, float]:
         """Erosion depth d with area(opening at rho=c+d) == a, and that area's
         perimeter.  Valid for area_hat <= a <= area_full."""
-        pc, ends = self.pieces, self._ends
+        pc = self.pieces
         if not pc.d0:
             # degenerate kernel: opening is the whole set at every depth
             return 0.0, self.perim0 + 2.0 * math.pi * c
-        # the opening area falls with depth: bisect for the first piece that
-        # ends at an area of at most a (or the last piece)
-        lo, hi = 0, len(ends)
+        # the opening area falls with depth: bisect for the first piece whose
+        # end, the next piece's start, has an area of at most a (or the last),
+        # keeping f0, the area where it starts (the whole set's for the first)
+        lo, hi, f0 = 0, len(pc) - 1, self.area_full(c)
         while lo < hi:
             p = (lo + hi) // 2
-            area, perim = ends[p]
-            if a >= area + c * (perim + math.pi * c):
+            b = c + pc.d0[p + 1]
+            f = pc.area0[p + 1] + b * pc.perim0[p + 1] + math.pi * b * b
+            if a >= f:
                 hi = p
             else:
-                lo = p + 1
+                lo, f0 = p + 1, f
         d0, d1, tan_sum = pc.d0[lo], pc.d1[lo], pc.tan_sum[lo]
         t = tan_sum - math.pi  # > 0: opening area strictly decreases
         b = c + d0
-        f0 = pc.area0[lo] + b * pc.perim0[lo] + math.pi * b * b
         x = -b + math.sqrt(max(b * b + (f0 - a) / t, 0.0))
         x = min(max(x, 0.0), d1 - d0)
         d = d0 + x
@@ -305,8 +303,9 @@ class ErosionProfile:
         return d, perim
 
     def query(self, c: float, a: float) -> tuple[float, str, float, float]:
-        """(perimeter, regime, rho, erosion depth) of the least-perimeter
-        subset with area a of the kernel rounded by c."""
+        """(perimeter, regime, rho, straight length) of the least-perimeter
+        subset with area a of the kernel rounded by c: the length is the
+        stadium's straight part, 0 in the other regimes."""
         a_full = self.area_full(c)
         tol = _AREA_REL_TOL * a_full
         if not a > 0.0:
@@ -327,12 +326,12 @@ class ErosionProfile:
             return self.perim0 + 2.0 * math.pi * c, regime, c, 0.0
         if a >= self.area_hat(c) - tol:
             d, perim = self._opening_depth(c, a)
-            return perim, OPENING, c + d, d
+            return perim, OPENING, c + d, 0.0
         if a >= a_ball - tol and self.locus_len > 0.0:
             length = max((a - a_ball) / (2.0 * rbar), 0.0)
-            return 2.0 * length + 2.0 * math.pi * rbar, STADIUM, rbar, self.d_max
+            return 2.0 * length + 2.0 * math.pi * rbar, STADIUM, rbar, length
         r = math.sqrt(a / math.pi)
-        return 2.0 * math.sqrt(math.pi * a), BALL, r, self.d_max
+        return 2.0 * math.sqrt(math.pi * a), BALL, r, 0.0
 
 
 def _profile(poly: ConvexPolygon) -> ErosionProfile:

@@ -107,6 +107,16 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             ConvexPolygon([(0, 0), (2, 0), (1, 0.1), (0, 2)])
 
+    @pytest.mark.parametrize(
+        "n, turns, flat", [(5, 2, 1.0), (7, 3, 1e-4)], ids=["pentagram", "zig-zag"]
+    )
+    def test_boundary_winding_more_than_once_rejected(self, n, turns, flat):
+        # every turn is to the left, but the boundary winds more than once:
+        # a star, or a flat heptagram whose reversals turn by nearly pi
+        t = 2.0 * math.pi * turns * np.arange(n) / n
+        with pytest.raises(BadConfigError, match="convex"):
+            ConvexPolygon(np.stack([np.cos(t), flat * np.sin(t)], axis=1))
+
     def test_collinear_points_become_segment(self):
         p = ConvexPolygon([(0, 0), (1, 1), (2, 2)])
         assert len(p) == 2

@@ -27,6 +27,8 @@ from shrinkset.geometry import (
 )
 from shrinkset.morphology import ErosionProfile
 
+_EPS = float(np.finfo(float).eps)
+
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 RECT = [(0, 0), (2, 0), (2, 1), (0, 1)]
 TRIANGLE = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
@@ -69,6 +71,31 @@ def _reference_profile(kernel):
             u = u[:1]
         v = _merge_close(u, tol)
     return np.array(rows).T, d
+
+
+def _eroded_50_digits(v, d):
+    """The convex polygon v eroded by d at 50 digits: v clipped by each
+    edge's line moved inward by d (Sutherland and Hodgman 1974)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        poly = [tuple(map(mpmath.mpf, p)) for p in v.tolist()]
+        lines = []
+        for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]):
+            length = mpmath.hypot(x1 - x0, y1 - y0)
+            nx, ny = (y1 - y0) / length, (x0 - x1) / length  # outward
+            lines.append((nx, ny, nx * x0 + ny * y0 - d))
+        for nx, ny, off in lines:
+            out = []
+            for a, b in zip(poly, poly[1:] + poly[:1]):
+                fa, fb = nx * a[0] + ny * a[1] - off, nx * b[0] + ny * b[1] - off
+                if fa <= 0:
+                    out.append(a)
+                if fa * fb < 0:
+                    t = fa / (fa - fb)
+                    out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+            poly = out
+        return np.array(poly, float)
 
 
 def sq(radius=0.0):
@@ -281,29 +308,37 @@ class TestErosionProfile:
                 d = float(d)
                 e = polygon_erode(s.kernel, d)
                 a = polygon_area(e) + d * polygon_perimeter(e) + math.pi * d * d
-                perim, regime, rho, depth = prof.query(0.0, a)
+                perim, regime, rho, length = prof.query(0.0, a)
                 assert regime == "Opening"
-                assert depth == pytest.approx(d, abs=1e-10)
+                assert length == 0.0
                 assert rho == pytest.approx(d, abs=1e-10)
                 assert perim - 2.0 * math.pi * d == pytest.approx(
                     polygon_perimeter(e), abs=1e-10
                 )
 
     def test_velocities_match_per_vertex_solve(self, rng):
-        # the batched solve must equal solving each vertex's 2x2 system, for
-        # the polygon of every piece (the edges alive inside it)
-        for _ in range(10):
-            prof = ErosionProfile(random_rounded_set(rng).kernel)
-            for d0, d1 in zip(prof.pieces.d0, prof.pieces.d1):
-                idx = np.flatnonzero(prof.death > 0.5 * (d0 + d1))
-                _, w = prof._corners(idx)
-                n = prof._normals[idx]
-                nprev = np.roll(n, 1, axis=0)
-                want = [
-                    np.linalg.solve(np.array([nprev[i], n[i]]), np.ones(2))
-                    for i in range(len(n))
-                ]
-                assert np.array_equal(w, np.array(want))
+        # each vertex the build set moves so that it stays on the offset
+        # lines of its two edges: at a kernel vertex the batched solve must
+        # equal solving its 2x2 system alone, and a vertex left by vanished
+        # edges must solve the system of the edges it joins to rounding
+        kernels = [random_rounded_set(rng).kernel for _ in range(10)]
+        checked = 0
+        for k in kernels + [ConvexPolygon(_ellipse(100))]:
+            prof = ErosionProfile(k)
+            normals = k.edge_normals()
+            edge, depth, w = prof._rows[:, 0].astype(int), prof._rows[:, 3], prof._rows[:, 4:6]
+            first = prof._start
+            assert np.all(depth[first] == 0.0)
+            want = [np.linalg.solve(np.array([normals[e - 1], normals[e]]), np.ones(2)) for e in edge[first]]
+            assert np.array_equal(w[first], np.array(want))
+            for i in np.setdiff1d(np.arange(len(edge)), first):
+                # the edge before it in the ring of edges alive past its depth
+                alive = np.flatnonzero(prof.death > depth[i])
+                a = alive[np.searchsorted(alive, edge[i]) - 1]
+                residual = np.array([normals[a], normals[edge[i]]]) @ w[i] - 1.0
+                assert np.abs(residual).max() <= 4 * _EPS * np.abs(w[i]).sum()
+                checked += 1
+        assert checked > 0
 
     def test_matches_per_event_reference(self, rng):
         # depths and tan_sum to 1e-12 relative; each piece's area and
@@ -348,6 +383,22 @@ class TestErosionProfile:
                     want = perim0 - 2.0 * tan_sum * (d - d0)
                     got = polygon_perimeter(prof.polygon_at(d))
                     assert got == pytest.approx(want, rel=0, abs=1e-12 * pc.perim0[0])
+
+    def test_polygon_at_matches_50_digit_erosion(self, rng):
+        # each vertex comes from the build's own rows, extrapolated from the
+        # depth where an event set it: within 1e-12 of the diameter of the
+        # half-plane intersection at 50 digits, at the middle of every piece,
+        # also for a copy a thousand diameters out (built in its own frame)
+        for _ in range(20):
+            near = random_rounded_set(rng).kernel
+            for k in (near, ConvexPolygon(near.vertices + (1e3, 370.0))):
+                prof = ErosionProfile(k)
+                for d0, d1 in zip(prof.pieces.d0, prof.pieces.d1):
+                    d = 0.5 * (d0 + d1)
+                    got = prof.polygon_at(d).vertices
+                    want = _eroded_50_digits(k.vertices, d)
+                    gap = np.sqrt(((want[:, None, :] - got[None, :, :]) ** 2).sum(-1))
+                    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12 * k.diameter
 
     @pytest.mark.parametrize("n", [512, 1024, 4096])
     @pytest.mark.parametrize("moved", [False, True])

@@ -21,6 +21,8 @@ from shrinkset import (
     rounded_area,
     simulate,
 )
+from shrinkset.evolution import _Trajectory
+from shrinkset.morphology import _profile
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 RECT = [(0, 0), (2, 0), (2, 1), (0, 1)]
@@ -273,7 +275,7 @@ class TestProperties:
         assert critical_budget(scaled, tol=1e-9 * lam) / lam == pytest.approx(m0, rel=1e-12)
 
     @_properties
-    @given(hulls(), st.floats(0, 2 * math.pi), st.floats(-10, 10), st.floats(-10, 10))
+    @given(hulls(), st.floats(0, 2 * math.pi), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
     def test_rigid_motion(self, s, angle, dx, dy):
         rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
         moved = RoundedSet.from_polygon(s.kernel.vertices @ rot.T + (dx, dy), s.radius)
@@ -345,6 +347,34 @@ class TestExtremes:
         s = RoundedSet.from_polygon(1e3 + 1e-6 * np.array(SQUARE, float))
         m0 = critical_budget(s, tol=1e-12)
         assert m0 / 1e-6 == pytest.approx(SQUARE_M0, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [42, 90, 400, 3200])
+    @pytest.mark.parametrize("angle", [0.0, 0.3, 1.1])
+    def test_moved_ellipse(self, n, angle):
+        # far from the origin the profile is built in the kernel's own frame:
+        # no piece has a negative width, and M0 keeps its value but for the
+        # input's own rounding (an ulp of a coordinate at 1e6 is 4e-11 of
+        # the diameter)
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        v = _ellipse(n) @ rot.T
+        m0 = critical_budget(RoundedSet.from_polygon(v), tol=1e-9)
+        for s in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6):
+            moved = RoundedSet.from_polygon(v + s * np.array([1.0, 0.37]))
+            rel = 1e-10 if s <= 1e5 else 1e-9
+            assert critical_budget(moved, tol=1e-9) == pytest.approx(m0, rel=rel)
+            pc = _profile(moved.kernel).pieces
+            assert all(d1 >= d0 for d0, d1 in zip(pc.d0, pc.d1))
+
+    def test_nan_trajectory_raises(self, monkeypatch):
+        # a NaN excess neither steers the bisection to its cap nor reads as
+        # growth
+        def nan_radii(traj, M):
+            return np.full(traj.pieces.shape[1] + 1, math.nan)
+
+        monkeypatch.setattr(_Trajectory, "log_radii", nan_radii)
+        for run in (critical_budget, lambda s: classify(s, 8.0), lambda s: simulate(s, 8.0, 1.0)):
+            with pytest.raises(DegenerateDomainError, match="NaN"):
+                run(sq())
 
     def test_area_overflow_rejected(self):
         # the area of a ball of radius 1e154 is inf: M0 came out inf
