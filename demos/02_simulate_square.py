@@ -27,4 +27,4 @@ print()
 print("the critical budget separating the two fates is strictly above the")
 print("isoperimetric rate 2*sqrt(pi*area) = {:.6f} of the initial square;".format(
     2 * math.sqrt(math.pi)))
-print("see demo 03 for locating it by bisection.")
+print("see demo 03 for locating it as the root of a closed form.")

@@ -89,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _option(s, "c2", "terminal cost weight")
     _option(s, "svg_every", "SVG snapshot period")
     s.add_argument("--stats", action="store_true", help="also write the phase log")
+    t.add_argument("--stats", action="store_true", help="also write the root log")
     for cmd in (s, t, o, v):
         cmd.add_argument("--out", type=Path, help="output file (default stdout)")
     v.add_argument(
@@ -203,8 +204,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_threshold(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     omega0 = _geometry(cfg)
-    m0, bracket, iterations = critical_budget(omega0, cfg.get("tol", 1e-3), full_output=True)
-    _emit(args, threshold_report(m0, bracket, iterations, ball_time_at_critical(omega0, m0)))
+    m0, bracket, roots = critical_budget(omega0, cfg.get("tol", 1e-3), full_output=True)
+    t_dagger = ball_time_at_critical(omega0, m0)
+    _emit(args, threshold_report(m0, bracket, roots, t_dagger, args.stats))
     return EXIT_OK
 
 

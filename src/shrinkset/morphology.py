@@ -102,7 +102,7 @@ class ErosionProfile:
         self.area0 = polygon_area(kernel)
         self.perim0 = polygon_perimeter(kernel)
         scale = kernel.diameter
-        self.tol = tol = _DEPTH_REL_TOL * max(scale, 1.0)
+        self.tol = tol = _DEPTH_REL_TOL * scale
         n = len(kernel)
         if n < 3:
             self.d_max, self.death, self.locus = 0.0, np.zeros(0), kernel

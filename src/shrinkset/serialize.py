@@ -76,14 +76,23 @@ def phase_log(trace: EvolutionTrace) -> str:
 
 
 def threshold_report(
-    m0: float, bracket: tuple[float, float], iterations: int, t_dagger: float
+    m0: float,
+    bracket: tuple[float, float],
+    roots: list[tuple[float, float, float]],
+    t_dagger: float,
+    stats: bool = False,
 ) -> str:
+    """critical_budget's answer as JSON: M0, its final bracket, the number
+    of excess evaluations and T_dagger; with stats, also the root log, one
+    {M, excess, seconds} per evaluation."""
     doc = {
         "M0": m0,
         "bracket": [bracket[0], bracket[1]],
-        "iterations": iterations,
+        "iterations": len(roots),
         "T_dagger": t_dagger,
     }
+    if stats:
+        doc["roots"] = [{"M": M, "excess": f, "seconds": s} for M, f, s in roots]
     return json.dumps(doc, indent=2) + "\n"
 
 

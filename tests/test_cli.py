@@ -38,13 +38,13 @@ GOLDEN = [
 VALIDATE_DIGEST = "c28e5d8065e108326f14a4975cb48ab8718f73df2f740f47e3fac2ef32faee1a"
 PINNED = [
     (SQUARE_GEOM, ["threshold"],
-     "394dac07f0a8008dfe82f127b7e42f69d94c64e86fcf4ee723077489152b6105"),
+     "662d577b3c7f54002f3c175d1f610309b5f607286f6284504d3cd69294481fcc"),
     (RECTANGLE_GEOM, ["threshold"],
-     "089b5c03d6e5307cc13e87cc57c0fe9f19419fd893d4f987625e961c4aa1fae1"),
+     "08141f001e3c1dfdb9a6b7ed7b18940907dee688a5097ae94071bd72f711e641"),
     (ROUNDED_GEOM, ["threshold"],
-     "e8c97c2587731de1ae61d8cddde6e79fdfa74ef9d43972f1b8c342f953ab95a1"),
+     "3b831b13d7034177130c86b4dc89667a7b395176ba74f1821829be2f665265f9"),
     (TRIANGLE_GEOM, ["threshold"],
-     "76e246fa123ca4ecc6dd34f39c9f881f08123e1988c3238cf177190469cb90b6"),
+     "44af7444477bda148ddd257fe9d482dfee84beac87ba09c45b0f4d1a074708d4"),
     (SQUARE_GEOM, ["one-step", "--a", "0.3"],
      "5f6a89093662205204cd7619014722371906da671f84e86743ecf192c62185ff"),
     (SQUARE_GEOM, ["one-step", "--a", "0.95"],
@@ -142,9 +142,10 @@ class TestSimulate:
         assert float(t1) == float(b0) == comments["T_dagger"]
         assert float(b1) == comments["T_star"]
 
-    def test_stats_is_read_by_simulate_only(self, geom, capsys):
-        assert main(["threshold", "--geometry", str(geom), "--stats"]) == 1
-        assert "error:" in capsys.readouterr().err
+    def test_stats_is_read_by_simulate_and_threshold_only(self, geom, capsys):
+        for argv in (["one-step", "--geometry", str(geom), "--a", "0.5"], ["validate"]):
+            assert main([*argv, "--stats"]) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_svg_snapshots(self, geom, tmp_path):
         out = tmp_path / "trace.csv"
@@ -214,6 +215,25 @@ class TestThreshold:
         assert report["M0"] == pytest.approx(3.5535, abs=0.05)
         assert report["T_dagger"] == pytest.approx(0.0656, abs=0.01)
 
+    def test_stats_root_log(self, geom, tmp_path):
+        plain, stats = tmp_path / "plain.json", tmp_path / "stats.json"
+        argv = ["threshold", "--geometry", str(geom)]
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert main([*argv, "--stats", "--out", str(stats)]) == 0
+        report, logged = json.loads(plain.read_text()), json.loads(stats.read_text())
+        # without --stats the report keeps its four keys; with it, the same
+        # values and one entry per evaluation of the excess, in call order
+        assert list(report) == ["M0", "bracket", "iterations", "T_dagger"]
+        roots = logged.pop("roots")
+        assert logged == report
+        assert len(roots) == report["iterations"] <= 10
+        traj = evolution._Trajectory(shrinkset.RoundedSet.from_polygon(SQUARE_GEOM["kernel"]))
+        assert roots[0]["M"] == traj.floor and roots[1]["M"] == traj.cap
+        for entry in roots:
+            assert list(entry) == ["M", "excess", "seconds"]
+            assert entry["excess"] == traj.excess(entry["M"]) and entry["seconds"] >= 0.0
+        assert {report["M0"], *report["bracket"]} <= {entry["M"] for entry in roots}
+
     def test_one_trajectory_per_call(self, geom, tmp_path, monkeypatch):
         init = evolution._Trajectory.__init__
         built = []
@@ -241,9 +261,9 @@ class TestThreshold:
         assert sorted(calls) == ["ball_time_at_critical", "critical_budget"]
         # the report is the public functions' answer, byte for byte
         omega0 = built[0]
-        m0, bracket, iterations = shrinkset.critical_budget(omega0, 1e-3, full_output=True)
+        m0, bracket, roots = shrinkset.critical_budget(omega0, 1e-3, full_output=True)
         t_dagger = shrinkset.ball_time_at_critical(omega0, m0)
-        assert out.read_text() == threshold_report(m0, bracket, iterations, t_dagger)
+        assert out.read_text() == threshold_report(m0, bracket, roots, t_dagger)
 
 
 class TestOneStep:

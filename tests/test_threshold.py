@@ -101,10 +101,10 @@ class TestCriticalBudget:
                 assert m0 == pytest.approx(floor, rel=5e-3)
 
     def test_bracket_is_valid(self):
-        m0, (lo, hi), iterations = critical_budget(sq(), tol=1e-3, full_output=True)
+        m0, (lo, hi), roots = critical_budget(sq(), tol=1e-3, full_output=True)
         assert lo <= m0 <= hi
         assert hi - lo <= 2e-3
-        assert iterations > 0
+        assert len(roots) > 0
         assert classify(sq(), lo - 1e-3).kind == GROWS
         assert classify(sq(), hi + 1e-3).kind == EXTINCT
 
@@ -201,6 +201,96 @@ def _tangential_m0(vertices):
     theta = np.abs(np.arctan2(_cross(ep, e), (ep * e).sum(axis=1)))
     t = float(np.tan(0.5 * theta).sum())
     return 2.0 * r * (t - math.pi) / math.log(t / math.pi)
+
+
+# tangential polygons: the square, the equilateral and right isosceles
+# triangles and the regular hexagon, as the CLI and the benchmark give them
+TANGENTIAL = [
+    SQUARE,
+    [(0.0, 0.0), (1.0, 0.0), (0.5, 0.8660254037844386)],
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)],
+]
+
+
+def _mp_tangential_m0(vertices):
+    """_tangential_m0 of the float vertices, at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        v = [tuple(map(mpmath.mpf, p)) for p in np.asarray(vertices, float).tolist()]
+        e = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1])]
+        area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1])) / 2
+        r = 2 * abs(area) / sum(mpmath.hypot(*d) for d in e)
+        t = sum(
+            mpmath.tan(abs(mpmath.atan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])) / 2)
+            for a, b in zip(e[-1:] + e[:-1], e)
+        )
+        return 2 * r * (t - mpmath.pi) / mpmath.log(t / mpmath.pi)
+
+
+def _root_sets():
+    """Non-ball sets whose M0 these tests take, and random hulls."""
+    rng = np.random.default_rng(20261019)
+    return [
+        *_oracle_sets(),
+        *(RoundedSet.from_polygon(v) for v in TANGENTIAL),
+        RoundedSet.from_polygon([(0, 0), (1, 0), (math.cos(1e-6), math.sin(1e-6))]),
+        RoundedSet.from_polygon([(0, 0), (1e7, 0), (1e7, 1), (0, 1)]),
+        RoundedSet.from_polygon(1e3 + 1e-6 * np.array(SQUARE, float)),
+        RoundedSet.from_polygon(1e-6 * np.array(SQUARE, float)),
+        RoundedSet.from_polygon(1e6 * np.array(SQUARE, float)),
+        RoundedSet.from_polygon(_ellipse(3200)),
+        RoundedSet.from_polygon(_ellipse(400) + 1e4 * np.array([1.0, 0.37])),
+        *(random_rounded_set(rng) for _ in range(20)),
+    ]
+
+
+class TestRoot:
+    @pytest.mark.parametrize(
+        "vertices", TANGENTIAL, ids=["square", "equilateral", "right", "hexagon"]
+    )
+    def test_tangential_to_four_ulps(self, vertices):
+        m0 = critical_budget(RoundedSet.from_polygon(vertices))
+        assert abs(m0 - _mp_tangential_m0(vertices)) <= 4 * math.ulp(m0)
+
+    def test_bracket_is_adjacent_floats(self):
+        for s in _root_sets():
+            traj = _Trajectory(s)
+            m0, (lo, hi), roots = critical_budget(s, full_output=True)
+            assert math.nextafter(lo, math.inf) == hi and lo <= m0 <= hi
+            # the excess is 0 at M0 or changes sign across the bracket
+            f_lo, f_hi = traj.excess(lo), traj.excess(hi)
+            assert traj.excess(m0) == 0.0 or (f_lo > 0.0) != (f_hi > 0.0)
+            assert [M for M, _, _ in roots[:2]] == [traj.floor, traj.cap]
+            # tol bounds a width the root always meets
+            for tol in (1e-300, 1e300):
+                assert critical_budget(s, tol, full_output=True)[:2] == (m0, (lo, hi))
+
+    def test_few_evaluations_on_random_hulls(self, rng):
+        for _ in range(200):
+            _, _, roots = critical_budget(random_rounded_set(rng), full_output=True)
+            assert len(roots) <= 12
+
+    @pytest.mark.parametrize("radius", [5e-8, 0.5, 1.0, 2.0, 1e6])
+    def test_ball_root_is_the_floor(self, radius):
+        ball = RoundedSet.ball((0.3, -1.0), radius)
+        m0, (lo, hi), roots = critical_budget(ball, full_output=True)
+        floor = _Trajectory(ball).floor
+        assert m0 == lo == floor and hi == math.nextafter(floor, math.inf)
+        assert [M for M, _, _ in roots] == [floor]
+
+    def test_nan_inside_the_bracket_raises(self, monkeypatch):
+        # the floor's excess is finite, the cap's NaN
+        log_radii = _Trajectory.log_radii
+
+        def nan_above_floor(traj, M):
+            out = log_radii(traj, M)
+            return out if M == traj.floor else np.full_like(out, math.nan)
+
+        monkeypatch.setattr(_Trajectory, "log_radii", nan_above_floor)
+        with pytest.raises(DegenerateDomainError, match="NaN"):
+            critical_budget(sq())
 
 
 class TestAgainstRK4:
@@ -364,6 +454,17 @@ class TestExtremes:
             assert critical_budget(moved, tol=1e-9) == pytest.approx(m0, rel=rel)
             pc = _profile(moved.kernel).pieces
             assert all(d1 >= d0 for d0, d1 in zip(pc.d0, pc.d1))
+
+    @pytest.mark.parametrize("lam", [1e-9, 1e-11])
+    def test_tiny_scale_keeps_pieces(self, lam):
+        # the build's depth tolerance is relative to the diameter at every
+        # scale, so a tiny set is its unit-scale self, scaled
+        rng = np.random.default_rng(20261019)
+        hulls = [random_rounded_set(rng) for _ in range(4)]
+        for s in [RoundedSet.from_polygon(_ellipse(400)), *hulls]:
+            scaled = RoundedSet.from_polygon(lam * s.kernel.vertices, lam * s.radius)
+            assert len(_profile(scaled.kernel).pieces) == len(_profile(s.kernel).pieces)
+            assert critical_budget(scaled) / lam == pytest.approx(critical_budget(s), rel=1e-13)
 
     def test_nan_trajectory_raises(self, monkeypatch):
         # a NaN excess neither steers the bisection to its cap nor reads as
