@@ -3,9 +3,13 @@
 Sets become boolean occupancy masks.  Dilation and erosion by r mark the
 cells within Euclidean distance r of an occupied (or empty) cell, by
 widening each row's runs of cells by the disk's half-width on every row
-offset; no distance transform is computed.  Accuracy is a boundary band
-of width O(h), so agreement within a small multiple of h * perimeter
-certifies the closed-form results independently.
+offset; no distance transform is computed.  Runs in consecutive rows
+that touch are chained into pieces, and a piece's widened runs cover one
+interval on each row, so the work follows the pieces, not the cells: a
+convex set is one piece and its erosion's padded complement two, while
+pixel noise, a piece for every few cells, is the slow case.  Accuracy is
+a boundary band of width O(h), so agreement within a small multiple of
+h * perimeter certifies the closed-form results independently.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import require_finite
+from .errors import BadConfigError, require_finite
 from .geometry import Point2, RoundedSet
 
 # rasterize decides whole BLOCK x BLOCK tiles of cells from one distance at
@@ -36,8 +40,8 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class RasterGrid:
-    """A cell grid; occupancy is never mutated after construction, since
-    erosion masks are memoized on the grid."""
+    """A cell grid.  It keeps a read-only bool copy of any 2-D array of 0s
+    and 1s as its occupancy, since erosions are memoized on the grid."""
 
     origin: Point2  # center of cell [0, 0]
     h: float
@@ -46,14 +50,22 @@ class RasterGrid:
     def __post_init__(self):
         x, y = self.origin
         object.__setattr__(self, "origin", Point2(float(x), float(y)))
+        occ = np.asarray(self.occupancy)
+        if occ.ndim != 2 or (occ.dtype != bool and not ((occ == 0) | (occ == 1)).all()):
+            raise BadConfigError(
+                f"occupancy must be a 2-D array of 0s and 1s, got {occ.ndim}-D {occ.dtype}"
+            )
+        occ = occ.astype(bool, order="C")
+        occ.flags.writeable = False
+        object.__setattr__(self, "occupancy", occ)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.occupancy.shape
 
     @cached_property
-    def _erosions(self) -> dict[float, np.ndarray]:
-        # radius -> read-only erosion mask, shared by erode and opening
+    def _erosions(self) -> dict[float, RasterGrid]:
+        # radius -> eroded grid, shared by erode and opening
         return {}
 
 
@@ -114,7 +126,7 @@ def rasterize(s: RoundedSet, h: float) -> RasterGrid:
     px, py = np.broadcast_arrays(xs[ix][:, None, :], ys[iy][:, :, None])
     tiles[iy, ix] = _dist_to_kernel(px, py, s.kernel) <= s.radius
     occ = tiles.transpose(0, 2, 1, 3).reshape(by * BLOCK, bx * BLOCK)[:ny, :nx]
-    return RasterGrid(Point2(x0, y0), h, np.ascontiguousarray(occ))
+    return RasterGrid(Point2(x0, y0), h, occ)
 
 
 def _half_widths(r: float, h: float, strict: bool, shape: tuple[int, int]) -> np.ndarray:
@@ -146,26 +158,67 @@ def _half_widths(r: float, h: float, strict: bool, shape: tuple[int, int]) -> np
 
 def _cover(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Cells (y, x) with a True cell of mask at (y + dy, x + dx), |dx| <=
-    w[|dy|]: each row's runs, widened on every row offset, painted into a
-    difference array with +1 at each start and -1 past each end, then
-    summed.  A run never leaves its row, so one running sum over the
-    flattened rows serves them all."""
+    w[|dy|], for |dy| <= K = len(w) - 1.
+
+    Each row's runs [start, end) are chained into pieces.  In the order of
+    (index of the run within its row, row), a run continues the previous
+    run's piece when it lies in the next row and the two touch as
+    8-neighbours: start <= prev_end and prev_start <= end.  (The index
+    only brings one shape's runs together; any chain of touching runs in
+    consecutive rows is a piece.)  Touching runs widened by half-widths
+    >= 0 still meet, so on every target row a piece's widened runs form
+    one interval, [min(start - w[|dy|]), max(end + w[|dy|])).  One loop
+    over the 2K + 1 row offsets takes these envelopes on a buffer where
+    each piece is followed by 2K empty slots, so no two pieces share a
+    slot; a slot holds a start and a negated end, and one np.minimum per
+    offset serves both.  The pieces' intervals are merged and painted one
+    byte per cell.
+
+    The cost is (2K + 1)(R + 2K P) slot steps for R runs in P pieces, a
+    sort of the intervals and one byte per cell.  A rasterized convex set
+    and its dilation are one piece, an eroded grid's padded complement
+    two.  Pixel noise, thousands of pieces of a few runs each, pays the 2K
+    padding slots for every piece: 200 x 200 to 300 x 300 noise masks run
+    5 to 13 times slower than a difference array over the grid would.  No
+    caller makes such masks.
+    """
     ny, nx = mask.shape
+    k = len(w) - 1
+    if k < 0:  # a strict radius of 0 reaches no cell
+        return np.zeros_like(mask)
     # edges alternate start, end within a row: runs are [start, end)
     at = np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False))
     y, start = np.divmod(at[0::2], nx + 1)
     end = at[1::2] - y * (nx + 1)
-    dy = np.arange(1 - len(w), len(w))
-    reach = w[np.abs(dy)]
-    # rows beyond the grid paint the spare rows -1 and ny, dropped below
-    row = (np.clip(y[:, None] + dy, -1, ny) + 1) * (nx + 1)
-    size = (ny + 2) * (nx + 1)
-    lo = row + np.maximum(start[:, None] - reach, 0)
-    hi = row + np.minimum(end[:, None] + reach, nx)
-    paint = np.bincount(lo.ravel(), minlength=size)
-    paint -= np.bincount(hi.ravel(), minlength=size)
-    np.cumsum(paint, out=paint)
-    return paint.reshape(ny + 2, nx + 1)[1:-1, :nx] > 0
+    # the runs come by row, so a stable sort by index keeps each index's rows in order
+    order = np.argsort(np.arange(len(y)) - np.searchsorted(y, y), kind="stable")
+    y, start, end = y[order], start[order], end[order]
+    new = np.ones(len(y), dtype=bool)
+    new[1:] = ~((y[1:] == y[:-1] + 1) & (start[1:] <= end[:-1]) & (start[:-1] <= end[1:]))
+    # piece p's slots start at base[p] = first[p] + 2K p with its first run,
+    # and slot base[p] + j is row y[first[p]] - K + j
+    first = np.flatnonzero(new)
+    base = first + 2 * k * np.arange(len(first))
+    size = len(y) + 2 * k * len(first)
+    row = np.arange(size) + np.repeat(y[first] - k - base, np.diff(base, append=size))
+    # every slot has a run within K rows, so the empty slots' value never wins
+    src = np.full((size, 2), np.iinfo(np.intp).max, dtype=np.intp)
+    src[np.arange(len(y)) + 2 * k * (np.cumsum(new) - 1)] = np.column_stack((start, -end))
+    src = src.ravel()
+    env = src - w[k]
+    for d in range(1, 2 * k + 1):
+        np.minimum(env[2 * d :], src[: 2 * (size - d)] - w[abs(d - k)], out=env[2 * d :])
+    keep = (row >= 0) & (row < ny)
+    cell0 = row[keep] * nx
+    lo = np.sort(cell0 + np.maximum(env[0::2][keep], 0))
+    hi = np.sort(cell0 - np.maximum(env[1::2][keep], -nx))
+    # the union starts anew where a start passes every earlier end
+    gap = lo[1:] > hi[:-1]
+    edges = np.column_stack(
+        (np.concatenate((lo[:1], lo[1:][gap])), np.concatenate((hi[:-1][gap], hi[-1:])))
+    )
+    runs = np.diff(edges.ravel(), prepend=0, append=mask.size)
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(ny, nx)
 
 
 def raster_dilate(grid: RasterGrid, r: float) -> RasterGrid:
@@ -184,21 +237,19 @@ def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
     """Keep occupied cells at distance at least r from every empty cell,
     counting the cells beyond the grid's edge as empty.
 
-    The mask is read-only and memoized per radius on the grid, so an
-    erosion and an opening by the same r share one pass.
+    The eroded grid is memoized per radius on the grid, so an erosion and
+    an opening by the same r share one pass.
     """
     require_finite("erosion radius", r, 0.0)
     if not grid.occupancy.any():  # also a grid without cells
         return grid
-    mask = grid._erosions.get(r)
-    if mask is None:
+    eroded = grid._erosions.get(r)
+    if eroded is None:
         # one empty cell around the grid is as near as any beyond its edge
         empty = np.pad(~grid.occupancy, 1, constant_values=True)
         near = _cover(empty, _half_widths(r, grid.h, True, empty.shape))[1:-1, 1:-1]
-        mask = grid.occupancy & ~near
-        mask.flags.writeable = False
-        grid._erosions[r] = mask
-    return RasterGrid(grid.origin, grid.h, mask)
+        eroded = grid._erosions[r] = RasterGrid(grid.origin, grid.h, grid.occupancy & ~near)
+    return eroded
 
 
 def raster_opening(grid: RasterGrid, rho: float) -> RasterGrid:

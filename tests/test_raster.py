@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shrinkset import (
+    BadConfigError,
     Point2,
     RasterGrid,
     RoundedSet,
@@ -96,6 +97,33 @@ class TestRasterize:
         assert dilated.origin == Point2(1.0 - 4 * 0.5, -2.0 - 4 * 0.5)
         assert raster_area(dilated) == pytest.approx(5 * 8 * 0.25)
         assert raster_area(raster_opening(grid, 0.75)) == pytest.approx(18 * 0.25)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint8, np.float64])
+    def test_direct_grid_keeps_a_bool_copy(self, dtype):
+        occ = np.zeros((10, 10), dtype=dtype)
+        occ[1:9, 1:9] = 1
+        grid = RasterGrid((0.0, 0.0), 1.0, occ)
+        assert grid.occupancy.dtype == bool and not grid.occupancy.flags.writeable
+        # the 8 x 8 block less the cells nearer than 2 to an empty cell
+        assert raster_area(raster_erode(grid, 2.0)) == 36.0
+        occ[:] = 0
+        assert raster_area(grid) == 64.0
+        assert raster_area(raster_erode(grid, 2.0)) == 36.0
+
+    @pytest.mark.parametrize(
+        "occ",
+        [
+            np.full((3, 3), 2),
+            np.array([[0.0, 0.5]]),
+            np.array([[1.0, math.nan]]),
+            np.ones(4, dtype=bool),
+            np.ones((2, 2, 2), dtype=bool),
+            np.array([["1"]]),
+        ],
+    )
+    def test_direct_grid_refuses_other_arrays(self, occ):
+        with pytest.raises(BadConfigError, match="occupancy must be a 2-D array of 0s and 1s"):
+            RasterGrid((0.0, 0.0), 1.0, occ)
 
 
 class TestRasterOps:
@@ -285,6 +313,25 @@ def masks(draw):
     return occ
 
 
+def _y_mask():
+    """Two arms that merge into a stem: the runs per row go from 2 to 1."""
+    occ = np.zeros((30, 31), dtype=bool)
+    for y in range(15):
+        occ[y, y : y + 4] = occ[y, 27 - y : 31 - y] = True
+    occ[15:, 13:18] = True
+    return occ
+
+
+# masks for the cover's piece rules: runs that touch only at their corners,
+# single cells, noise, a run count that changes, and an empty row between
+STAIRCASE = np.kron(np.eye(8, dtype=bool), np.ones((1, 3), dtype=bool))
+CHECKERBOARD = np.indices((20, 30)).sum(axis=0) % 2 == 0
+NOISE = np.random.default_rng(23).random((40, 60)) < 0.1
+Y_MASK = _y_mask()
+TWO_BLOBS = np.zeros((16, 14), dtype=bool)
+TWO_BLOBS[2:8, 3:10] = TWO_BLOBS[9:15, 5:12] = True
+
+
 class TestRunLengthCover:
     """The run-length disk pass against scipy's exact distance transform:
     the same masks bit for bit, tie shells included."""
@@ -312,6 +359,11 @@ class TestRunLengthCover:
     @example(np.ones((5, 7), dtype=bool), 1.0, None)
     @example(np.ones((12, 30), dtype=bool), 0.37, None)
     @example(np.ones((1, 1), dtype=bool), 0.37, None)
+    @example(STAIRCASE, 1.0, None)
+    @example(CHECKERBOARD, 0.37, None)
+    @example(NOISE, 1e-3, None)
+    @example(Y_MASK, 1.0, None)
+    @example(TWO_BLOBS, 0.37, None)
     def test_matches_padded_edt_on_any_mask(self, occ, h, data):
         r = 5 * h if data is None else data.draw(radii(h, h * max(occ.shape)))
         # cells beyond the edge are empty: the reference erodes a padded mask
