@@ -3,6 +3,16 @@
 Geometry JSON is {"kernel": [[x, y], ...], "radius": s} with
 counterclockwise vertices.  Floats are written with 17 significant digits
 so output is byte-identical across platforms and round-trips exactly.
+
+CSV traces are formatted a column at a time, with the bytes of '%.17g'.
+For 1e-4 <= |x| < 1e16, %g writes fixed notation, and with
+e = floor(log10 |x|) the scale 10**(16 - e) is an exact double.  Dekker's
+two-product (Dekker 1971; Veltkamp's split, since numpy has no fused
+multiply-add) gives x * 10**(16 - e) exactly as hi + lo, and hi >= 2**53 is
+an even integer, so hi + rint(lo) is the product rounded to an integer with
+ties to even: the 17 digits that correctly rounded dtoa writes (Gay 1990).
+Zero, inf, nan and every other value are written with '%.17g' one at a
+time.
 """
 
 from __future__ import annotations
@@ -11,16 +21,70 @@ import json
 import math
 from typing import Iterable
 
+import numpy as np
+
 from .errors import BadConfigError
 from .evolution import EvolutionTrace
 from .geometry import ConvexPolygon, RoundedSet, boundary_pieces
 
 # SVG outline width as a fraction of the drawing's larger side
 _STROKE_WIDTH = 0.005
-# one CSV row, formatted as fmt formats each float; rows are formatted a
-# block at a time, so the Python floats of a long trace never all exist
-_ROW = "%.17g,%.17g,%.17g,%s,%.17g\n"
-_BLOCK = 4096
+# rows per block of a CSV trace: a block's buffers take a few hundred KB
+_BLOCK = 2048
+# Each float of a CSV row fills a slot of four little-endian 64-bit words,
+# padded with NUL bytes that one translate per block deletes.  Word 0 holds
+# the sign, and "0." and the leading zeros, ending at its top byte.  Words
+# 1-3 hold the 17 digits, seven to a word (three in word 3), with the top
+# byte spare: inserting the decimal point moves the digits after it in its
+# word up a byte.  The separator is the top byte of word 3.
+_WORD = np.dtype("<u8")
+_SEPARATORS = np.array([ord(","), ord(","), ord(","), ord("\n")], _WORD) << np.uint64(56)
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's split of a double
+# 10**k, k = 0 ... 21, all exact doubles, and their Veltkamp halves
+_POW10 = np.array([10**k for k in range(22)], float)
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII of each 4-digit group, its first digit in the lowest byte,
+    and the position of the group's last nonzero digit (-64 for 0000)."""
+    ascii = np.arange(48, 58, dtype=np.uint64)
+    pair = (ascii[:, None] | ascii << np.uint64(8)).ravel()
+    tens, ones = np.ogrid[:10, :10]
+    pair_last = np.where(ones > 0, 1, np.where(tens > 0, 0, -64)).astype(np.int8).ravel()
+    high, low = np.ogrid[:100, :100]
+    last = np.where(low > 0, pair_last[low] + 2, pair_last[high]).ravel()
+    return (pair[:, None] | pair << np.uint64(16)).ravel(), last
+
+
+def _layout_table() -> np.ndarray:
+    """Ten words for each sign, last digit kept (0-16) and decimal exponent
+    e (-4 ... 15), as a (10, 680) table: word 0 of the slot, then for each
+    digit word the mask of digits that stay, the mask of digits that move
+    up past the point, and the point."""
+    neg, keep, e = (x[..., None] for x in np.ix_(np.arange(2), np.arange(17), np.arange(-4, 16)))
+    byte = np.arange(24)
+    digit = byte % 8 < 7
+    p = byte // 8 * 7 + byte % 8  # the digit in each byte of words 1-3
+    point = (e >= 0) & (e < keep)
+    moved = point & digit & (p > e) & (p <= keep) & (byte // 8 == e // 7)
+    stays = digit & (p <= keep) & ~moved
+    dot = point & (byte == e // 7 * 8 + e % 7 + 1)
+    # i indexes the prefix: '-' if negative, then "0." and -e - 1 zeros
+    i = np.arange(8) - 8 + neg + np.where(e < 0, 1 - e, 0)
+    prefix = np.select([i < 0, i < neg, i == neg + 1], [0, ord("-"), ord(".")], ord("0"))
+    parts = (prefix, stays * 255, moved * 255, dot * ord("."))
+    parts = [np.broadcast_to(x.astype(np.uint8), (2, 17, 20, x.shape[-1])) for x in parts]
+    return np.concatenate(parts, -1).view(_WORD).reshape(-1, 10).T.copy()
+
+
+_QUAD, _LAST_QUAD = _digit_tables()
+# the same for 3-digit groups: a 4-digit group's last three digits
+_TRIO = _QUAD[:1000] >> np.uint64(8)
+_TRIO_HIGH = _TRIO << np.uint64(32)
+_LAST_TRIO = np.maximum(_LAST_QUAD[:1000] - 1, -64)
+_LAYOUT = _layout_table()
 
 
 def fmt(x: float) -> str:
@@ -52,13 +116,108 @@ def dump_geometry(s: RoundedSet, extra: dict | None = None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _two_product(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi = fl(a * 10**(16 - e)) and lo, with hi + lo the exact product
+    (Dekker's mul12)."""
+    k = 16 - e
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    hi = a * _POW10[k]
+    lo = a_hi * s_hi
+    lo -= hi
+    lo += a_hi * s_lo
+    lo += a_lo * s_hi
+    lo += a_lo * s_lo
+    return hi, lo
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which |x| are in 1e-4 <= |x| < 1e16, and for those, the 17-digit
+    integer d in [1e16, 1e17) and exponent e with |x| = d * 10**(e - 16)
+    correctly rounded, ties to even."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    np.copyto(a, 1.0, where=~fast)
+    # floor(log10 a) can be one off next to a power of ten; hi + lo shows it
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _two_product(a, e)
+    edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if edge.size:
+        h, l = hi[edge], lo[edge]
+        up = (h > 1e17) | ((h == 1e17) & (l >= 0))
+        down = (h < 1e16) | ((h == 1e16) & (l < 0))
+        e[edge] += up.astype(np.intp) - down
+        hi[edge], lo[edge] = _two_product(a[edge], e[edge])
+    # hi >= 2**53 is an even integer, so this rounds the product half to even.
+    # It never rounds up to 1e17: below each power of ten in the range, the
+    # nearest double is more than 8e-17 of it away, not within 5e-18.
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    return fast, d, e
+
+
+def _split(n: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # n // k and n % k, in about two thirds of np.divmod's time
+    q = n // k
+    return q, n - q * k
+
+
+def _digit_words(d: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The 17 digits of d as slot words 1-3 (digits 0-6, 7-13, 14-16), and
+    the position of the last nonzero digit."""
+    t, c = _split(d, 1000)
+    q, m = _split(t, 10**7)
+    qa, qb = _split(q, 1000)
+    ma, mb = _split(m, 1000)
+    last = np.maximum(_LAST_QUAD[qa], _LAST_TRIO[qb] + 4)
+    for at, group, table in ((7, ma, _LAST_QUAD), (11, mb, _LAST_TRIO), (14, c, _LAST_TRIO)):
+        np.maximum(last, table[group] + at, out=last)
+    return [_QUAD[qa] | _TRIO_HIGH[qb], _QUAD[ma] | _TRIO_HIGH[mb], _TRIO[c]], last
+
+
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """The (4, len(x)) slot words of '%.17g' % v for each v of x, without
+    the separator."""
+    fast, d, e = _decimal(x)
+    digits, last = _digit_words(d)
+    # trailing zeros go, but not those left of the point
+    row = (np.signbit(x) * 17 + np.maximum(last, e)) * 20 + (e + 4)
+    words = np.empty((4, len(x)), _WORD)
+    _LAYOUT[0].take(row, out=words[0])
+    for k, s in enumerate(digits, 1):
+        moved = s & _LAYOUT[3 + k].take(row)
+        moved <<= np.uint64(8)
+        moved |= _LAYOUT[6 + k].take(row)
+        s &= _LAYOUT[k].take(row)
+        np.bitwise_or(s, moved, out=words[k])
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join(("%.17g" % v).encode().ljust(24, b"\0") for v in x[slow].tolist())
+        words[:3, slow] = np.frombuffer(text, _WORD).reshape(-1, 3).T
+        words[3, slow] = 0
+    return words
+
+
 def trace_to_csv(trace: EvolutionTrace) -> str:
     parts = ["t,a,perimeter,regime,rho\n"]
+    kinds = {kind: f"{kind},".encode() for kind in set(trace.regime)}
+    width = (max(map(len, kinds.values()), default=0) + 7) // 8
+    kinds = {kind: text.ljust(8 * width, b"\0") for kind, text in kinds.items()}
     columns = (trace.t, trace.a, trace.perimeter, trace.rho)
     for k in range(0, len(trace), _BLOCK):
-        t, a, p, rho = (c[k : k + _BLOCK].tolist() for c in columns)
-        rows = zip(t, a, p, trace.regime[k : k + _BLOCK], rho)
-        parts.append("".join(map(_ROW.__mod__, rows)))
+        x = np.concatenate([c[k : k + _BLOCK] for c in columns], dtype=float)
+        n = len(x) // 4
+        words = _float_words(x).reshape(4, 4, n)
+        words[3] |= _SEPARATORS[:, None]
+        buf = bytearray(8 * n * (16 + width))
+        row = np.frombuffer(buf, _WORD).reshape(n, 16 + width)
+        for col, at in enumerate((0, 4, 8, 12 + width)):
+            row[:, at : at + 4] = words[:, col].T
+        regime = b"".join(map(kinds.__getitem__, trace.regime[k : k + n]))
+        row[:, 12 : 12 + width] = np.frombuffer(regime, _WORD).reshape(n, width)
+        parts.append(buf.translate(None, b"\0").decode())
     if trace.T_star is not None:
         parts.append(f"# T_star={fmt(trace.T_star)}\n")
     if trace.T_dagger is not None:
