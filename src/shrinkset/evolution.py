@@ -47,8 +47,6 @@ _EXPM1_SERIES = tuple(1.0 / math.factorial(n) for n in range(16, 1, -1))
 # past r0 + s = _FAR |M / k2|, |v| > 9900 on a live row of _radius: each step
 # of its fixed point gains four digits
 _FAR = 1e4
-# phase kinds as the evaluator numbers them
-_CODES = {OPENING: 0, STADIUM: 1, BALL: 2}
 
 
 def __getattr__(name: str):
@@ -72,7 +70,7 @@ class EvolutionTrace:
     t: np.ndarray
     a: np.ndarray
     perimeter: np.ndarray
-    regime: tuple[str, ...]
+    regime: np.ndarray
     rho: np.ndarray
     phases: tuple[tuple[str, int | None, float, float, float], ...]
     T_star: float | None
@@ -252,13 +250,12 @@ class _Path:
 
     def __init__(self, traj: _Trajectory, M: float, phases):
         self.traj, self.M = traj, M
-        self.kinds, piece, t0, t1, rho0 = zip(*phases)
-        self.code = np.array([_CODES[k] for k in self.kinds])
-        self.t0, self.t1, self.rho0 = np.array(t0), np.array(t1), np.array(rho0)
+        self.kinds, piece, self.t0, self.t1, self.rho0 = map(np.array, zip(*phases))
+        self.stadium, self.ball = self.kinds == STADIUM, self.kinds == BALL
         # rows d0, d1, area0, perim0, tan_sum of each phase's piece: a point
         # (all 0) outside the opening
         self.shape = np.zeros((5, len(phases)))
-        self.shape[:, self.code == 0] = traj.pieces[:, [p for p in piece if p is not None]]
+        self.shape[:, self.kinds == OPENING] = traj.pieces[:, [p for p in piece if p is not None]]
 
     def at(self, t: np.ndarray, j: np.ndarray | None = None):
         """(phase, a, perimeter, rho, straight) at the times t, each in its
@@ -267,13 +264,13 @@ class _Path:
         traj, M = self.traj, self.M
         if j is None:
             j = np.searchsorted(self.t1[:-1], t, side="right")
-        code, t_s, r_s = self.code[j], self.t0[j], self.rho0[j]
+        stadium, t_s, r_s = self.stadium[j], self.t0[j], self.rho0[j]
         d0, d1, area0, perim0, tan_sum = self.shape[:, j]
         # without control every radius grows at unit speed
         rho = r_s + (t - t_s)
         if M > 0.0:
             # the ball is the opening of its point kernel, tan_sum = 0
-            rows = code != 1
+            rows = ~stadium
             rho[rows] = _radius(2.0 * (tan_sum[rows] - math.pi), M, r_s[rows], t[rows] - t_s[rows])
         # the opening at rho of the kernel eroded to depth d0 + x
         x = np.clip(rho - (traj.c0 + t) - d0, 0.0, d1 - d0)
@@ -281,15 +278,15 @@ class _Path:
         a = area0 - (perim0 - tan_sum * x) * x + edge * rho + math.pi * rho * rho
         perim = edge + 2.0 * math.pi * rho
 
-        rows, straight = code == 1, np.zeros_like(t)
-        big = traj.rbar + t[rows]
+        straight = np.zeros_like(t)
+        big = traj.rbar + t[stadium]
         length = traj.prof.locus_len
-        line = np.clip(length - 0.5 * M * np.log(big / r_s[rows]), 0.0, length)
-        a[rows] = math.pi * big * big + 2.0 * big * line
-        perim[rows] = 2.0 * math.pi * big + 2.0 * line
-        rho[rows], straight[rows] = big, line
+        line = np.clip(length - 0.5 * M * np.log(big / r_s[stadium]), 0.0, length)
+        a[stadium] = math.pi * big * big + 2.0 * big * line
+        perim[stadium] = 2.0 * math.pi * big + 2.0 * line
+        rho[stadium], straight[stadium] = big, line
         # extinct from T* on
-        dead = (code == 2) & (t >= self.t1[j])
+        dead = self.ball[j] & (t >= self.t1[j])
         a[dead] = perim[dead] = rho[dead] = 0.0
         return j, a, perim, rho, straight
 
@@ -348,9 +345,8 @@ def simulate(
         j, a, perim, rho, _ = path.at(t)
     if not np.isfinite(a).all():
         raise BadConfigError(f"the area passes the float range before the horizon {horizon}")
-    regime = tuple(map(path.kinds.__getitem__, j.tolist()))
     return EvolutionTrace(
-        omega0, M, t, a, perim, regime, rho,
+        omega0, M, t, a, perim, path.kinds[j], rho,
         phases[: np.searchsorted(path.t0, end, side="right")],
         t_star if t_star <= horizon else None,
         t_ball if kind == BALL and t_ball <= horizon else None,
@@ -406,7 +402,7 @@ def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float
         area0 + 0.5 * perim0 * (b0 + b1) + tan_sum * (b1 * b1 + b1 * b0 + b0 * b0) / 3.0
     ) - k * (cubes - m * squares + m * m * span)
     stadium = math.pi * cubes + r1 * r1 * l1 - r0 * r0 * l0 + 0.5 * path.M * squares
-    integral = float(np.where(path.code[j] == 1, stadium, pieces).sum())
+    integral = float(np.where(path.stadium[j], stadium, pieces).sum())
     return c1 * integral + c2 * float(path.at(np.array([T], dtype=float))[1][0])
 
 

@@ -36,7 +36,8 @@ _BLOCK = 2048
 # the sign, and "0." and the leading zeros, ending at its top byte.  Words
 # 1-3 hold the 17 digits, seven to a word (three in word 3), with the top
 # byte spare: inserting the decimal point moves the digits after it in its
-# word up a byte.  The separator is the top byte of word 3.
+# word up a byte.  The separator is the top byte of word 3.  The regime is
+# one word: the kind's code points, at most 7, then NULs and the comma.
 _WORD = np.dtype("<u8")
 _SEPARATORS = np.array([ord(","), ord(","), ord(","), ord("\n")], _WORD) << np.uint64(56)
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's split of a double
@@ -202,21 +203,20 @@ def _float_words(x: np.ndarray) -> np.ndarray:
 
 def trace_to_csv(trace: EvolutionTrace) -> str:
     parts = ["t,a,perimeter,regime,rho\n"]
-    kinds = {kind: f"{kind},".encode() for kind in set(trace.regime)}
-    width = (max(map(len, kinds.values()), default=0) + 7) // 8
-    kinds = {kind: text.ljust(8 * width, b"\0") for kind, text in kinds.items()}
+    kinds = np.ascontiguousarray(trace.regime, "U7").view(np.uint32).reshape(-1, 7)
     columns = (trace.t, trace.a, trace.perimeter, trace.rho)
     for k in range(0, len(trace), _BLOCK):
         x = np.concatenate([c[k : k + _BLOCK] for c in columns], dtype=float)
         n = len(x) // 4
         words = _float_words(x).reshape(4, 4, n)
         words[3] |= _SEPARATORS[:, None]
-        buf = bytearray(8 * n * (16 + width))
-        row = np.frombuffer(buf, _WORD).reshape(n, 16 + width)
-        for col, at in enumerate((0, 4, 8, 12 + width)):
+        buf = bytearray(8 * 17 * n)
+        row = np.frombuffer(buf, _WORD).reshape(n, 17)
+        for col, at in enumerate((0, 4, 8, 13)):
             row[:, at : at + 4] = words[:, col].T
-        regime = b"".join(map(kinds.__getitem__, trace.regime[k : k + n]))
-        row[:, 12 : 12 + width] = np.frombuffer(regime, _WORD).reshape(n, width)
+        regime = np.frombuffer(buf, np.uint8).reshape(n, 17, 8)[:, 12]
+        regime[:, :7] = kinds[k : k + n]
+        regime[:, 7] = ord(",")
         parts.append(buf.translate(None, b"\0").decode())
     if trace.T_star is not None:
         parts.append(f"# T_star={fmt(trace.T_star)}\n")

@@ -25,6 +25,7 @@ from shrinkset import (
 )
 from shrinkset import evolution
 from shrinkset.evolution import _path, _radius
+from shrinkset.serialize import trace_to_csv
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 RECTANGLE = [(0, 0), (2, 0), (2, 1), (0, 1)]
@@ -440,6 +441,28 @@ class TestSimulate:
         assert trace.regime[0] == "Opening" and trace.a[0] == rounded_area(s)
 
 
+class TestRegimeColumn:
+    @pytest.mark.parametrize("omega, M, horizon, kinds", [
+        (sq(), 4.0, 5.0, ["Opening", "Ball"]),
+        (RoundedSet.from_polygon(RECTANGLE), 4.0, 5.0, ["Opening", "Stadium", "Ball"]),
+        (unit_ball(), 7.0, 5.0, ["Ball"]),
+        (sq(), 0.0, 2.0, ["Opening"]),
+        (sq(0.2), 1.0, 5.0, ["Opening", "Ball"]),
+    ], ids=["square", "rectangle", "dying-ball", "no-control", "growing"])
+    def test_rows_follow_the_phase_table(self, omega, M, horizon, kinds):
+        # each row has the kind of the phase holding its time, the later
+        # phase at a boundary, which is itself a row; the CSV says the same
+        trace = simulate(omega, M, horizon, 0.01)
+        assert [p[0] for p in trace.phases] == kinds
+        assert isinstance(trace.regime, np.ndarray) and len(trace.regime) == len(trace)
+        starts = [p[2] for p in trace.phases]
+        assert set(starts) <= set(trace.t.tolist())
+        want = [kinds[np.searchsorted(starts, t, side="right") - 1] for t in trace.t.tolist()]
+        assert trace.regime.tolist() == want
+        rows = trace_to_csv(trace).splitlines()[1:]
+        assert [row.split(",")[3] for row in rows if not row.startswith("#")] == want
+
+
 class TestReconstruct:
     def test_initial_time_returns_domain(self):
         trace = simulate(sq(), 3.0, horizon=0.5)
@@ -729,7 +752,7 @@ class TestHomothety:
             RoundedSet.from_polygon(lam * s.kernel.vertices, lam * s.radius),
             lam * M, lam * 2.0, lam * 0.01,
         )
-        assert scaled.regime == base.regime
+        assert np.array_equal(scaled.regime, base.regime)
         columns = [(base.t, scaled.t, 1), (base.rho, scaled.rho, 1), (base.a, scaled.a, 2)]
         columns.append((base.perimeter, scaled.perimeter, 1))
         columns.append((base.perimeter - M, scaled.perimeter - lam * M, 1))

@@ -15,6 +15,7 @@ from test_cli import GOLDEN
 
 from shrinkset import RoundedSet, critical_budget, random_rounded_set, simulate
 from shrinkset.evolution import default_step
+from shrinkset.morphology import BALL, OPENING, STADIUM
 from shrinkset.serialize import _BLOCK, _decimal, _float_words, set_from_dict, trace_to_csv
 
 # the formatter's fast range, fixed notation: 1e-4 <= |x| < 1e16
@@ -175,6 +176,18 @@ class TestTraceToCsv:
         text = trace_to_csv(part)
         assert text == oracle_csv(part)
         assert sum(not line.startswith("#") for line in text.splitlines()) == rows + 1
+
+    @pytest.mark.parametrize("container", [tuple, list])
+    def test_regime_as_a_sequence_of_names(self, container):
+        # a caller's trace may hold its regime as a sequence of str; the
+        # writer fits each kind, at most 7 ASCII characters, in one word
+        # with its comma
+        assert all(kind.isascii() and len(kind) <= 7 for kind in (OPENING, STADIUM, BALL))
+        rect = RoundedSet.from_polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
+        trace = simulate(rect, 6.0, 5.0, 1e-4)
+        assert len(trace) > _BLOCK and set(trace.regime) == {OPENING, STADIUM, BALL}
+        names = dataclasses.replace(trace, regime=container(map(str, trace.regime)))
+        assert trace_to_csv(names) == trace_to_csv(trace) == oracle_csv(trace)
 
     def test_dying_ball_writes_clean(self):
         # r* = M / 2pi = 1.11 > 1: the unit ball dies, and its last row is 0
