@@ -27,17 +27,19 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadConfigError, DegenerateDomainError, OutOfRangeError, require_finite
-from .geometry import RoundedSet, contains, rounded_area, rounded_perimeter
-from .isoperimetric import _subset
-from .morphology import _ULP, BALL, OPENING, STADIUM, _profile, dilate
+from .geometry import _GRID_DIRECTIONS, RoundedSet, rounded_area
+from .isoperimetric import _subset, _subsets
+from .morphology import _ULP, BALL, OPENING, STADIUM, _profile
 
 # largest number of sample times check_admissible tests
 _ADMISSIBLE_CHECKS = 40
+# how far past its last row a trace is read, relative to that row's time
+_END_SLACK = 1e-12
 # coefficients, highest first, of (v - 1) / p as a power series in
 # p = +-sqrt(2q) at the branch point q = 0 of v - ln v = 1 + q (the reversion
 # of w - ln(1 + w) = p^2 / 2), + on the side v >= 1 and - on the side v <= 1
@@ -63,7 +65,10 @@ def __getattr__(name: str):
 class EvolutionTrace:
     """Rows of the exact evolution, and its phases (kind, piece, t_start,
     t_end, rho_start) up to the last row: piece is the erosion-profile piece
-    of an opening phase and None for the stadium and the ball."""
+    of an opening phase and None for the stadium and the ball.  The
+    post-processing reads one _Path per trace (see _path), built from these
+    fields on first use: a trace made by dataclasses.replace starts
+    without one."""
 
     omega0: RoundedSet
     M: float
@@ -77,6 +82,7 @@ class EvolutionTrace:
     T_dagger: float | None
     horizon: float
     dt: float
+    _path: _Path | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -246,7 +252,7 @@ def _trajectory(omega0: RoundedSet) -> _Trajectory:
 
 class _Path:
     """The trajectory given by its phases (see _Trajectory.phases): its
-    exact state at any time, and the set itself."""
+    exact state at any time."""
 
     def __init__(self, traj: _Trajectory, M: float, phases):
         self.traj, self.M = traj, M
@@ -289,17 +295,6 @@ class _Path:
         dead = self.ball[j] & (t >= self.t1[j])
         a[dead] = perim[dead] = rho[dead] = 0.0
         return j, a, perim, rho, straight
-
-    def sets(self, t: np.ndarray) -> list[RoundedSet]:
-        """The sets at the times t, each built in its phase: the opening of
-        the grown domain, the stadium on the locus or the ball."""
-        kernel, c0 = self.traj.kernel, self.traj.c0
-        state = zip(t.tolist(), *(col.tolist() for col in self.at(t)))
-        return [
-            _subset(RoundedSet(kernel, c0 + time), self.kinds[j], rho, straight)
-            if a > 0.0 else RoundedSet.empty()
-            for time, j, a, _, rho, straight in state
-        ]
 
 
 def default_step(omega0: RoundedSet) -> float:
@@ -355,16 +350,25 @@ def simulate(
 
 
 def _path(trace: EvolutionTrace) -> _Path:
-    return _Path(_trajectory(trace.omega0), trace.M, trace.phases)
+    if trace._path is None:
+        object.__setattr__(trace, "_path", _Path(_trajectory(trace.omega0), trace.M, trace.phases))
+    return trace._path
 
 
 def reconstruct_set(trace: EvolutionTrace, t: float) -> RoundedSet:
-    """The controlled set at time t, exact at every t (see _Path.sets)."""
+    """The controlled set at time t, exact at every t: the opening of the
+    grown domain, the stadium on the locus or the ball of t's phase (see
+    isoperimetric._subset)."""
     t_end = float(trace.t[-1])
-    if not 0.0 <= t <= t_end + 1e-12:
+    if not 0.0 <= t <= t_end + _END_SLACK * t_end:
         require_finite("time", t)
         raise OutOfRangeError(f"time {t} outside the trace range [0, {t_end}]")
-    return _path(trace).sets(np.array([t], dtype=float))[0]
+    path = _path(trace)
+    j, a, _, rho, straight = path.at(np.array([t], dtype=float))
+    if not a[0] > 0.0:
+        return RoundedSet.empty()
+    traj = path.traj
+    return _subset(traj.kernel, traj.c0 + t, path.kinds[j[0]], float(rho[0]), float(straight[0]))
 
 
 def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float:
@@ -381,7 +385,7 @@ def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float
     require_finite("cost weight c1", c1)
     require_finite("cost weight c2", c2)
     t_end = float(trace.t[-1])
-    if not (T >= 0.0 and (T <= t_end + 1e-12 or trace.T_star is not None)):
+    if not (T >= 0.0 and (T <= t_end + _END_SLACK * t_end or trace.T_star is not None)):
         require_finite("cost horizon", T)
         raise OutOfRangeError(f"cost horizon {T} beyond the trace range")
     path = _path(trace)
@@ -407,9 +411,14 @@ def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float
 
 
 def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
-    """Discrete admissibility: the rows are those of the trajectory, the set
-    at t+delta fits in the delta-dilation of the set at t, and the area
-    removed per unit time is the budget M."""
+    """Discrete admissibility: the rows are those of the trajectory, and at
+    up to 40 times t the area removed per unit time by t + delta is the
+    budget M and the set at t + delta fits in the delta-dilation of the set
+    at t.  The sets are read once per trace, as arrays (isoperimetric's
+    _subsets): their areas and perimeters from their kernels' vertices, and
+    the fit, a support-number test since the sets are convex, in the
+    1024-direction grid plus the normals of the kernel's and the locus's
+    edges, which hold every set's kernel normals."""
     require_finite("delta", delta, 0.0, strict=True)
     require_finite("tol", tol, 0.0)
     path = _path(trace)
@@ -426,21 +435,25 @@ def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
     if t_end <= delta:
         return True
     times = np.linspace(0.0, t_end - delta, min(_ADMISSIBLE_CHECKS, len(trace.t)))
-    sets = path.sets(np.concatenate((times, times + delta)))
-    n = len(times)
-    a = np.array([rounded_area(s) for s in sets])
-    perim = np.array([rounded_perimeter(s) for s in sets])
+    n, t = len(times), np.concatenate((times, times + delta))
+    j, a, _, rho, straight = path.at(t)
+    kernel, prof = path.traj.kernel, path.traj.prof
+    dirs = np.concatenate((_GRID_DIRECTIONS, kernel.edge_normals(), prof.locus.edge_normals()))
+    area, perim, h, live = _subsets(kernel, path.traj.c0 + t, path.kinds[j], rho, straight, dirs)
+    live &= a > 0.0
+    if not live.all():
+        # an empty set fits anywhere, and anything fits around it: no
+        # support number compares with nan
+        area[~live] = perim[~live] = 0.0
+        h[~live] = np.nan
     # by Steiner's formula the delta-dilation of the set at t, of area a and
     # perimeter P, has area a + delta*P + pi*delta^2; at budget M it loses
     # M + pi*delta per unit time by t + delta, plus the step's mean of
     # P(t) - P(s), which is at most |P(t + delta) - P(t)| in size:
     # P' = 2pi - M/rho changes sign at most once, where P' = 0
-    removed = (a[:n] + delta * perim[:n] + math.pi * delta * delta - a[n:]) / delta
+    removed = (area[:n] + delta * perim[:n] + math.pi * delta * delta - area[n:]) / delta
     if not np.all(
         np.abs(removed - trace.M - math.pi * delta) <= tol + np.abs(perim[n:] - perim[:n])
     ):
         return False
-    return all(
-        here.is_empty or contains(dilate(here, delta), nxt, tol * delta)
-        for here, nxt in zip(sets[:n], sets[n:])
-    )
+    return not np.any(h[n:] - h[:n] > delta + tol * delta)

@@ -90,9 +90,10 @@ class ErosionProfile:
     queue orders.  Each piece's area, perimeter and tan_sum follow from
     the previous piece in closed form.  `death` holds the depth at which
     each edge vanishes, and the build keeps every start vertex it sets, so
-    polygon_at rebuilds any eroded polygon from the edges alive at its
-    depth.  A kernel far from the origin is built in its own frame (see
-    `origin`), since the build's rounding grows with its coordinates.
+    polygons_at rebuilds the eroded polygons at many depths at once from
+    the edges alive at each.  A kernel far from the origin is built in its
+    own frame (see `origin`), since the build's rounding grows with its
+    coordinates.
     """
 
     def __init__(self, kernel: ConvexPolygon):
@@ -254,13 +255,21 @@ class ErosionProfile:
             self.locus_center = Point2(*lv[0])
             self.locus_dir = Point2(1.0, 0.0)
 
-    def polygon_at(self, d: float) -> ConvexPolygon:
-        """The kernel eroded by d < d_max (polygon_erode returns the locus):
-        each edge alive at d starts at the last vertex the build set for it
-        at or before d, moved on to d."""
+    def polygons_at(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel eroded by each depth d < d_max, read at once: alive[k,
+        e] is whether edge e is alive at depth d[k], and the vertices are
+        the live edges' start vertices, depth by depth in edge order, each
+        the last vertex the build set for its edge at or before the depth,
+        moved on to it.  polygon_erode returns the locus near d_max."""
         rows, start = self._rows, self._start
-        i = (start + np.add.reduceat(rows[:, 3] <= d, start) - 1)[self.death > d]
-        return ConvexPolygon(rows[i, 1:3] - (d - rows[i, 3:4]) * rows[i, 4:6] + self.origin)
+        alive = self.death > d[:, None]
+        i = (start + np.add.reduceat(rows[:, 3] <= d[:, None], start, axis=1) - 1)[alive]
+        r, at = rows[i], np.repeat(d, alive.sum(axis=1))[:, None]
+        return r[:, 1:3] - (at - r[:, 3:4]) * r[:, 4:6] + self.origin, alive
+
+    def polygon_at(self, d: float) -> ConvexPolygon:
+        """The kernel eroded by one depth d < d_max."""
+        return ConvexPolygon(self.polygons_at(np.array([d]))[0])
 
     def rbar(self, c: float) -> float:
         """Inner radius of the kernel rounded by c."""

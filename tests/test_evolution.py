@@ -23,8 +23,10 @@ from shrinkset import (
     rounded_perimeter,
     simulate,
 )
-from shrinkset import evolution
+import admissible_reference as reference
+from shrinkset import evolution, isoperimetric
 from shrinkset.evolution import _path, _radius
+from shrinkset.geometry import _GRID_DIRECTIONS, _support_values
 from shrinkset.serialize import trace_to_csv
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -530,6 +532,21 @@ class TestReconstruct:
         with pytest.raises(BadConfigError, match="^time must be finite"):
             reconstruct_set(trace, math.nan)
 
+    @pytest.mark.parametrize("lam", [1e-9, 1.0, 1e6])
+    def test_end_slack_scales_with_the_trace(self, lam):
+        # a growing run, so that compute_cost checks its horizon too: the
+        # next float past the end is read, a billionth past it is refused
+        s = RoundedSet.from_polygon(lam * np.array(SQUARE, float))
+        trace = simulate(s, 0.0, lam, lam / 64)
+        t_end = float(trace.t[-1])
+        after = math.nextafter(t_end, math.inf)
+        assert rounded_area(reconstruct_set(trace, after)) > trace.a[-1]
+        assert compute_cost(trace, 1.0, 1.0, after) > 0.0
+        with pytest.raises(OutOfRangeError):
+            reconstruct_set(trace, t_end * (1.0 + 1e-9))
+        with pytest.raises(OutOfRangeError):
+            compute_cost(trace, 1.0, 1.0, t_end * (1.0 + 1e-9))
+
 
 class TestCost:
     def test_zero_budget_cost(self):
@@ -695,6 +712,28 @@ class TestAdmissibility:
         trace = simulate(RoundedSet.from_polygon(vertices, radius), M, horizon=1.0)
         assert check_admissible(trace, 1e-4, 1e-2)
 
+    def test_drifting_sets_fail(self, monkeypatch):
+        # every set moved by (c/2, 0), c = t the rounding radius of the grown
+        # square: its rows, areas and perimeters hold, so only the
+        # containment test sees that the set at t + delta leaves the
+        # delta-dilation of the set at t
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        t = reference.check_times(trace, 1e-4)
+        j, _, _, rho, straight = _path(trace).at(t)
+        args = (sq().kernel, t, _path(trace).kinds[j], rho, straight, _GRID_DIRECTIONS)
+        kernels = isoperimetric._subset_kernels
+
+        def drifting(kernel, c, regime, rho, length):
+            radius, center, *rest = kernels(kernel, c, regime, rho, length)
+            return radius, center + np.outer(0.5 * c, [1.0, 0.0]), *rest
+
+        still = isoperimetric._subsets(*args)
+        monkeypatch.setattr(isoperimetric, "_subset_kernels", drifting)
+        moved = isoperimetric._subsets(*args)
+        for col in range(2):  # areas and perimeters
+            assert np.array_equal(moved[col], still[col])
+        assert not np.array_equal(moved[2], still[2])
+        assert not check_admissible(trace, 1e-4, 1e-2)
 
     @pytest.mark.parametrize(
         "delta, tol",
@@ -705,6 +744,55 @@ class TestAdmissibility:
         trace = simulate(sq(), 4.0, horizon=5.0)
         with pytest.raises(BadConfigError):
             check_admissible(trace, delta, tol)
+
+
+def _check_dirs(trace):
+    traj = _path(trace).traj
+    normals = (traj.kernel.edge_normals(), traj.prof.locus.edge_normals())
+    return np.concatenate((_GRID_DIRECTIONS, *normals))
+
+
+def _agrees_with_reference(trace, delta):
+    """check_admissible gives the reference's bool at the trace's budget
+    and at 1.5 times it, and its batched sets measure as the built ones."""
+    for M in (trace.M, 1.5 * trace.M):
+        checked = dataclasses.replace(trace, M=M)
+        want = reference.check_admissible(checked, delta, 1e-2)
+        assert check_admissible(checked, delta, 1e-2) == want
+    t = reference.check_times(trace, delta)
+    if not len(t):
+        return
+    path = _path(trace)
+    j, a, _, rho, straight = path.at(t)
+    dirs = _check_dirs(trace)
+    area, perim, h, live = isoperimetric._subsets(
+        path.traj.kernel, path.traj.c0 + t, path.kinds[j], rho, straight, dirs
+    )
+    sets = reference.sets_at(trace, t)
+    assert (live & (a > 0.0)).tolist() == [not s.is_empty for s in sets]
+    scale = trace.omega0.diameter
+    for k, s in enumerate(sets):
+        if not s.is_empty:
+            assert abs(area[k] - rounded_area(s)) <= 1e-14 * scale * scale
+            assert abs(perim[k] - rounded_perimeter(s)) <= 1e-14 * scale
+            assert np.max(np.abs(h[k] - _support_values(s, dirs))) <= 1e-14 * scale
+
+
+class TestAdmissibleReference:
+    """The batched check against the per-set one it replaced (see
+    tests/admissible_reference.py)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(hulls(), st.one_of(st.just(0.0), st.floats(0.5, 2.0)), st.sampled_from([1e-4, 1e-2]))
+    def test_random_sets(self, s, factor, delta):
+        M = factor * critical_budget(s)
+        _agrees_with_reference(simulate(s, M, 1.5 * s.diameter), delta)
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-2])
+    def test_stadium_run(self, delta):
+        trace = simulate(RoundedSet.from_polygon(RECTANGLE), 6.0, horizon=1.0)
+        assert [p[0] for p in trace.phases] == ["Opening", "Stadium", "Ball"]
+        _agrees_with_reference(trace, delta)
 
 
 class TestTrajectoryMemo:
@@ -731,6 +819,17 @@ class TestTrajectoryMemo:
         ball_time_at_critical(omega0, m0)
         classify(omega0, m0)
         assert built == [omega0]
+
+    def test_one_path_per_trace(self):
+        # the post-processing reads one path per trace; a trace made by
+        # dataclasses.replace reads its own, from its own budget
+        trace = simulate(sq(0.1), 4.0, horizon=5.0)
+        path = _path(trace)
+        reconstruct_set(trace, 0.5)
+        compute_cost(trace, 1.0, 1.0, 1.0)
+        assert _path(trace) is path
+        relabelled = dataclasses.replace(trace, M=5.0)
+        assert _path(relabelled) is not path and _path(relabelled).M == 5.0
 
     def test_equal_sets_build_their_own(self, built):
         first, second = sq(0.1), sq(0.1)
