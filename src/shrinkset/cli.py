@@ -23,7 +23,7 @@ import numpy as np
 
 from . import raster as ras
 from .errors import BadConfigError, ShrinksetError, require_finite
-from .evolution import compute_cost, reconstruct_set, simulate
+from .evolution import _END_SLACK, compute_cost, reconstruct_set, simulate
 from .geometry import (
     RoundedSet,
     random_rounded_set,
@@ -192,9 +192,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _emit(args, out)
     if period is not None:
         stem = args.out if args.out is not None else Path("snapshot.svg")
-        t = 0.0
-        while t <= trace.t[-1] + 1e-12:
-            snap = reconstruct_set(trace, min(t, float(trace.t[-1])))
+        t, t_end = 0.0, float(trace.t[-1])
+        # the slack reconstruct_set reads past the end, relative to it
+        while t <= t_end + _END_SLACK * t_end:
+            snap = reconstruct_set(trace, min(t, t_end))
             path = stem.with_suffix(f".t{fmt(t)}.svg")
             _write(path, render_svg([snap]))
             t += period

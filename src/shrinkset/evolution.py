@@ -25,6 +25,8 @@ the piece maps: e^x overflows at small M.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -66,9 +68,9 @@ class EvolutionTrace:
     """Rows of the exact evolution, and its phases (kind, piece, t_start,
     t_end, rho_start) up to the last row: piece is the erosion-profile piece
     of an opening phase and None for the stadium and the ball.  The
-    post-processing reads one _Path per trace (see _path), built from these
-    fields on first use: a trace made by dataclasses.replace starts
-    without one."""
+    post-processing reads one _Path per trace (see _path): simulate attaches
+    the one it sampled, which is the one these fields give, and a trace
+    made by dataclasses.replace builds its own on first use."""
 
     omega0: RoundedSet
     M: float
@@ -140,6 +142,51 @@ def _radius(k2: np.ndarray, M: float, r0: np.ndarray, s: np.ndarray) -> np.ndarr
         h[~up] = -1.0 - np.exp(y)
     rho[go] = m * h
     return rho
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    return lo if v < lo else hi if v > hi else v  # np.clip's signed zeros
+
+
+def _radius1(k2: float, M: float, r0: float, s: float) -> float:
+    """_radius on one row, in Python floats: the same branches, with numpy's
+    ufuncs wherever _radius calls one and np.minimum's and np.maximum's
+    choice between equal zeros, so the same bits."""
+    m = M / k2
+    c, lim = r0 + m, _FAR * abs(m)
+    if r0 + s > lim and c > 0.0:
+        top, base, rho = r0 + s, float(np.log(c)), r0
+        for _ in range(5):
+            rho = top + m * (float(np.log(rho + m)) - base)
+        return rho
+    if not (s > 0.0 and c != 0.0):
+        return r0
+    w, v0 = r0 / m, c / m
+    ln_v0 = float(np.log1p(w) if abs(w) < 0.5 else np.log(abs(v0)))
+    g = (r0 + (s if s < lim else lim)) / m - ln_v0
+    if not v0 > 0.0:  # Wright omega
+        x = -1.0 - g
+        y = float(np.log(x if x > 1.0 else 1.0))
+        y = x if x < y else y
+        for _ in range(5):
+            e = float(np.exp(y))
+            y -= (e + y - x) / (e + 1.0)
+        return m * (-1.0 - float(np.exp(y)))
+    floor = _ULP * (w - ln_v0)
+    g = g if g > floor else floor
+    if g < 1e-3:
+        p = (1.0 if m > 0.0 else -1.0) * float(np.sqrt(2.0 * g))
+        return m * (p * float(np.polyval(_BRANCH_SERIES, p)))
+    q, p = g, float(np.sqrt(2.0 * g))
+    if m > 0.0:
+        y = float(np.log(2.0 + 2.0 * q))
+        y = p if p < y else y
+    else:
+        y = -1.0 - q if -1.0 - q > -p - q else -p - q
+    for _ in range(5):
+        e = float(np.expm1(y))
+        y -= (e - y - q) / e
+    return m * float(np.expm1(y))
 
 
 class _Trajectory:
@@ -252,7 +299,8 @@ def _trajectory(omega0: RoundedSet) -> _Trajectory:
 
 class _Path:
     """The trajectory given by its phases (see _Trajectory.phases): its
-    exact state at any time."""
+    exact state at any time.  simulate keeps copies of the rows (t, a,
+    perimeter) it read from it in `rows`."""
 
     def __init__(self, traj: _Trajectory, M: float, phases):
         self.traj, self.M = traj, M
@@ -262,6 +310,13 @@ class _Path:
         # (all 0) outside the opening
         self.shape = np.zeros((5, len(phases)))
         self.shape[:, self.kinds == OPENING] = traj.pieces[:, [p for p in piece if p is not None]]
+        self.rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @functools.cached_property
+    def _table(self):
+        # at1's phase ends, less the last, and each phase as Python floats
+        columns = (self.kinds, self.t0, self.t1, self.rho0, *self.shape)
+        return self.t1[:-1].tolist(), list(zip(*(c.tolist() for c in columns)))
 
     def at(self, t: np.ndarray, j: np.ndarray | None = None):
         """(phase, a, perimeter, rho, straight) at the times t, each in its
@@ -295,6 +350,28 @@ class _Path:
         dead = self.ball[j] & (t >= self.t1[j])
         a[dead] = perim[dead] = rho[dead] = 0.0
         return j, a, perim, rho, straight
+
+    def at1(self, t: float):
+        """at for the one time t, in Python floats and with the same bits:
+        numpy's cost per call on one-element arrays is most of at's there."""
+        traj, M = self.traj, self.M
+        ends, table = self._table
+        j = bisect.bisect_right(ends, t)
+        kind, t_s, t_e, r_s, d0, d1, area0, perim0, tan_sum = table[j]
+        if kind == STADIUM:
+            big, length = traj.rbar + t, traj.prof.locus_len
+            line = _clip(length - 0.5 * M * float(np.log(big / r_s)), 0.0, length)
+            area = math.pi * big * big + 2.0 * big * line
+            return j, area, 2.0 * math.pi * big + 2.0 * line, big, line
+        if kind == BALL and t >= t_e:  # extinct from T* on
+            return j, 0.0, 0.0, 0.0, 0.0
+        rho = r_s + (t - t_s)
+        if M > 0.0:
+            rho = _radius1(2.0 * (tan_sum - math.pi), M, r_s, t - t_s)
+        x = _clip(rho - (traj.c0 + t) - d0, 0.0, d1 - d0)
+        edge = perim0 - 2.0 * tan_sum * x
+        a = area0 - (perim0 - tan_sum * x) * x + edge * rho + math.pi * rho * rho
+        return j, a, edge + 2.0 * math.pi * rho, rho, 0.0
 
 
 def default_step(omega0: RoundedSet) -> float:
@@ -334,19 +411,25 @@ def simulate(
     phases = traj.phases(M)
     kind, _, t_ball, t_star, _ = phases[-1]
     end = min(horizon, t_star)
-    t = _sample_times(end, dt, np.array([p[2] for p in phases] + [t_star]))
+    starts = np.array([p[2] for p in phases])
+    t = _sample_times(end, dt, np.append(starts, t_star))
+    # the phases up to the end: the trace's, so that its path is the one
+    # _path would build from them
+    phases = phases[: np.searchsorted(starts, end, side="right")]
     path = _Path(traj, M, phases)
     with np.errstate(over="ignore"):  # an area past the float range is refused below
         j, a, perim, rho, _ = path.at(t)
     if not np.isfinite(a).all():
         raise BadConfigError(f"the area passes the float range before the horizon {horizon}")
-    return EvolutionTrace(
-        omega0, M, t, a, perim, path.kinds[j], rho,
-        phases[: np.searchsorted(path.t0, end, side="right")],
+    path.rows = t.copy(), a.copy(), perim.copy()
+    trace = EvolutionTrace(
+        omega0, M, t, a, perim, path.kinds[j], rho, phases,
         t_star if t_star <= horizon else None,
         t_ball if kind == BALL and t_ball <= horizon else None,
         horizon, dt,
     )
+    object.__setattr__(trace, "_path", path)
+    return trace
 
 
 def _path(trace: EvolutionTrace) -> _Path:
@@ -364,11 +447,11 @@ def reconstruct_set(trace: EvolutionTrace, t: float) -> RoundedSet:
         require_finite("time", t)
         raise OutOfRangeError(f"time {t} outside the trace range [0, {t_end}]")
     path = _path(trace)
-    j, a, _, rho, straight = path.at(np.array([t], dtype=float))
-    if not a[0] > 0.0:
+    j, a, _, rho, straight = path.at1(t)
+    if not a > 0.0:
         return RoundedSet.empty()
     traj = path.traj
-    return _subset(traj.kernel, traj.c0 + t, path.kinds[j[0]], float(rho[0]), float(straight[0]))
+    return _subset(traj.kernel, traj.c0 + t, path.kinds[j], rho, straight)
 
 
 def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float:
@@ -407,11 +490,12 @@ def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float
     ) - k * (cubes - m * squares + m * m * span)
     stadium = math.pi * cubes + r1 * r1 * l1 - r0 * r0 * l0 + 0.5 * path.M * squares
     integral = float(np.where(path.stadium[j], stadium, pieces).sum())
-    return c1 * integral + c2 * float(path.at(np.array([T], dtype=float))[1][0])
+    return c1 * integral + c2 * path.at1(T)[1]
 
 
 def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
-    """Discrete admissibility: the rows are those of the trajectory, and at
+    """Discrete admissibility: the rows are those of the trajectory (rows
+    equal to the ones simulate read are, others are read again), and at
     up to 40 times t the area removed per unit time by t + delta is the
     budget M and the set at t + delta fits in the delta-dilation of the set
     at t.  The sets are read once per trace, as arrays (isoperimetric's
@@ -422,13 +506,17 @@ def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
     require_finite("delta", delta, 0.0, strict=True)
     require_finite("tol", tol, 0.0)
     path = _path(trace)
-    _, a, perim, _, _ = path.at(trace.t)
-    # an area row off by e moves the removal rate below by e / delta
-    if not (
-        np.all(np.abs(trace.a - a) <= tol * delta)
-        and np.all(np.abs(trace.perimeter - perim) <= tol)
-    ):
-        return False
+    rows = trace.t, trace.a, trace.perimeter
+    # rows equal to the ones simulate read from this path are its rows;
+    # any others are read again
+    if path.rows is None or not all(map(np.array_equal, rows, path.rows)):
+        _, a, perim, _, _ = path.at(trace.t)
+        # an area row off by e moves the removal rate below by e / delta
+        if not (
+            np.all(np.abs(trace.a - a) <= tol * delta)
+            and np.all(np.abs(trace.perimeter - perim) <= tol)
+        ):
+            return False
     t_end = float(trace.t[-1])
     if trace.T_star is not None:
         t_end = min(t_end, trace.T_star - 10.0 * delta)

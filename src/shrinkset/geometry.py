@@ -153,14 +153,18 @@ class ConvexPolygon:
         if np.all(np.abs(cross2(dvec, axis)) <= cross_tol):
             return _collinear_extremes(v)
         merged = v
+        # the edges in units of the power of two above the scale, an exact
+        # change: a product of two squared lengths overflows past 2^256
+        unit = math.ldexp(1.0, -math.frexp(scale)[1])
+        unit_tol = COLLINEAR_REL_TOL * (scale * unit) * (scale * unit)  # cross_tol * unit^2
         # drop collinear vertices until stable: a vertex turns by too little
         # when the sine of its turn is at most COLLINEAR_REL_TOL, which keeps
         # the real corners between the short edges of a fine polygon
         changed = True
         while changed and len(v) >= 3:
-            before = v - cycled(v, -1)
+            before = (v - cycled(v, -1)) * unit
             cr = cross2(before, cycled(before))
-            if np.any(cr < -cross_tol):
+            if np.any(cr < -unit_tol):
                 raise BadConfigError("vertices do not describe a convex polygon")
             sq = (before * before).sum(axis=1)
             keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * cycled(sq))

@@ -12,6 +12,7 @@ of the one-step least-perimeter problem (see ErosionProfile.query).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -254,6 +255,12 @@ class ErosionProfile:
             self.locus_len = 0.0
             self.locus_center = Point2(*lv[0])
             self.locus_dir = Point2(1.0, 0.0)
+
+    @functools.cached_property
+    def center(self) -> ConvexPolygon:
+        """The locus centre as a point kernel, which every ball that
+        isoperimetric's _subset gives shares."""
+        return ConvexPolygon.point(self.locus_center)
 
     def polygons_at(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The kernel eroded by each depth d < d_max, read at once: alive[k,

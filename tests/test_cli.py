@@ -158,6 +158,21 @@ class TestSimulate:
         assert len(svgs) >= 2
         assert svgs[0].read_text().startswith("<svg")
 
+    def test_svg_snapshots_end_slack_is_relative(self, tmp_path):
+        # a square 1e-14 across, read every quarter of its 1e-14 run: t = 0,
+        # 2.5e-15, ..., 1e-14 is five snapshots (an absolute 1e-12 slack
+        # past the end once added 399 more, all of the last set)
+        geom = tmp_path / "tiny.json"
+        geom.write_text(json.dumps({**SQUARE_GEOM, "kernel": [
+            [0, 0], [1e-14, 0], [1e-14, 1e-14], [0, 1e-14]
+        ]}))
+        out = tmp_path / "trace.csv"
+        assert main([
+            "simulate", "--geometry", str(geom), "--M", "0", "--horizon", "1e-14",
+            "--dt", "1e-15", "--svg-every", "2.5e-15", "--out", str(out),
+        ]) == 0
+        assert len(list(tmp_path.glob("trace.t*.svg"))) == 5
+
     @pytest.mark.parametrize(
         "option, config", [(["--svg-every", "0"], {}), ([], {"svg_every": -0.5})]
     )

@@ -837,6 +837,133 @@ class TestTrajectoryMemo:
         assert built == [first, second]
 
 
+def _kink_times(trace):
+    """Each phase start and T*, the floats on either side of them, and the
+    rows: the times where a one-time read could part from the vector one."""
+    kinks = [p[2] for p in trace.phases] + [trace.phases[-1][3]]
+    near = [
+        x for k in kinks if math.isfinite(k)
+        for x in (k, math.nextafter(k, 0.0), math.nextafter(k, math.inf))
+    ]
+    return np.concatenate((trace.t, near))
+
+
+def _assert_one_time_read_is_at(path, t):
+    j, *columns = path.at(np.asarray(t, float))
+    for k, tk in enumerate(t):
+        got = path.at1(float(tk))
+        assert type(got[0]) is int and all(type(x) is float for x in got[1:])
+        want = (int(j[k]), *(float(c[k]) for c in columns))
+        # the same bits: phase, a, perimeter, rho, straight
+        assert got[0] == want[0], (tk, got, want)
+        assert np.array(got[1:]).tobytes() == np.array(want[1:]).tobytes(), (tk, got, want)
+
+
+class TestOneTimeRead:
+    """_Path.at1, the one-time read of reconstruct_set and compute_cost's
+    a(T), against the vector at that simulate and the row check read."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(hulls(), st.one_of(st.just(0.0), st.floats(0.3, 5.0)))
+    def test_random_sets(self, s, factor):
+        M = factor * critical_budget(s)
+        trace = simulate(s, M, 1.5 * s.diameter, s.diameter / 64)
+        _assert_one_time_read_is_at(_path(trace), _kink_times(trace))
+
+    @pytest.mark.parametrize("omega, M, horizon", [
+        (sq(), 1e-300, 2.0),  # rho past _FAR |M / k2|: _radius's fixed point
+        (sq(0.1), 1e-6, 2.0),
+        (unit_ball(), 3.0, 5.0),  # a growing ball, v < 0: Wright omega
+        (unit_ball(), 7.0, 5.0),  # a dying ball, to T* and past it
+        (RoundedSet.from_polygon(RECTANGLE), 6.0, 1.0),  # the stadium
+        (RoundedSet.from_polygon(RECTANGLE), 0.0, 1.0),
+    ], ids=["far", "small-budget", "growing-ball", "dying-ball", "stadium", "no-control"])
+    def test_each_branch(self, omega, M, horizon):
+        trace = simulate(omega, M, horizon, horizon / 200)
+        t = _kink_times(trace)
+        _assert_one_time_read_is_at(_path(trace), t)
+        if trace.T_star is not None:  # the dead ball from T* on, as compute_cost reads it
+            _assert_one_time_read_is_at(_path(trace), [2.0 * trace.T_star, math.inf])
+
+    def test_growing_ball_reads_wright_omega(self):
+        # the ball grows at M = 3 (r* = 3/2pi < 1): v = 1 + rho / m < 0
+        trace = simulate(unit_ball(), 3.0, 5.0, 0.1)
+        m = 3.0 / (-2.0 * math.pi)
+        assert np.all(1.0 + trace.rho / m < 0.0)
+
+
+class TestRowMemo:
+    """check_admissible skips reading rows that equal the ones simulate read
+    from the trace's path; any others are read again."""
+
+    @pytest.fixture
+    def row_reads(self, monkeypatch):
+        at, lengths = evolution._Path.at, []
+
+        def counted(self, t, j=None):
+            lengths.append(len(t))
+            return at(self, t, j)
+
+        monkeypatch.setattr(evolution._Path, "at", counted)
+        return lengths
+
+    def test_rows_of_simulate_are_not_read_again(self, row_reads):
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        row_reads.clear()
+        assert check_admissible(trace, 1e-4, 1e-2)
+        assert len(trace) not in row_reads
+
+    @pytest.mark.parametrize("column", ["a", "perimeter", "t"])
+    def test_row_edited_in_place_is_read_again(self, row_reads, column):
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        k = len(trace) // 2
+        getattr(trace, column)[k] += 0.1
+        row_reads.clear()
+        assert not check_admissible(trace, 1e-4, 1e-2)
+        assert len(trace) in row_reads
+
+    def test_nan_row_fails(self):
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        trace.a[3] = math.nan
+        assert not check_admissible(trace, 1e-4, 1e-2)
+
+    def test_replaced_trace_reads_its_own_path(self, row_reads):
+        trace = simulate(sq(), 4.0, horizon=5.0)
+        copy = dataclasses.replace(trace)
+        assert _path(copy) is not _path(trace) and _path(copy).rows is None
+        row_reads.clear()
+        assert check_admissible(copy, 1e-4, 1e-2)
+        assert len(trace) in row_reads
+        assert not check_admissible(dataclasses.replace(trace, M=4.0 * 1.02), 1e-4, 1e-2)
+
+    @pytest.mark.parametrize("omega, M, horizon", [
+        (sq(0.1), 4.0, 5.0),
+        (RoundedSet.from_polygon(RECTANGLE), 6.0, None),
+        (RoundedSet.from_polygon(RECTANGLE), 6.0, 0.3),
+    ], ids=["square", "cut-before-the-ball", "cut-in-an-opening"])
+    def test_attached_path_reads_as_a_fresh_one(self, omega, M, horizon):
+        # the path simulate attaches is the one the trace's own phases give,
+        # also where a horizon cuts the run a float before the next phase
+        # starts, and a cost horizon inside the end slack reaches past it
+        if horizon is None:
+            horizon = math.nextafter(simulate(omega, M, 5.0).T_dagger, 0.0)
+        trace = simulate(omega, M, horizon, 0.01)
+        fresh = dataclasses.replace(trace)
+        assert _path(fresh) is not _path(trace)
+        assert all(
+            np.array_equal(getattr(_path(trace), name), getattr(_path(fresh), name))
+            for name in ("kinds", "t0", "t1", "rho0", "shape")
+        )
+        t_end = float(trace.t[-1])
+        for t in [*np.linspace(0.0, t_end, 16).tolist(), t_end * (1.0 + 5e-13)]:
+            got, want = reconstruct_set(trace, t), reconstruct_set(fresh, t)
+            assert got.kernel.vertices.tobytes() == want.kernel.vertices.tobytes()
+            assert got.radius == want.radius
+        for T in (0.5 * t_end, t_end, t_end * (1.0 + 5e-13)):
+            got, want = compute_cost(trace, 1.0, 1.0, T), compute_cost(fresh, 1.0, 1.0, T)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestHomothety:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(hulls(), st.floats(0.5, 2.0), st.floats(-6, 6))

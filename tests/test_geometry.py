@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkset import (
     BadConfigError,
@@ -22,7 +24,15 @@ from shrinkset import (
     rounded_perimeter,
     support,
 )
-from shrinkset.geometry import _hull, cross2, polygon_area, polygon_centroid, polygon_perimeter
+from shrinkset.geometry import (
+    COLLINEAR_REL_TOL,
+    _hull,
+    cross2,
+    cycled,
+    polygon_area,
+    polygon_centroid,
+    polygon_perimeter,
+)
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -145,6 +155,55 @@ class TestCanonicalization:
         ]
         assert np.array_equal(ConvexPolygon(v).vertices, v)
         assert np.array_equal(ConvexPolygon(v[::-1]).vertices, v)
+
+
+def _unscaled_collinear_rule(v):
+    """The collinear-vertex loop of ConvexPolygon._canonicalize as it was
+    before it measured edges in units of the scale, where its product of
+    two squared lengths overflowed past 2^256."""
+    while len(v) >= 3:
+        before = v - cycled(v, -1)
+        cr = cross2(before, cycled(before))
+        sq = (before * before).sum(axis=1)
+        keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * cycled(sq))
+        if keep.all():
+            break
+        v = v[keep]
+    return v
+
+
+@st.composite
+def _nearly_collinear_polygons(draw):
+    # a convex n-gon on the 1.5:1 ellipse with a point pushed out of each
+    # edge's midpoint by a turn around the 1e-12 collinear tolerance
+    n = draw(st.integers(3, 12))
+    jitter = draw(st.lists(st.floats(0.0, 0.4), min_size=n, max_size=n))
+    bulge = draw(st.lists(st.sampled_from([0.0, 1e-13, 4e-13, 5e-13, 6e-13, 1e-12, 1e-9]),
+                          min_size=n, max_size=n))
+    t = 2.0 * math.pi * (np.arange(n) + np.array(jitter)) / n
+    v = np.stack([1.5 * np.cos(t), np.sin(t)], axis=1)
+    edge = np.roll(v, -1, axis=0) - v
+    mid = v + 0.5 * edge + np.array(bulge)[:, None] * np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+    return np.stack([v, mid], axis=1).reshape(-1, 2)
+
+
+class TestCanonicalizationAtScale:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_nearly_collinear_polygons(), st.integers(-250, 250))
+    def test_kept_vertices_as_before(self, v, k):
+        # measuring in units of the scale is exact: wherever the unscaled
+        # products stay in the float range, the same vertices are kept
+        scaled = np.ldexp(v, k)
+        want = _unscaled_collinear_rule(scaled)
+        assert ConvexPolygon(scaled).vertices.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [256, 257, 300, 500])
+    def test_huge_square_keeps_its_corners(self, k):
+        # the squared edge lengths' product overflowed, no vertex passed,
+        # and the square collapsed to two vertices
+        v = np.ldexp(np.array(SQUARE, float), k)
+        assert np.array_equal(ConvexPolygon(v).vertices, v)
+        assert len(ConvexPolygon(np.insert(v, 1, np.ldexp([0.5, 0.0], k), axis=0))) == 4
 
 
 def _same_cycle(got, want):

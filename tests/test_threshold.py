@@ -488,3 +488,15 @@ class TestExtremes:
         assert critical_budget(s, tol=1e-3 * lam) / lam == pytest.approx(
             critical_budget(sq(), tol=1e-3), rel=1e-12
         )
+
+    @pytest.mark.parametrize("k", [256, 257, 300])
+    def test_huge_sets(self, k):
+        # past 2^256 the canonicalization's products overflowed: the kernels
+        # collapsed to two vertices, and M0 came out up to 65% low
+        rng = np.random.default_rng(3)
+        sets = [sq(0.1), *(random_rounded_set(rng) for _ in range(20))]
+        for s in sets:
+            scaled = RoundedSet.from_polygon(np.ldexp(s.kernel.vertices, k), math.ldexp(s.radius, k))
+            assert len(scaled.kernel) == len(s.kernel)
+            m0 = critical_budget(s)
+            assert abs(math.ldexp(critical_budget(scaled), -k) - m0) <= 1e-13 * m0
