@@ -375,6 +375,7 @@ class _Path:
 
 
 def default_step(omega0: RoundedSet) -> float:
+    """1e-3 of the diameter, but an absolute 1e-3 below a unit diameter."""
     return 1e-3 * max(1.0, omega0.diameter)
 
 

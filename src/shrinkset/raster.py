@@ -1,31 +1,25 @@
 """Pixel-grid brute force for validating the exact geometry.
 
-Sets become boolean occupancy masks.  Dilation and erosion by r mark the
-cells within Euclidean distance r of an occupied (or empty) cell, by
-widening each row's runs of cells by the disk's half-width on every row
-offset; no distance transform is computed.  Runs in consecutive rows
-that touch are chained into pieces, and a piece's widened runs cover one
-interval on each row, so the work follows the pieces, not the cells: a
-convex set is one piece and its erosion's padded complement two, while
-pixel noise, a piece for every few cells, is the slow case.  Accuracy is
-a boundary band of width O(h), so agreement within a small multiple of
+A grid is its row runs: the operations take runs in and give runs out,
+and the bool mask is painted on first read.  `rasterize` gives the exact
+distance only to the cells between two chords of each row, in O(rows +
+boundary cells).  Dilation and erosion by r widen each row's runs by the
+disk's half-width on every row offset; touching runs in consecutive rows
+form pieces, and the work follows the pieces: a convex set is one, pixel
+noise, a piece for every few cells, is the slow case.  Accuracy is a
+boundary band of width O(h), so agreement within a small multiple of
 h * perimeter certifies the closed-form results independently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BadConfigError, require_finite
-from .geometry import Point2, RoundedSet
-
-# rasterize decides whole BLOCK x BLOCK tiles of cells from one distance at
-# the tile centre, and evaluates cells one by one only in tiles near the boundary
-BLOCK = 8
+from .geometry import Point2, RoundedSet, cycled
 
 
 def __getattr__(name: str):
@@ -38,35 +32,58 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
 class RasterGrid:
-    """A cell grid.  It keeps a read-only bool copy of any 2-D array of 0s
-    and 1s as its occupancy, since erosions are memoized on the grid."""
+    """A cell grid of pitch h whose cell [0, 0] is centred on origin, held
+    as its row runs: `_lo` and `_hi` are the runs' first and past-the-last
+    cells y * (nx + 1) + x, sorted and merged.  `occupancy`, a read-only
+    bool mask [iy, ix], is painted from them on first read; a grid made
+    from a 2-D array of 0s and 1s keeps a read-only bool copy of it.
+    Erosions are memoized on the grid, so no field can be assigned."""
 
-    origin: Point2  # center of cell [0, 0]
-    h: float
-    occupancy: np.ndarray  # bool, indexed [iy, ix]
-
-    def __post_init__(self):
-        x, y = self.origin
-        object.__setattr__(self, "origin", Point2(float(x), float(y)))
-        occ = np.asarray(self.occupancy)
+    def __init__(self, origin, h: float, occupancy):
+        occ = np.asarray(occupancy)
         if occ.ndim != 2 or (occ.dtype != bool and not ((occ == 0) | (occ == 1)).all()):
             raise BadConfigError(
                 f"occupancy must be a 2-D array of 0s and 1s, got {occ.ndim}-D {occ.dtype}"
             )
         occ = occ.astype(bool, order="C")
         occ.flags.writeable = False
-        object.__setattr__(self, "occupancy", occ)
+        # edges alternate start, end within a row of nx + 1 slots
+        at = np.flatnonzero(np.diff(occ, axis=1, prepend=False, append=False))
+        vars(self).update(vars(_grid(origin, h, occ.shape, at[0::2], at[1::2])), occupancy=occ)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.occupancy.shape
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RasterGrid.{name} cannot be assigned")
 
     @cached_property
-    def _erosions(self) -> dict[float, RasterGrid]:
-        # radius -> eroded grid, shared by erode and opening
-        return {}
+    def occupancy(self) -> np.ndarray:
+        ny, nx = self.shape
+        y = self._lo // (nx + 1)
+        # the edges in the mask's flat order, where a run may end as the next row's begins
+        edges = np.column_stack((self._lo - y, self._hi - y)).ravel()
+        runs = np.diff(edges, prepend=0, append=ny * nx)
+        occ = np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(ny, nx)
+        occ.flags.writeable = False
+        return occ
+
+
+def _grid(origin, h: float, shape: tuple[int, int], lo, hi) -> RasterGrid:
+    """The grid of runs [lo, hi) (see RasterGrid); its mask is not painted."""
+    grid = object.__new__(RasterGrid)
+    x, y = origin
+    # _erosions maps a radius to the eroded grid, which erode and opening share
+    vars(grid).update(
+        origin=Point2(float(x), float(y)), h=h, shape=shape, _lo=lo, _hi=hi, _erosions={}
+    )
+    return grid
+
+
+def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union of nonempty intervals [lo, hi) as sorted maximal runs."""
+    lo, hi = np.sort(lo), np.sort(hi)
+    # the union starts anew where a start passes every earlier end
+    gap = lo[1:] > hi[:-1]
+    return np.concatenate((lo[:1], lo[1:][gap])), np.concatenate((hi[:-1][gap], hi[-1:]))
 
 
 def _dist_to_kernel(px: np.ndarray, py: np.ndarray, kernel) -> np.ndarray:
@@ -89,15 +106,50 @@ def _dist_to_kernel(px: np.ndarray, py: np.ndarray, kernel) -> np.ndarray:
     return np.where(inside, 0.0, dist)
 
 
-def rasterize(s: RoundedSet, h: float) -> RasterGrid:
-    """Occupancy mask of s on a cell grid of pitch h with a 2h margin.
+def _chords(kernel, rho: float, ys: np.ndarray, x0: float, h: float, nx: int):
+    """Per row y, the cells [first, stop) of x0 + h * [0, nx) within rho
+    of the kernel (rho >= 0) or in the kernel eroded by -rho (rho < 0).
 
-    The distance to a convex set is 1-Lipschitz, so a tile whose centre
-    lies deeper than `reach` inside or outside the set is decided whole;
-    `reach` is the tile's half-diagonal plus one cell and a rounding term
-    for the coordinates' magnitude.  Every other cell gets the distance
-    from its own centre, so the mask equals the cell-by-cell one.
-    """
+    For rho >= 0 that set is Q and the vertex disks.  Q is cut by the edge
+    lines pushed out by rho and at each vertex by the line through the two
+    pushed edges' ends, which also caps a segment; its normal is the sum of
+    the edge normals or the difference of the edge directions, whichever
+    does not cancel.  For rho < 0 the edges pushed in give the eroded kernel."""
+    v = kernel.vertices
+    lo, hi = np.full(len(ys), np.inf), np.full(len(ys), -np.inf)
+    if len(v) >= (2 if rho >= 0.0 else 3):
+        nrm = kernel.edge_normals()
+        a, c = nrm, (nrm * v).sum(axis=1) + rho
+        if rho >= 0.0:
+            prev = cycled(nrm, -1)
+            turn = np.column_stack((nrm[:, 1] - prev[:, 1], prev[:, 0] - nrm[:, 0]))
+            b = np.where(((turn * turn).sum(axis=1) > 2.0)[:, None], turn, prev + nrm)
+            a = np.vstack((a, b))
+            c = np.concatenate((c, (b * v).sum(axis=1) + rho * (b * nrm).sum(axis=1)))
+        # a_x x <= slack on each row; the lines with a_x = 0 keep a row or drop it
+        slack = c - np.outer(ys, a[:, 1])
+        right, left = a[:, 0] > 0.0, a[:, 0] < 0.0
+        hi = (slack[:, right] / a[right, 0]).min(axis=1, initial=np.inf)
+        lo = (slack[:, left] / a[left, 0]).max(axis=1, initial=-np.inf)
+        empty = (lo > hi) | (slack[:, ~(right | left)] < 0.0).any(axis=1)
+        lo[empty], hi[empty] = np.inf, -np.inf
+    if rho >= 0.0:
+        dy = np.abs(ys[:, None] - v[:, 1])
+        half = np.sqrt(np.maximum(rho - dy, 0.0)) * np.sqrt(rho + dy)
+        hit = dy <= rho
+        lo = np.minimum(lo, np.where(hit, v[:, 0] - half, np.inf).min(axis=1))
+        hi = np.maximum(hi, np.where(hit, v[:, 0] + half, -np.inf).max(axis=1))
+    first = np.clip(np.ceil((lo - x0) / h), 0, nx)
+    return first.astype(np.intp), np.clip(np.floor((hi - x0) / h) + 1.0, 0, nx).astype(np.intp)
+
+
+def rasterize(s: RoundedSet, h: float) -> RasterGrid:
+    """The cells of pitch h, with a 2h margin, whose centres lie within the
+    radius of s's kernel.  On each row, the cells outside the chord at
+    radius + m are empty and those inside the chord at radius - m full,
+    where m is one cell and a rounding term for the coordinates' magnitude;
+    only the cells between get the distance from their own centre, so the
+    grid equals the cell-by-cell one."""
     require_finite("cell size", h, 0.0, strict=True)
     if s.is_empty:
         return RasterGrid(Point2(0.0, 0.0), h, np.zeros((0, 0), dtype=bool))
@@ -107,26 +159,25 @@ def rasterize(s: RoundedSet, h: float) -> RasterGrid:
     x1, y1 = v[:, 0].max() + margin, v[:, 1].max() + margin
     nx = int(math.ceil((x1 - x0) / h)) + 1
     ny = int(math.ceil((y1 - y0) / h)) + 1
-    bx, by = -(-nx // BLOCK), -(-ny // BLOCK)
-    # cell centres over whole tiles (the first nx and ny are the grid's)
-    xs = (x0 + h * np.arange(bx * BLOCK)).reshape(bx, BLOCK)
-    ys = (y0 + h * np.arange(by * BLOCK)).reshape(by, BLOCK)
-    mid = (BLOCK - 1) / 2
-    cx, cy = np.meshgrid(
-        x0 + h * (BLOCK * np.arange(bx) + mid), y0 + h * (BLOCK * np.arange(by) + mid)
-    )
-    dc = _dist_to_kernel(cx, cy, s.kernel)
-    reach = (
-        h * (BLOCK - 1) / math.sqrt(2) + h
-        + 64 * np.finfo(float).eps * (abs(x0) + abs(y0) + abs(x1) + abs(y1))
-    )
-    tiles = np.zeros((by, bx, BLOCK, BLOCK), dtype=bool)
-    tiles[dc + reach < s.radius] = True
-    iy, ix = np.nonzero((dc + reach >= s.radius) & (dc - reach <= s.radius))
-    px, py = np.broadcast_arrays(xs[ix][:, None, :], ys[iy][:, :, None])
-    tiles[iy, ix] = _dist_to_kernel(px, py, s.kernel) <= s.radius
-    occ = tiles.transpose(0, 2, 1, 3).reshape(by * BLOCK, bx * BLOCK)[:ny, :nx]
-    return RasterGrid(Point2(x0, y0), h, occ)
+    m = h + 64 * np.finfo(float).eps * (abs(x0) + abs(y0) + abs(x1) + abs(y1))
+    ys = y0 + h * np.arange(ny)
+    # a line nearly parallel to the rows may put a chord's end past the float range
+    with np.errstate(over="ignore"):
+        out0, out1 = _chords(s.kernel, s.radius + m, ys, x0, h, nx)
+        in0, in1 = _chords(s.kernel, s.radius - m, ys, x0, h, nx)
+    full = in0 < in1
+    in0[~full] = in1[~full] = out1[~full]
+    # the cells between the chords: [out0, in0) and [in1, out1) on each row
+    start = np.concatenate((out0, in1))
+    count = np.maximum(np.concatenate((in0 - out0, out1 - in1)), 0)
+    row = np.repeat(np.tile(np.arange(ny), 2), count)
+    ix = np.arange(len(row)) - np.repeat(np.cumsum(count) - count - start, count)
+    hit = _dist_to_kernel(x0 + h * ix, y0 + h * row, s.kernel) <= s.radius
+    cell = row[hit] * (nx + 1) + ix[hit]
+    base = np.flatnonzero(full) * (nx + 1)
+    lo = np.concatenate((base + in0[full], cell))
+    lo, hi = _union(lo, np.concatenate((base + in1[full], cell + 1)))
+    return _grid(Point2(x0, y0), h, (ny, nx), lo, hi)
 
 
 def _half_widths(r: float, h: float, strict: bool, shape: tuple[int, int]) -> np.ndarray:
@@ -156,40 +207,32 @@ def _half_widths(r: float, h: float, strict: bool, shape: tuple[int, int]) -> np
     return w[: np.count_nonzero(w >= 0.0)].astype(np.intp)
 
 
-def _cover(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Cells (y, x) with a True cell of mask at (y + dy, x + dx), |dx| <=
-    w[|dy|], for |dy| <= K = len(w) - 1.
+def _cover(grid: RasterGrid, w: np.ndarray) -> RasterGrid:
+    """The cells (y, x) of grid's frame with an occupied cell at (y + dy,
+    x + dx), |dx| <= w[|dy|], for |dy| <= K = len(w) - 1.
 
-    Each row's runs [start, end) are chained into pieces.  In the order of
-    (index of the run within its row, row), a run continues the previous
-    run's piece when it lies in the next row and the two touch as
-    8-neighbours: start <= prev_end and prev_start <= end.  (The index
-    only brings one shape's runs together; any chain of touching runs in
-    consecutive rows is a piece.)  Touching runs widened by half-widths
-    >= 0 still meet, so on every target row a piece's widened runs form
-    one interval, [min(start - w[|dy|]), max(end + w[|dy|])).  One loop
-    over the 2K + 1 row offsets takes these envelopes on a buffer where
-    each piece is followed by 2K empty slots, so no two pieces share a
-    slot; a slot holds a start and a negated end, and one np.minimum per
-    offset serves both.  The pieces' intervals are merged and painted one
-    byte per cell.
+    In the order of (index of the run within its row, row), a run
+    continues the previous run's piece when it lies in the next row and
+    the two touch as 8-neighbours: start <= prev_end and prev_start <=
+    end.  (The index only brings one shape's runs together; any chain of
+    touching runs in consecutive rows is a piece.)  Touching runs widened
+    by half-widths >= 0 still meet, so on every target row a piece's
+    widened runs form one interval, [min(start - w[|dy|]), max(end +
+    w[|dy|])).  One loop over the 2K + 1 row offsets takes these
+    envelopes on a buffer where each piece is followed by 2K empty slots,
+    so no two pieces share a slot; a slot holds a start and a negated
+    end, and one np.minimum per offset serves both.  The pieces'
+    intervals are merged into the result's runs.
 
-    The cost is (2K + 1)(R + 2K P) slot steps for R runs in P pieces, a
-    sort of the intervals and one byte per cell.  A rasterized convex set
-    and its dilation are one piece, an eroded grid's padded complement
-    two.  Pixel noise, thousands of pieces of a few runs each, pays the 2K
-    padding slots for every piece: 200 x 200 to 300 x 300 noise masks run
-    5 to 13 times slower than a difference array over the grid would.  No
-    caller makes such masks.
+    The cost is (2K + 1)(R + 2K P) slot steps for R runs in P pieces and
+    a sort of the intervals.  A rasterized convex set and its dilation
+    are one piece, an eroded grid's padded complement two.  Pixel noise
+    pays the 2K padding slots for each of its thousands of pieces.
     """
-    ny, nx = mask.shape
+    ny, nx = grid.shape
     k = len(w) - 1
-    if k < 0:  # a strict radius of 0 reaches no cell
-        return np.zeros_like(mask)
-    # edges alternate start, end within a row: runs are [start, end)
-    at = np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False))
-    y, start = np.divmod(at[0::2], nx + 1)
-    end = at[1::2] - y * (nx + 1)
+    y, start = np.divmod(grid._lo, nx + 1)
+    end = grid._hi - y * (nx + 1)
     # the runs come by row, so a stable sort by index keeps each index's rows in order
     order = np.argsort(np.arange(len(y)) - np.searchsorted(y, y), kind="stable")
     y, start, end = y[order], start[order], end[order]
@@ -209,28 +252,41 @@ def _cover(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
     for d in range(1, 2 * k + 1):
         np.minimum(env[2 * d :], src[: 2 * (size - d)] - w[abs(d - k)], out=env[2 * d :])
     keep = (row >= 0) & (row < ny)
-    cell0 = row[keep] * nx
-    lo = np.sort(cell0 + np.maximum(env[0::2][keep], 0))
-    hi = np.sort(cell0 - np.maximum(env[1::2][keep], -nx))
-    # the union starts anew where a start passes every earlier end
-    gap = lo[1:] > hi[:-1]
-    edges = np.column_stack(
-        (np.concatenate((lo[:1], lo[1:][gap])), np.concatenate((hi[:-1][gap], hi[-1:])))
-    )
-    runs = np.diff(edges.ravel(), prepend=0, append=mask.size)
-    return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(ny, nx)
+    # each interval holds its piece's cells on a source row, so it is not empty
+    cell0 = row[keep] * (nx + 1)
+    lo = cell0 + np.maximum(env[0::2][keep], 0)
+    lo, hi = _union(lo, cell0 - np.maximum(env[1::2][keep], -nx))
+    return _grid(grid.origin, grid.h, grid.shape, lo, hi)
+
+
+def _complement(grid: RasterGrid) -> RasterGrid:
+    """The empty cells of grid, as runs of the same frame."""
+    ny, nx = grid.shape
+    rows = np.arange(ny) * (nx + 1)
+    # each row reads row start, its runs' edges, row end: the gaps pair up
+    edges = np.sort(np.concatenate((rows, grid._lo, grid._hi, rows + nx)))
+    lo, hi = edges[0::2], edges[1::2]
+    gap = lo < hi
+    return _grid(grid.origin, grid.h, grid.shape, lo[gap], hi[gap])
+
+
+def _padded(grid: RasterGrid, d: int, origin: Point2) -> RasterGrid:
+    """grid's runs in its frame grown by d cells on every side (cut for
+    d < 0) at the given origin; the runs must stay inside the frame."""
+    ny, nx = grid.shape
+    shift = grid._lo // (nx + 1) * 2 * d + d * (nx + 2 * d + 2)
+    return _grid(origin, grid.h, (ny + 2 * d, nx + 2 * d), grid._lo + shift, grid._hi + shift)
 
 
 def raster_dilate(grid: RasterGrid, r: float) -> RasterGrid:
     """Mark every cell within distance r of an occupied cell."""
     require_finite("dilation radius", r, 0.0)
-    if not grid.occupancy.any():  # also a grid without cells
+    if not len(grid._lo):  # also a grid without cells
         return grid
     cells = int(math.ceil(r / grid.h)) + 2
-    occ = np.pad(grid.occupancy, cells)
-    mask = _cover(occ, _half_widths(r, grid.h, False, occ.shape))
     x, y = grid.origin
-    return RasterGrid(Point2(x - cells * grid.h, y - cells * grid.h), grid.h, mask)
+    padded = _padded(grid, cells, Point2(x - cells * grid.h, y - cells * grid.h))
+    return _cover(padded, _half_widths(r, grid.h, False, padded.shape))
 
 
 def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
@@ -241,14 +297,16 @@ def raster_erode(grid: RasterGrid, r: float) -> RasterGrid:
     an opening by the same r share one pass.
     """
     require_finite("erosion radius", r, 0.0)
-    if not grid.occupancy.any():  # also a grid without cells
+    if not len(grid._lo) or r == 0.0:  # no cell is nearer than 0 to another
         return grid
     eroded = grid._erosions.get(r)
     if eroded is None:
         # one empty cell around the grid is as near as any beyond its edge
-        empty = np.pad(~grid.occupancy, 1, constant_values=True)
-        near = _cover(empty, _half_widths(r, grid.h, True, empty.shape))[1:-1, 1:-1]
-        eroded = grid._erosions[r] = RasterGrid(grid.origin, grid.h, grid.occupancy & ~near)
+        x, y = grid.origin
+        empty = _complement(_padded(grid, 1, Point2(x - grid.h, y - grid.h)))
+        near = _cover(empty, _half_widths(r, grid.h, True, empty.shape))
+        # near holds every padding cell, so what it leaves lies in the grid
+        eroded = grid._erosions[r] = _padded(_complement(near), -1, grid.origin)
     return eroded
 
 
@@ -258,4 +316,4 @@ def raster_opening(grid: RasterGrid, rho: float) -> RasterGrid:
 
 
 def raster_area(grid: RasterGrid) -> float:
-    return float(grid.occupancy.sum()) * grid.h * grid.h
+    return float((grid._hi - grid._lo).sum()) * grid.h * grid.h

@@ -197,6 +197,15 @@ class TestCanonicalizationAtScale:
         want = _unscaled_collinear_rule(scaled)
         assert ConvexPolygon(scaled).vertices.tobytes() == want.tobytes()
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_nearly_collinear_polygons(), st.integers(-300, -251))
+    def test_tiny_scales_keep_the_unit_vertices(self, v, k):
+        # below about 2^-268 the old rule's product of squared lengths
+        # underflowed to 0; measured in units of the scale, the kept
+        # vertices are the unit polygon's times 2^k
+        want = np.ldexp(ConvexPolygon(v).vertices, k)
+        assert ConvexPolygon(np.ldexp(v, k)).vertices.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", [256, 257, 300, 500])
     def test_huge_square_keeps_its_corners(self, k):
         # the squared edge lengths' product overflowed, no vertex passed,

@@ -196,7 +196,7 @@ class TestRasterOps:
 
 def _full_grid(s, h):
     """rasterize by the distance from every cell centre: the reference for
-    the tiled evaluation, with the same grid set-up."""
+    the chord evaluation, with the same grid set-up."""
     v = s.kernel.vertices
     margin = s.radius + 2.5 * h
     x0, y0 = v[:, 0].min() - margin, v[:, 1].min() - margin
@@ -225,20 +225,47 @@ def sets_and_pitches(draw):
     return s, 10.0 ** draw(st.floats(-3.0, math.log10(5e-2))) * s.diameter
 
 
+HULL = [(0.0, 0.0), (1.3, 0.2), (1.6, 1.1), (0.7, 1.5), (-0.2, 0.8)]
+HULL_H = 1e-3 * RoundedSet.from_polygon(HULL).diameter
+# at h = 1e-3 diameter: the sharp square, and a hull rounded by 0.3 cell,
+# where the distance is 0 inside the kernel and below the radius nowhere else
+SHARP_SQUARE = (sq(), 1e-3 * sq().diameter)
+THIN_HULL = (RoundedSet.from_polygon(HULL, 0.3 * HULL_H), HULL_H)
+
+
 class TestTiledRasterize:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(sets_and_pitches())
+    @example(SHARP_SQUARE)
+    @example(THIN_HULL)
     @example((RoundedSet.from_polygon(SQUARE, 0.0), 1e-3))
     @example((RoundedSet.ball((0.3, -0.2), 0.7), 2e-3))
     @example((RoundedSet.from_polygon(1e9 + 1e-6 * np.array(SQUARE), 1e-7), 1e-8))
     @example((RoundedSet.from_polygon(1e6 + 1e6 * np.array(SQUARE), 2e5), 5e3))
+    # an edge 5e-300 from level: its chord ends on far rows overflow to inf
+    @example((RoundedSet.from_polygon([(0, 0), (2e9, 1e-290), (0, 1e9)]), 2e7))
     def test_matches_every_cell_evaluation(self, case):
         s, h = case
         grid = rasterize(s, h)
         origin, occ = _full_grid(s, h)
         assert tuple(grid.origin) == origin and grid.h == h
         assert grid.occupancy.dtype == bool and grid.occupancy.flags.c_contiguous
-        assert np.array_equal(grid.occupancy, occ)
+        assert np.array_equal(_mask_of(grid), occ)
+
+    @pytest.mark.parametrize("case", [SHARP_SQUARE, THIN_HULL], ids=["square", "thin-hull"])
+    def test_exact_distances_only_near_the_boundary(self, case, monkeypatch):
+        s, h = case
+        dist = raster._dist_to_kernel
+        points = []
+
+        def counted(px, py, kernel):
+            points.append(px.size)
+            return dist(px, py, kernel)
+
+        monkeypatch.setattr(raster, "_dist_to_kernel", counted)
+        ny, nx = rasterize(s, h).shape
+        # the cells between a row's two chords, a few per boundary crossing
+        assert 0 < sum(points) <= 16 * (nx + ny)
 
     def test_one_cover_pass_per_grid_and_radius(self, rng, monkeypatch):
         cover = raster._cover
@@ -271,12 +298,20 @@ class TestTiledRasterize:
         )
 
 
+def _mask_of(grid):
+    """grid's mask, once its runs are checked against the runs a grid made
+    from that mask holds: sorted and merged, with none empty."""
+    again = RasterGrid(grid.origin, grid.h, grid.occupancy)
+    assert np.array_equal(again._lo, grid._lo) and np.array_equal(again._hi, grid._hi)
+    return grid.occupancy
+
+
 def _assert_ops_match(grid, r, want_dilate, want_erode, want_opening):
-    got = raster_dilate(grid, r).occupancy
+    got = _mask_of(raster_dilate(grid, r))
     assert got.shape == want_dilate.shape and np.array_equal(got, want_dilate)
-    assert np.array_equal(raster_erode(grid, r).occupancy, want_erode)
+    assert np.array_equal(_mask_of(raster_erode(grid, r)), want_erode)
     if r > 0:
-        assert np.array_equal(raster_opening(grid, r).occupancy, want_opening)
+        assert np.array_equal(_mask_of(raster_opening(grid, r)), want_opening)
 
 
 # radii in cells: tie shells (150 holds 90^2 + 120^2 = 150^2, 5 holds
@@ -382,9 +417,9 @@ class TestRunLengthCover:
         cover = raster._cover
         widths = []
 
-        def spied(mask, w):
-            widths.append((len(mask), len(w)))
-            return cover(mask, w)
+        def spied(frame, w):
+            widths.append((frame.shape[0], len(w)))
+            return cover(frame, w)
 
         monkeypatch.setattr(raster, "_cover", spied)
         grid = rasterize(sq(0.1), 0.01)
