@@ -45,14 +45,36 @@ def cycled(a: np.ndarray, k: int = 1) -> np.ndarray:
     return np.concatenate((a[k:], a[:k]))
 
 
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, 2) arrays: the bits of
+    (a * b).sum(axis=1), but for the sign of a zero sum, without numpy's
+    slow reduction over an axis of length two."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+
+
+def _vertex_turns(normals: np.ndarray) -> np.ndarray:
+    """Turning angle at each vertex, from the normal of the edge before it
+    to that of the edge it starts."""
+    nprev = cycled(normals, -1)
+    return np.arctan2(cross2(nprev, normals), _dot_rows(nprev, normals))
+
+
 def _bbox_scale(v: np.ndarray) -> float:
     """Cheap diameter proxy used to make tolerances scale-invariant."""
-    span = v.max(axis=0) - v.min(axis=0)
-    return float(math.hypot(span[0], span[1]))
+    x, y = v[:, 0], v[:, 1]
+    return math.hypot(x.max() - x.min(), y.max() - y.min())
 
 
 def _merge_close(v: np.ndarray, tol: float) -> np.ndarray:
     """Merge cyclically-consecutive vertices closer than tol."""
+    # one numpy pass decides the usual case: every cyclic gap is above tol
+    # and nothing merges.  The bound sits a billionth and an ulp above tol,
+    # past where np.hypot's and math.hypot's roundings can part
+    d = cycled(v) - v
+    if (np.hypot(d[:, 0], d[:, 1]) > math.nextafter(tol * (1.0 + 1e-9), math.inf)).all():
+        return v.copy()
+    # a chain of close points is compared with the last vertex kept, which
+    # one pass cannot reproduce
     kept = []
     for p in v:
         if not kept or math.hypot(p[0] - kept[-1][0], p[1] - kept[-1][1]) > tol:
@@ -72,6 +94,10 @@ def _collinear_extremes(v: np.ndarray) -> np.ndarray:
     return np.array([v[np.argmin(s)], v[np.argmax(s)]], float)
 
 
+# the offsets (from the edge's start, from its far vertex) that _diameter compares
+_DIAMETER_PAIRS = np.array([(a, b) for a in (0, 1) for b in range(-2, 3)])
+
+
 def _diameter(v: np.ndarray) -> float:
     """Largest vertex distance of a convex polygon (counterclockwise).
 
@@ -85,12 +111,20 @@ def _diameter(v: np.ndarray) -> float:
     if n == 0:
         return 0.0
     d = cycled(v) - v
-    phi = np.unwrap(np.arctan2(-d[:, 0], d[:, 1]))  # outward normal of edge i
+    # the outward normals' angles increase but for one wrap, after which
+    # they start again from their smallest
+    phi = np.arctan2(-d[:, 0], d[:, 1])
+    phi[np.argmin(phi):] += 2.0 * math.pi
     far = np.searchsorted(np.concatenate([phi, phi + 2.0 * math.pi]), phi + math.pi)
-    ends = np.arange(n)[:, None] + np.array([0, 1])
-    near = far[:, None] + np.arange(-2, 3)
-    diff = v[ends[:, :, None] % n] - v[near[:, None, :] % n]
-    return float(np.sqrt((diff * diff).sum(-1)).max())
+    # each edge's two ends against the five vertices around its far one,
+    # one row per pair of offsets; the root of the largest square is the
+    # largest root
+    ends = _DIAMETER_PAIRS[:, :1] + np.arange(n)
+    near = _DIAMETER_PAIRS[:, 1:] + far
+    x, y = v[:, 0], v[:, 1]
+    dx = x.take(ends, mode="wrap") - x.take(near, mode="wrap")
+    dy = y.take(ends, mode="wrap") - y.take(near, mode="wrap")
+    return math.sqrt((dx * dx + dy * dy).max())
 
 
 # writes a slot past the class's own __setattr__, as __init__ does
@@ -121,7 +155,7 @@ class ConvexPolygon:
 
     def __init__(self, vertices):
         v = np.asarray(vertices, float).reshape(-1, 2)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise BadConfigError("vertices must be finite")
         v = self._canonicalize(v)
         v.setflags(write=False)
@@ -149,8 +183,8 @@ class ConvexPolygon:
             dvec = v - v[0]
         cross_tol = COLLINEAR_REL_TOL * scale * scale
         # a globally collinear point set is a segment, not a thin polygon
-        axis = dvec[np.argmax((dvec * dvec).sum(axis=1))]
-        if np.all(np.abs(cross2(dvec, axis)) <= cross_tol):
+        axis = dvec[np.argmax(_dot_rows(dvec, dvec))]
+        if (np.abs(cross2(dvec, axis)) <= cross_tol).all():
             return _collinear_extremes(v)
         merged = v
         # the edges in units of the power of two above the scale, an exact
@@ -164,9 +198,9 @@ class ConvexPolygon:
         while changed and len(v) >= 3:
             before = (v - cycled(v, -1)) * unit
             cr = cross2(before, cycled(before))
-            if np.any(cr < -unit_tol):
+            if (cr < -unit_tol).any():
                 raise BadConfigError("vertices do not describe a convex polygon")
-            sq = (before * before).sum(axis=1)
+            sq = _dot_rows(before, before)
             keep = cr > COLLINEAR_REL_TOL * np.sqrt(sq * cycled(sq))
             changed = not keep.all()
             v = v[keep]
@@ -174,7 +208,7 @@ class ConvexPolygon:
             return _collinear_extremes(merged)
         # every turn is to the left: they sum to a whole number of turns,
         # more than one for a star or a zig-zag
-        if np.arctan2(cr, (before * cycled(before)).sum(axis=1)).sum() > 3.0 * math.pi:
+        if np.arctan2(cr, _dot_rows(before, cycled(before))).sum() > 3.0 * math.pi:
             raise BadConfigError("vertices do not describe a convex polygon")
         return v
 
@@ -214,16 +248,14 @@ class ConvexPolygon:
             return np.zeros((0, 2))
         d = cycled(v) - v
         n = np.stack([d[:, 1], -d[:, 0]], axis=1)
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
+        return n / np.sqrt(_dot_rows(n, n))[:, None]
 
     def exterior_angles(self) -> np.ndarray:
         """Turning angle at each vertex, in (0, pi); degenerate kernels give
         pi per endpoint (segment) or 2*pi (point)."""
         if len(self.vertices) == 1:
             return np.array([2.0 * math.pi])
-        n = self.edge_normals()
-        nprev = cycled(n, -1)
-        return np.arctan2(cross2(nprev, n), (nprev * n).sum(axis=1))
+        return _vertex_turns(self.edge_normals())
 
 
 def polygon_area(p: ConvexPolygon) -> float:
@@ -242,7 +274,8 @@ def polygon_perimeter(p: ConvexPolygon) -> float:
     v = p.vertices
     if len(v) < 2:
         return 0.0
-    return float(np.linalg.norm(cycled(v) - v, axis=1).sum())
+    d = cycled(v) - v
+    return float(np.sqrt(_dot_rows(d, d)).sum())
 
 
 def polygon_centroid(p: ConvexPolygon) -> np.ndarray:

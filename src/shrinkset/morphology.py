@@ -16,7 +16,6 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -27,7 +26,9 @@ from .geometry import (
     COLLINEAR_REL_TOL,
     ConvexPolygon,
     _bbox_scale,
+    _dot_rows,
     _merge_close,
+    _vertex_turns,
     Point2,
     RoundedSet,
     cross2,
@@ -119,30 +120,35 @@ class ErosionProfile:
             # vertex i slides so it stays on the offset lines of edges i - 1, i
             lines = np.stack([cycled(normals, -1), normals], axis=1)
             w = np.linalg.solve(lines, np.ones((n, 2, 1)))[..., 0]
-            lengths = np.linalg.norm(cycled(v) - v, axis=1)
+            step = cycled(v) - v
+            lengths = np.sqrt(_dot_rows(step, step))
             shrink = cross2(normals, cycled(w) - w)
             with np.errstate(divide="ignore"):
                 events = np.where(shrink > 1e-14, lengths / shrink, np.inf)
-            tau = np.tan(0.5 * kernel.exterior_angles())
+            tau = np.tan(0.5 * _vertex_turns(normals))
             d, area, perim, tan_sum = 0.0, self.area0, self.perim0, float(tau.sum())
             # per edge, as Python floats: its unit normal (nx, ny) and direction
             # (-ny, nx); its start vertex, at (px, py) at depth pd and moving by
-            # -(wx, wy) per unit depth, and tan(theta / 2) there; the length it
-            # loses per unit depth (rate) and the depth where it vanishes (key);
-            # its neighbours in the ring of live edges
+            # -(wx, wy) per unit depth, and tan(theta / 2) there; the depth
+            # where it vanishes (key); its neighbours in the ring of live edges
             nx, ny = normals[:, 0].tolist(), normals[:, 1].tolist()
             px, py, pd = v[:, 0].tolist(), v[:, 1].tolist(), [0.0] * n
             wx, wy = w[:, 0].tolist(), w[:, 1].tolist()
-            tau, rate, key = tau.tolist(), shrink.tolist(), events.tolist()
+            tau, key = tau.tolist(), events.tolist()
             prev, nxt = [n - 1, *range(n - 1)], [*range(1, n), 0]
             death = [math.inf] * n
-            heap = [(k, e) for e, k in enumerate(key) if k < math.inf]
-            heapq.heapify(heap)
+            # (depth, edge) in order, which is a heap already
+            order = np.argsort(events, kind="stable")
+            order = order[: np.searchsorted(events[order], math.inf)]
+            heap = [*zip(events[order].tolist(), order.tolist())]
             live = n
             # the collapse residue is noise of the input's own coordinates
             mag = scale + float(np.abs(kernel.vertices).max())
-            # each start vertex the build sets, in its frame: (edge, x, y, depth, wx, wy)
-            rows = [*zip(range(n), px, py, pd, wx, wy)]
+            # each start vertex the build sets, in its frame, as (edge, x, y,
+            # depth, wx, wy): the kernel's own in first, and each event's
+            # appended to rows, six floats at a time
+            first = np.column_stack([np.arange(n), v, np.zeros(n), w])
+            rows = []
 
             def length(g: int, depth: float) -> float:
                 h = nxt[g]
@@ -150,13 +156,19 @@ class ErosionProfile:
                 dy = py[h] - (depth - pd[h]) * wy[h] - py[g] + (depth - pd[g]) * wy[g]
                 return dy * nx[g] - dx * ny[g]
 
-            def polygon_before(depth: float) -> np.ndarray:
-                # vertices at depth of the edges alive just before it
-                idx = np.flatnonzero(np.array(death) >= depth)
-                at = depth - np.array(pd)[idx, None]
-                return np.array([px, py]).T[idx] - at * np.array([wx, wy]).T[idx]
+            def grouped() -> np.ndarray:
+                # the rows grouped by edge, each group in event order
+                t = np.concatenate([first, np.array(rows, float).reshape(-1, 6)])
+                return t[np.argsort(t[:, 0], kind="stable")]
 
-            point = None
+            def polygon_before(depth: float, table: np.ndarray) -> np.ndarray:
+                # vertices at depth of the edges alive just before it, from
+                # each one's last row in the table, its start vertex now
+                last = table[np.searchsorted(table[:, 0], np.arange(n), side="right") - 1]
+                r = last[np.array(death) >= depth]
+                return r[:, 1:3] - (depth - r[:, 3:4]) * r[:, 4:6]
+
+            rest = None  # what the collapse leaves, once it is known to be a point
             while True:
                 depth, e = heapq.heappop(heap)
                 if death[e] < math.inf or key[e] != depth:
@@ -173,9 +185,10 @@ class ErosionProfile:
                 x = depth - d
                 small = live * live * _ULP * mag
                 if perim - 2.0 * tan_sum * x <= 4.0 * small:
-                    u = polygon_before(depth)
+                    table = grouped()
+                    u = polygon_before(depth, table)
                     if _bbox_scale(u) <= small:
-                        point = u[:1]
+                        rest = u[:1]
                         break
                 # every edge no longer than tol at this depth vanishes with
                 # e, including neighbours that the collapse leaves that short
@@ -225,26 +238,27 @@ class ErosionProfile:
                     px[c], py[c], pd[c] = qx - r * ny[c], qy + r * nx[c], depth
                     # the same 2x2 system as the first piece's, by Cramer
                     wx[c], wy[c] = (ny[c] - ny[a]) / s, (nx[a] - nx[c]) / s
-                    rows.append((c, px[c], py[c], depth, wx[c], wy[c]))
+                    rows += (c, px[c], py[c], depth, wx[c], wy[c])
                 for g in joins | {prev[c] for c in joins}:
                     h = nxt[g]
-                    rate[g] = (wy[h] - wy[g]) * nx[g] - (wx[h] - wx[g]) * ny[g]
-                    if rate[g] > 1e-14:
-                        key[g] = depth + length(g, depth) / rate[g]
+                    rate = (wy[h] - wy[g]) * nx[g] - (wx[h] - wx[g]) * ny[g]
+                    if rate > 1e-14:
+                        key[g] = depth + length(g, depth) / rate
                         heapq.heappush(heap, (key[g], g))
                     else:
                         key[g] = math.inf
                 d = depth
             self.d_max = depth
+            if rest is None:
+                table = grouped()
+                rest = polygon_before(depth, table)
+            # else the table the point was read from, which no event followed
+            self._rows = table
+            self._start = np.searchsorted(table[:, 0], np.arange(n))
             self.death = np.minimum(np.array(death), depth)
-            u = polygon_before(depth) if point is None else point
             # merge at the parent scale: a collapse event leaves clusters of
             # float noise that the polygon's own bbox tolerance cannot see
-            self.locus = ConvexPolygon(_merge_close(u, tol) + origin)
-            # grouped by edge, each group in event order
-            rows = np.fromiter(chain.from_iterable(rows), float, 6 * len(rows)).reshape(-1, 6)
-            self._rows = rows = rows[np.argsort(rows[:, 0], kind="stable")]
-            self._start = np.searchsorted(rows[:, 0], np.arange(n))
+            self.locus = ConvexPolygon(_merge_close(rest, tol) + origin)
         lv = self.locus.vertices
         if len(lv) == 2:
             e = lv[1] - lv[0]

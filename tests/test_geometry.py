@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shrinkset import (
     BadConfigError,
@@ -24,15 +25,19 @@ from shrinkset import (
     rounded_perimeter,
     support,
 )
+from shrinkset import geometry, morphology
 from shrinkset.geometry import (
     COLLINEAR_REL_TOL,
+    _dot_rows,
     _hull,
+    _merge_close,
     cross2,
     cycled,
     polygon_area,
     polygon_centroid,
     polygon_perimeter,
 )
+from shrinkset.morphology import ErosionProfile
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -213,6 +218,159 @@ class TestCanonicalizationAtScale:
         v = np.ldexp(np.array(SQUARE, float), k)
         assert np.array_equal(ConvexPolygon(v).vertices, v)
         assert len(ConvexPolygon(np.insert(v, 1, np.ldexp([0.5, 0.0], k), axis=0))) == 4
+
+
+def _sequential_merge(v, tol):
+    """_merge_close as a loop over the vertices: each one is compared with
+    the last vertex kept, and then the last kept with the first."""
+    kept = []
+    for p in v:
+        if not kept or math.hypot(p[0] - kept[-1][0], p[1] - kept[-1][1]) > tol:
+            kept.append(p)
+    while len(kept) > 1 and math.hypot(
+        kept[0][0] - kept[-1][0], kept[0][1] - kept[-1][1]
+    ) <= tol:
+        kept.pop()
+    return np.array(kept, float).reshape(-1, 2)
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+_TOLS = st.floats(1e-6, 1e6)
+# a gap of tol times (1 + k ulps), around tol itself and around the
+# bound a billionth above it, past which one numpy pass decides
+_GAPS = st.builds(
+    lambda base, k: base * (1.0 + k * np.finfo(float).eps),
+    st.sampled_from([1.0, 1.0 + 1e-9]),
+    st.integers(-8, 8),
+)
+
+
+@st.composite
+def _ladders(draw):
+    """A closed ladder: out along y = 0 by steps of about tol and back along
+    y = h through the same x, so every cyclic gap, the wraparound's too, is
+    tol within a few ulps.  Returns (vertices, tol)."""
+    tol = draw(_TOLS)
+    steps = draw(st.lists(_GAPS, min_size=0, max_size=6))
+    x = np.cumsum([draw(st.floats(-10.0, 10.0)) * tol] + [g * tol for g in steps])
+    h = draw(_GAPS) * tol
+    out, back = np.stack([x, np.zeros_like(x)], 1), np.stack([x[::-1], np.full_like(x, h)], 1)
+    v = np.concatenate([out, back])
+    return np.roll(v, draw(st.integers(0, len(v) - 1)), axis=0), tol
+
+
+@st.composite
+def _chains(draw):
+    """A walk of chains of 3 to 6 points, each within tol of the one before
+    (a chain may span more than tol), and of single steps of about tol or
+    longer, each step turned by a random angle, rolled so that a chain may
+    straddle the wraparound.  Returns (vertices, tol)."""
+    tol = draw(_TOLS)
+    chain = st.lists(st.floats(0.05, 0.999), min_size=2, max_size=5)
+    single = st.one_of(st.floats(2.0, 10.0), _GAPS).map(lambda g: [g])
+    blocks = draw(st.lists(st.one_of(chain, single), min_size=1, max_size=5))
+    lengths = [g for block in blocks for g in block]
+    n = len(lengths)
+    angles = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=n, max_size=n))
+    steps = tol * np.array(lengths)[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
+    v = np.cumsum(np.concatenate([[(3.0 * tol, -7.0 * tol)], steps]), axis=0)
+    return np.roll(v, draw(st.integers(0, len(v) - 1)), axis=0), tol
+
+
+@st.composite
+def _one_or_two(draw):
+    """One or two points, the second at a gap of about tol from the first."""
+    tol = draw(_TOLS)
+    p = np.array([draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))]) * tol
+    if draw(st.booleans()):
+        return p[None, :], tol
+    angle = draw(st.sampled_from([0.0, 0.5 * math.pi, 1.0]))
+    return np.stack([p, p + draw(_GAPS) * tol * np.array([math.cos(angle), math.sin(angle)])]), tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: hnp.arrays(float, (2, n, 2), elements=st.floats(-1e150, 1e150))
+    )
+)
+def test_dot_rows_are_the_axis_sum(ab):
+    # the column form that canonicalization, the edge normals and the
+    # perimeter use gives numpy's sum over rows of two, bit for bit but for
+    # the sign of a zero sum
+    a, b = ab
+    got, want = _dot_rows(a, b), (a * b).sum(axis=1)
+    assert np.array_equal(got, want)
+    assert got[want != 0].tobytes() == want[want != 0].tobytes()
+
+
+def _benchmark_kernels():
+    t = 2.0 * math.pi * np.arange(512) / 512
+    shapes = [pytest.param(_ellipse(n), id=f"ellipse-{n}") for n in (100, 400, 800)]
+    return shapes + [pytest.param(np.stack([np.cos(t), np.sin(t)], axis=1), id="regular-512")]
+
+
+class TestMergeClose:
+    """_merge_close decides with one numpy pass when nothing merges, and
+    runs the sequential merge otherwise: its bytes are the loop's."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_ladders())
+    def test_gaps_within_ulps_of_tol(self, case):
+        v, tol = case
+        _assert_same_bytes(_merge_close(v, tol), _sequential_merge(v, tol))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_chains())
+    def test_chains_and_wraparound_clusters(self, case):
+        v, tol = case
+        _assert_same_bytes(_merge_close(v, tol), _sequential_merge(v, tol))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_one_or_two())
+    def test_one_and_two_points(self, case):
+        v, tol = case
+        _assert_same_bytes(_merge_close(v, tol), _sequential_merge(v, tol))
+
+    def test_merge_is_a_copy(self):
+        v = np.array(SQUARE, float)
+        got = _merge_close(v, 1e-12)
+        assert np.array_equal(got, v) and not np.shares_memory(got, v)
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["unmoved", "moved"])
+    @pytest.mark.parametrize("v", _benchmark_kernels())
+    def test_profile_bytes_as_with_the_sequential_merge(self, monkeypatch, v, moved):
+        # the benchmark's kernels, canonicalized and built once with the
+        # loop in both modules that call it and once as they are: no byte
+        # of the kernel, the profile, its locus or an eroded polygon moves
+        if moved:
+            v = v + (1e4, 3.7e3)
+
+        def build():
+            k = ConvexPolygon(v)
+            prof = ErosionProfile(k)
+            mids = [0.5 * (a + b) for a, b in zip(prof.pieces.d0, prof.pieces.d1)]
+            return k, prof, [prof.polygon_at(d).vertices for d in mids]
+
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_merge_close", _sequential_merge)
+            m.setattr(morphology, "_merge_close", _sequential_merge)
+            want_kernel, want, want_eroded = build()
+        got_kernel, got, got_eroded = build()
+        _assert_same_bytes(got_kernel.vertices, want_kernel.vertices)
+        for field in ("d0", "d1", "area0", "perim0", "tan_sum"):
+            _assert_same_bytes(getattr(got.pieces, field), getattr(want.pieces, field))
+        for field in ("d_max", "death", "_rows", "_start"):
+            _assert_same_bytes(getattr(got, field), getattr(want, field))
+        _assert_same_bytes(got.locus.vertices, want.locus.vertices)
+        assert len(got_eroded) == len(want_eroded) > 0
+        for a, b in zip(got_eroded, want_eroded):
+            _assert_same_bytes(a, b)
 
 
 def _same_cycle(got, want):
