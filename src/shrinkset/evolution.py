@@ -29,7 +29,7 @@ import bisect
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +68,9 @@ class EvolutionTrace:
     """Rows of the exact evolution, and its phases (kind, piece, t_start,
     t_end, rho_start) up to the last row: piece is the erosion-profile piece
     of an opening phase and None for the stadium and the ball.  The
-    post-processing reads one _Path per trace (see _path): simulate attaches
-    the one it sampled, which is the one these fields give, and a trace
-    made by dataclasses.replace builds its own on first use."""
+    post-processing reads one _Path per trace: simulate attaches the one it
+    sampled, which is the one these fields give, and a trace made by
+    dataclasses.replace builds its own on first use."""
 
     omega0: RoundedSet
     M: float
@@ -84,10 +84,13 @@ class EvolutionTrace:
     T_dagger: float | None
     horizon: float
     dt: float
-    _path: _Path | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @functools.cached_property
+    def _path(self) -> _Path:
+        return _Path(_trajectory(self.omega0), self.M, self.phases)
 
 
 def _radius(k2: np.ndarray, M: float, r0: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -199,9 +202,9 @@ class _Trajectory:
         # not the set, which holds this trajectory: a cycle outlives its last use
         self.kernel = omega0.kernel
         self.prof = prof = _profile(omega0.kernel)
-        pc, self.c0 = prof.pieces, omega0.radius
+        self.c0 = omega0.radius
         # rows d0, d1, area0, perim0, tan_sum; columns the pieces
-        self.pieces = np.array([pc.d0, pc.d1, pc.area0, pc.perim0, pc.tan_sum])
+        self.pieces = np.array(prof.pieces, float).reshape(-1, 5).T
         d0, d1, _, _, tan_sum = self.pieces
         self._k2 = k2 = 2.0 * (tan_sum - math.pi)
         self._log_k2 = np.log(k2)
@@ -415,7 +418,7 @@ def simulate(
     starts = np.array([p[2] for p in phases])
     t = _sample_times(end, dt, np.append(starts, t_star))
     # the phases up to the end: the trace's, so that its path is the one
-    # _path would build from them
+    # EvolutionTrace._path would build from them
     phases = phases[: np.searchsorted(starts, end, side="right")]
     path = _Path(traj, M, phases)
     with np.errstate(over="ignore"):  # an area past the float range is refused below
@@ -429,14 +432,8 @@ def simulate(
         t_ball if kind == BALL and t_ball <= horizon else None,
         horizon, dt,
     )
-    object.__setattr__(trace, "_path", path)
+    vars(trace)["_path"] = path
     return trace
-
-
-def _path(trace: EvolutionTrace) -> _Path:
-    if trace._path is None:
-        object.__setattr__(trace, "_path", _Path(_trajectory(trace.omega0), trace.M, trace.phases))
-    return trace._path
 
 
 def reconstruct_set(trace: EvolutionTrace, t: float) -> RoundedSet:
@@ -447,7 +444,7 @@ def reconstruct_set(trace: EvolutionTrace, t: float) -> RoundedSet:
     if not 0.0 <= t <= t_end + _END_SLACK * t_end:
         require_finite("time", t)
         raise OutOfRangeError(f"time {t} outside the trace range [0, {t_end}]")
-    path = _path(trace)
+    path = trace._path
     j, a, _, rho, straight = path.at1(t)
     if not a > 0.0:
         return RoundedSet.empty()
@@ -472,7 +469,7 @@ def compute_cost(trace: EvolutionTrace, c1: float, c2: float, T: float) -> float
     if not (T >= 0.0 and (T <= t_end + _END_SLACK * t_end or trace.T_star is not None)):
         require_finite("cost horizon", T)
         raise OutOfRangeError(f"cost horizon {T} beyond the trace range")
-    path = _path(trace)
+    path = trace._path
     # every phase that starts before T, from its start to its end or T
     j = np.flatnonzero(path.t0 < T)
     n, t0 = len(j), path.t0[j]
@@ -506,7 +503,7 @@ def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
     edges, which hold every set's kernel normals."""
     require_finite("delta", delta, 0.0, strict=True)
     require_finite("tol", tol, 0.0)
-    path = _path(trace)
+    path = trace._path
     rows = trace.t, trace.a, trace.perimeter
     # rows equal to the ones simulate read from this path are its rows;
     # any others are read again

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -188,6 +189,6 @@ def free_arc_turning(s: RoundedSet, rho: float) -> float:
         raise OutOfRegimeError(
             f"rho {rho} outside the corner-rounding range ({s.radius}, {rbar})"
         )
-    pc = prof.pieces
-    p = min(bisect_right(pc.d1, rho - s.radius), len(pc) - 1)
-    return 2.0 * pc.tan_sum[p] - 2.0 * math.pi
+    pieces = prof.pieces
+    p = min(bisect_right(pieces, rho - s.radius, key=itemgetter(1)), len(pieces) - 1)
+    return 2.0 * pieces[p][4] - 2.0 * math.pi

@@ -58,22 +58,6 @@ class InnerBallLocus:
     half_length: float
 
 
-@dataclass(frozen=True)
-class _Pieces:
-    """The combinatorial intervals [d0[p], d1[p]] of the erosion family, as
-    parallel lists of floats, with the eroded polygon's area, perimeter and
-    sum of tan(theta_i / 2) over its exterior angles at each d0[p]."""
-
-    d0: list[float]
-    d1: list[float]
-    area0: list[float]
-    perim0: list[float]
-    tan_sum: list[float]
-
-    def __len__(self) -> int:
-        return len(self.d0)
-
-
 class ErosionProfile:
     """Piecewise description of d -> erode(kernel, d) for d in [0, d_max],
     with closed forms for the kernel dilated by any rounding radius c.
@@ -101,7 +85,9 @@ class ErosionProfile:
     def __init__(self, kernel: ConvexPolygon):
         if len(kernel) == 0:
             raise EmptySetError("erosion profile needs a nonempty kernel")
-        self.pieces = pc = _Pieces([], [], [], [], [])
+        # a row (d0, d1, area0, perim0, tan_sum) per piece [d0, d1]: the eroded
+        # polygon's area, perimeter and sum of tan(theta_i / 2) at d0
+        self.pieces: list[tuple[float, float, float, float, float]] = []
         self.area0 = polygon_area(kernel)
         self.perim0 = polygon_perimeter(kernel)
         scale = kernel.diameter
@@ -173,11 +159,7 @@ class ErosionProfile:
                 depth, e = heapq.heappop(heap)
                 if death[e] < math.inf or key[e] != depth:
                     continue  # superseded entry
-                pc.d0.append(d)
-                pc.d1.append(depth)
-                pc.area0.append(area)
-                pc.perim0.append(perim)
-                pc.tan_sum.append(tan_sum)
+                self.pieces.append((d, depth, area, perim, tan_sum))
                 # a simultaneous collapse scatters its n vertices over up to
                 # ~n^2 ulps of the coordinates: a remainder that small is a
                 # point.  Only a remainder whose perimeter (in closed form,
@@ -307,29 +289,30 @@ class ErosionProfile:
     def _opening_depth(self, c: float, a: float) -> tuple[float, float]:
         """Erosion depth d with area(opening at rho=c+d) == a, and that area's
         perimeter.  Valid for area_hat <= a <= area_full."""
-        pc = self.pieces
-        if not pc.d0:
+        pieces = self.pieces
+        if not pieces:
             # degenerate kernel: opening is the whole set at every depth
             return 0.0, self.perim0 + 2.0 * math.pi * c
         # the opening area falls with depth: bisect for the first piece whose
         # end, the next piece's start, has an area of at most a (or the last),
         # keeping f0, the area where it starts (the whole set's for the first)
-        lo, hi, f0 = 0, len(pc) - 1, self.area_full(c)
+        lo, hi, f0 = 0, len(pieces) - 1, self.area_full(c)
         while lo < hi:
             p = (lo + hi) // 2
-            b = c + pc.d0[p + 1]
-            f = pc.area0[p + 1] + b * pc.perim0[p + 1] + math.pi * b * b
+            d0, _, area0, perim0, _ = pieces[p + 1]
+            b = c + d0
+            f = area0 + b * perim0 + math.pi * b * b
             if a >= f:
                 hi = p
             else:
                 lo, f0 = p + 1, f
-        d0, d1, tan_sum = pc.d0[lo], pc.d1[lo], pc.tan_sum[lo]
+        d0, d1, _, perim0, tan_sum = pieces[lo]
         t = tan_sum - math.pi  # > 0: opening area strictly decreases
         b = c + d0
         x = -b + math.sqrt(max(b * b + (f0 - a) / t, 0.0))
         x = min(max(x, 0.0), d1 - d0)
         d = d0 + x
-        perim = pc.perim0[lo] - 2.0 * tan_sum * x + 2.0 * math.pi * (c + d)
+        perim = perim0 - 2.0 * tan_sum * x + 2.0 * math.pi * (c + d)
         return d, perim
 
     def query(self, c: float, a: float) -> tuple[float, str, float, float]:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from shrinkset.evolution import _ADMISSIBLE_CHECKS, EvolutionTrace, _path
+from shrinkset.evolution import _ADMISSIBLE_CHECKS, EvolutionTrace
 from shrinkset.geometry import RoundedSet, contains, rounded_area, rounded_perimeter
 from shrinkset.isoperimetric import _subset
 from shrinkset.morphology import dilate
@@ -32,7 +32,7 @@ def check_times(trace: EvolutionTrace, delta: float) -> np.ndarray:
 
 def sets_at(trace: EvolutionTrace, t: np.ndarray) -> list[RoundedSet]:
     """The sets at the times t, built one at a time."""
-    path = _path(trace)
+    path = trace._path
     kernel, c0 = path.traj.kernel, path.traj.c0
     state = zip(t.tolist(), *(col.tolist() for col in path.at(t)))
     return [
@@ -43,7 +43,7 @@ def sets_at(trace: EvolutionTrace, t: np.ndarray) -> list[RoundedSet]:
 
 
 def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
-    path = _path(trace)
+    path = trace._path
     _, a, perim, _, _ = path.at(trace.t)
     if not (
         np.all(np.abs(trace.a - a) <= tol * delta)

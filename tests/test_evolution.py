@@ -18,6 +18,7 @@ from shrinkset import (
     compute_cost,
     critical_budget,
     hausdorff,
+    random_rounded_set,
     reconstruct_set,
     rounded_area,
     rounded_perimeter,
@@ -25,7 +26,7 @@ from shrinkset import (
 )
 import admissible_reference as reference
 from shrinkset import evolution, isoperimetric
-from shrinkset.evolution import _path, _radius
+from shrinkset.evolution import _radius
 from shrinkset.geometry import _GRID_DIRECTIONS, _support_values
 from shrinkset.serialize import trace_to_csv
 
@@ -604,7 +605,7 @@ class TestCost:
 
         trace = simulate(sq(), 4.0, horizon=5.0)
         assert trace.T_dagger < trace.T_star < 5.0
-        path = _path(trace)
+        path = trace._path
 
         def area(t):
             return float(path.at(np.array([t]))[1][0])
@@ -638,7 +639,7 @@ class TestCost:
 
         trace = simulate(RoundedSet.from_polygon(vertices, radius), M, horizon=1.0)
         assert [p[0] for p in trace.phases] == kinds
-        path = _path(trace)
+        path = trace._path
 
         def area(t):
             return float(path.at(np.array([float(t)]))[1][0])
@@ -719,8 +720,8 @@ class TestAdmissibility:
         # delta-dilation of the set at t
         trace = simulate(sq(), 4.0, horizon=5.0)
         t = reference.check_times(trace, 1e-4)
-        j, _, _, rho, straight = _path(trace).at(t)
-        args = (sq().kernel, t, _path(trace).kinds[j], rho, straight, _GRID_DIRECTIONS)
+        j, _, _, rho, straight = trace._path.at(t)
+        args = (sq().kernel, t, trace._path.kinds[j], rho, straight, _GRID_DIRECTIONS)
         kernels = isoperimetric._subset_kernels
 
         def drifting(kernel, c, regime, rho, length):
@@ -747,7 +748,7 @@ class TestAdmissibility:
 
 
 def _check_dirs(trace):
-    traj = _path(trace).traj
+    traj = trace._path.traj
     normals = (traj.kernel.edge_normals(), traj.prof.locus.edge_normals())
     return np.concatenate((_GRID_DIRECTIONS, *normals))
 
@@ -762,7 +763,7 @@ def _agrees_with_reference(trace, delta):
     t = reference.check_times(trace, delta)
     if not len(t):
         return
-    path = _path(trace)
+    path = trace._path
     j, a, _, rho, straight = path.at(t)
     dirs = _check_dirs(trace)
     area, perim, h, live = isoperimetric._subsets(
@@ -794,6 +795,20 @@ class TestAdmissibleReference:
         assert [p[0] for p in trace.phases] == ["Opening", "Stadium", "Ball"]
         _agrees_with_reference(trace, delta)
 
+    @pytest.mark.parametrize("factor", [1.5, 3.0, 8.0])
+    def test_rows_past_extinction(self, factor):
+        # without T* the check reads up to the last row, where the set is
+        # empty: an empty set fits anywhere, and anything fits around it
+        rng = np.random.default_rng(20261020)
+        for s in [sq(), *(random_rounded_set(rng) for _ in range(5))]:
+            dying = simulate(s, factor * critical_budget(s), 10.0 * s.diameter)
+            assert dying.T_star is not None
+            trace = dataclasses.replace(dying, T_star=None)
+            for delta in (1e-4, 1e-2):
+                assert np.any(trace._path.at(reference.check_times(trace, delta))[1] == 0.0)
+                want = reference.check_admissible(trace, delta, 1e-2)
+                assert check_admissible(trace, delta, 1e-2) == want
+
 
 class TestTrajectoryMemo:
     @pytest.fixture
@@ -824,12 +839,12 @@ class TestTrajectoryMemo:
         # the post-processing reads one path per trace; a trace made by
         # dataclasses.replace reads its own, from its own budget
         trace = simulate(sq(0.1), 4.0, horizon=5.0)
-        path = _path(trace)
+        path = trace._path
         reconstruct_set(trace, 0.5)
         compute_cost(trace, 1.0, 1.0, 1.0)
-        assert _path(trace) is path
+        assert trace._path is path
         relabelled = dataclasses.replace(trace, M=5.0)
-        assert _path(relabelled) is not path and _path(relabelled).M == 5.0
+        assert relabelled._path is not path and relabelled._path.M == 5.0
 
     def test_equal_sets_build_their_own(self, built):
         first, second = sq(0.1), sq(0.1)
@@ -868,7 +883,7 @@ class TestOneTimeRead:
     def test_random_sets(self, s, factor):
         M = factor * critical_budget(s)
         trace = simulate(s, M, 1.5 * s.diameter, s.diameter / 64)
-        _assert_one_time_read_is_at(_path(trace), _kink_times(trace))
+        _assert_one_time_read_is_at(trace._path, _kink_times(trace))
 
     @pytest.mark.parametrize("omega, M, horizon", [
         (sq(), 1e-300, 2.0),  # rho past _FAR |M / k2|: _radius's fixed point
@@ -881,9 +896,9 @@ class TestOneTimeRead:
     def test_each_branch(self, omega, M, horizon):
         trace = simulate(omega, M, horizon, horizon / 200)
         t = _kink_times(trace)
-        _assert_one_time_read_is_at(_path(trace), t)
+        _assert_one_time_read_is_at(trace._path, t)
         if trace.T_star is not None:  # the dead ball from T* on, as compute_cost reads it
-            _assert_one_time_read_is_at(_path(trace), [2.0 * trace.T_star, math.inf])
+            _assert_one_time_read_is_at(trace._path, [2.0 * trace.T_star, math.inf])
 
     def test_growing_ball_reads_wright_omega(self):
         # the ball grows at M = 3 (r* = 3/2pi < 1): v = 1 + rho / m < 0
@@ -930,7 +945,7 @@ class TestRowMemo:
     def test_replaced_trace_reads_its_own_path(self, row_reads):
         trace = simulate(sq(), 4.0, horizon=5.0)
         copy = dataclasses.replace(trace)
-        assert _path(copy) is not _path(trace) and _path(copy).rows is None
+        assert copy._path is not trace._path and copy._path.rows is None
         row_reads.clear()
         assert check_admissible(copy, 1e-4, 1e-2)
         assert len(trace) in row_reads
@@ -949,9 +964,9 @@ class TestRowMemo:
             horizon = math.nextafter(simulate(omega, M, 5.0).T_dagger, 0.0)
         trace = simulate(omega, M, horizon, 0.01)
         fresh = dataclasses.replace(trace)
-        assert _path(fresh) is not _path(trace)
+        assert fresh._path is not trace._path
         assert all(
-            np.array_equal(getattr(_path(trace), name), getattr(_path(fresh), name))
+            np.array_equal(getattr(trace._path, name), getattr(fresh._path, name))
             for name in ("kinds", "t0", "t1", "rho0", "shape")
         )
         t_end = float(trace.t[-1])

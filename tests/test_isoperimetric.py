@@ -219,6 +219,18 @@ class TestFreeArcTurning:
         rbar, _ = inner_radius(s)
         assert free_arc_turning(s, rbar * (1 - 1e-13)) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_piece_ends(self, n):
+        # on the sharp 1.5:1 ellipse n-gon rho is the depth: each interior
+        # piece end belongs to the next piece, and the float below it to its own
+        t = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+        s = RoundedSet.from_polygon(np.stack([1.5 * np.cos(t), np.sin(t)], axis=1))
+        pieces = _profile(s.kernel).pieces
+        assert len(pieces) == n // 4
+        for (_, d1, _, _, tan_sum), after in zip(pieces, pieces[1:]):
+            assert free_arc_turning(s, d1) == 2.0 * after[4] - 2.0 * math.pi
+            assert free_arc_turning(s, math.nextafter(d1, 0.0)) == 2.0 * tan_sum - 2.0 * math.pi
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRegimeError):
             free_arc_turning(sq(), 0.6)

@@ -351,17 +351,35 @@ class TestErosionProfile:
         for k in kernels:
             prof = ErosionProfile(k)
             (d0, d1, area0, perim0, tan_sum), d_max = _reference_profile(k)
-            pc = prof.pieces
-            assert len(pc) == len(d0)
+            assert len(prof.pieces) == len(d0)
+            got_d0, got_d1, got_area0, got_perim0, got_tan_sum = map(list, zip(*prof.pieces))
             assert prof.d_max == pytest.approx(d_max, rel=1e-12)
-            assert pc.d0 == pytest.approx(d0, rel=1e-12)
-            assert pc.d1 == pytest.approx(d1, rel=1e-12)
+            assert got_d0 == pytest.approx(d0, rel=1e-12)
+            assert got_d1 == pytest.approx(d1, rel=1e-12)
             for got, want, scale in (
-                (pc.area0, area0, area0[0]),
-                (pc.perim0, perim0, perim0[0]),
+                (got_area0, area0, area0[0]),
+                (got_perim0, perim0, perim0[0]),
             ):
                 assert got == pytest.approx(want, rel=0, abs=1e-12 * scale)
-            assert pc.tan_sum == pytest.approx(tan_sum, rel=1e-12)
+            assert got_tan_sum == pytest.approx(tan_sum, rel=1e-12)
+
+    def test_consecutive_rows_chain_exactly(self):
+        # each row starts where the one before ends, with the area and
+        # perimeter that row's closed form gives there, bit for bit: a row
+        # read in another order than (d0, d1, area0, perim0, tan_sum) breaks it
+        rng = np.random.default_rng(5)
+        kernels = [random_rounded_set(rng).kernel for _ in range(300)]
+        kernels += [ConvexPolygon(_ellipse(n)) for n in (100, 400, 800, 3200)]
+        pairs = 0
+        for k in kernels:
+            pieces = ErosionProfile(k).pieces
+            for (d0, d1, area0, perim0, tan_sum), after in zip(pieces, pieces[1:]):
+                x = d1 - d0
+                assert after[0] == d1
+                assert after[2] == area0 - perim0 * x + tan_sum * x * x
+                assert after[3] == perim0 - 2.0 * tan_sum * x
+                pairs += 1
+        assert pairs > 1000
 
     @pytest.mark.parametrize("n", [100, 400, 800, 1600, 3200])
     def test_symmetric_ellipse_has_quarter_as_many_pieces(self, n):
@@ -377,12 +395,11 @@ class TestErosionProfile:
         kernels += [ConvexPolygon(_ellipse(n)) for n in (100, 400, 800, 1600, 3200)]
         for k in kernels:
             prof = ErosionProfile(k)
-            pc = prof.pieces
-            for d0, d1, perim0, tan_sum in zip(pc.d0, pc.d1, pc.perim0, pc.tan_sum):
+            for d0, d1, _, perim0, tan_sum in prof.pieces:
                 for d in (0.5 * (d0 + d1), d1 - 1e-9 * (d1 - d0)):
                     want = perim0 - 2.0 * tan_sum * (d - d0)
                     got = polygon_perimeter(prof.polygon_at(d))
-                    assert got == pytest.approx(want, rel=0, abs=1e-12 * pc.perim0[0])
+                    assert got == pytest.approx(want, rel=0, abs=1e-12 * prof.pieces[0][3])
 
     def test_polygon_at_matches_50_digit_erosion(self, rng):
         # each vertex comes from the build's own rows, extrapolated from the
@@ -393,7 +410,7 @@ class TestErosionProfile:
             near = random_rounded_set(rng).kernel
             for k in (near, ConvexPolygon(near.vertices + (1e3, 370.0))):
                 prof = ErosionProfile(k)
-                for d0, d1 in zip(prof.pieces.d0, prof.pieces.d1):
+                for d0, d1, *_ in prof.pieces:
                     d = 0.5 * (d0 + d1)
                     got = prof.polygon_at(d).vertices
                     want = _eroded_50_digits(k.vertices, d)

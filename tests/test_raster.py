@@ -110,6 +110,13 @@ class TestRasterize:
         assert raster_area(grid) == 64.0
         assert raster_area(raster_erode(grid, 2.0)) == 36.0
 
+    @pytest.mark.parametrize("name", ["origin", "h", "shape", "occupancy"])
+    def test_direct_grid_refuses_assignment(self, name):
+        grid = RasterGrid((0.0, 0.0), 1.0, np.ones((3, 3), dtype=bool))
+        with pytest.raises(AttributeError, match=f"RasterGrid.{name} cannot be assigned"):
+            setattr(grid, name, None)
+        assert grid.h == 1.0 and raster_area(grid) == 9.0
+
     @pytest.mark.parametrize(
         "occ",
         [

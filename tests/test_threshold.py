@@ -452,8 +452,7 @@ class TestExtremes:
             moved = RoundedSet.from_polygon(v + s * np.array([1.0, 0.37]))
             rel = 1e-10 if s <= 1e5 else 1e-9
             assert critical_budget(moved, tol=1e-9) == pytest.approx(m0, rel=rel)
-            pc = _profile(moved.kernel).pieces
-            assert all(d1 >= d0 for d0, d1 in zip(pc.d0, pc.d1))
+            assert all(d1 >= d0 for d0, d1, *_ in _profile(moved.kernel).pieces)
 
     @pytest.mark.parametrize("lam", [1e-9, 1e-11])
     def test_tiny_scale_keeps_pieces(self, lam):
