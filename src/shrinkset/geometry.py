@@ -124,7 +124,11 @@ def _diameter(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
     dx = x.take(ends, mode="wrap") - x.take(near, mode="wrap")
     dy = y.take(ends, mode="wrap") - y.take(near, mode="wrap")
-    return math.sqrt((dx * dx + dy * dy).max())
+    # squared in place: fresh (10, n) temporaries fault their pages in
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return math.sqrt(dx.max())
 
 
 # writes a slot past the class's own __setattr__, as __init__ does

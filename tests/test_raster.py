@@ -369,6 +369,7 @@ def _y_mask():
 STAIRCASE = np.kron(np.eye(8, dtype=bool), np.ones((1, 3), dtype=bool))
 CHECKERBOARD = np.indices((20, 30)).sum(axis=0) % 2 == 0
 NOISE = np.random.default_rng(23).random((40, 60)) < 0.1
+SPARSE_NOISE = np.random.default_rng(29).random((200, 180)) < 1e-3
 Y_MASK = _y_mask()
 TWO_BLOBS = np.zeros((16, 14), dtype=bool)
 TWO_BLOBS[2:8, 3:10] = TWO_BLOBS[9:15, 5:12] = True
@@ -385,6 +386,11 @@ class TestRunLengthCover:
     @example((sq(0.1), 0.03, 5 * 0.03))
     @example((sq(), 0.01, 0.0))
     @example((sq(), 0.01, 0.004))
+    # K = e at the cover table's level edges: windows 2e + 1 of 2^l - 1 and 2^l + 1
+    @example((sq(0.1), 0.01, 7.5 * 0.01))
+    @example((sq(0.1), 0.01, 8.5 * 0.01))
+    @example((sq(0.1), 0.01, 31.5 * 0.01))
+    @example((sq(0.1), 0.01, 32.5 * 0.01))
     def test_matches_edt_on_rasterized_grids(self, case):
         s, h, r = case
         grid = rasterize(s, h)
@@ -397,17 +403,21 @@ class TestRunLengthCover:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(masks(), st.sampled_from([1.0, 0.37, 1e-3]), st.data())
-    @example(np.zeros((5, 7), dtype=bool), 1.0, None)
-    @example(np.ones((5, 7), dtype=bool), 1.0, None)
-    @example(np.ones((12, 30), dtype=bool), 0.37, None)
-    @example(np.ones((1, 1), dtype=bool), 0.37, None)
-    @example(STAIRCASE, 1.0, None)
-    @example(CHECKERBOARD, 0.37, None)
-    @example(NOISE, 1e-3, None)
-    @example(Y_MASK, 1.0, None)
-    @example(TWO_BLOBS, 0.37, None)
+    @example(np.zeros((5, 7), dtype=bool), 1.0, 5)
+    @example(np.ones((5, 7), dtype=bool), 1.0, 5)
+    @example(np.ones((12, 30), dtype=bool), 0.37, 5)
+    @example(np.ones((1, 1), dtype=bool), 0.37, 5)
+    @example(STAIRCASE, 1.0, 5)
+    @example(CHECKERBOARD, 0.37, 5)
+    @example(NOISE, 1e-3, 5)
+    @example(Y_MASK, 1.0, 5)
+    @example(TWO_BLOBS, 0.37, 5)
+    # noise at K = 64, a window of 2K + 1 = 2^7 + 1 slots: each cell a piece
+    @example(SPARSE_NOISE, 1.0, 64.5)
+    @example(CHECKERBOARD, 1e-3, 64)
     def test_matches_padded_edt_on_any_mask(self, occ, h, data):
-        r = 5 * h if data is None else data.draw(radii(h, h * max(occ.shape)))
+        # an example gives its radius in cells
+        r = data * h if isinstance(data, (int, float)) else data.draw(radii(h, h * max(occ.shape)))
         # cells beyond the edge are empty: the reference erodes a padded mask
         eroded = edt_erode(np.pad(occ, 1), h, r)[1:-1, 1:-1]
         _assert_ops_match(
@@ -432,6 +442,40 @@ class TestRunLengthCover:
         grid = rasterize(sq(0.1), 0.01)
         assert raster_area(raster_erode(grid, r)) == 0.0
         assert widths == [(grid.shape[0] + 2, grid.shape[0] + 2)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(st.floats(0.0, 400.0), st.integers(0, 400).map(float)),
+        st.floats(-6.0, 6.0).map(lambda x: 10.0**x),
+        st.booleans(),
+        st.tuples(st.integers(1, 600), st.integers(1, 600)),
+    )
+    # tie shells, and radii beyond the grid, which take its every cell
+    @example(150.0, 1.0, False, (400, 400))
+    @example(5.0, 0.37, True, (400, 400))
+    @example(400.0, 1e-3, False, (150, 200))
+    @example(400.0, 1.0, True, (1, 1))
+    # no offset is below 0: erode returns before the cover
+    @example(0.0, 1.0, True, (5, 5))
+    def test_half_widths_are_exact_and_do_not_grow(self, cells, h, strict, shape):
+        # the cover's corner rectangles make the disk only if w does not
+        # grow with |dy|, and its masks are the EDT's only if w is exact
+        r, (rows, cols) = cells * h, shape
+        w = raster._half_widths(r, h, strict, shape)
+
+        def inside(dy, dx):
+            d = np.sqrt((np.float64(dy) * h) ** 2 + (np.float64(dx) * h) ** 2)
+            return d < r if strict else d <= r
+
+        assert w.dtype == np.intp and len(w) <= rows and (np.diff(w) <= 0).all()
+        e = np.arange(len(w))
+        if r > h * (rows + cols):
+            # every offset within the grid is inside
+            assert len(w) == rows and (w == cols).all() and inside(e, w).all()
+        else:
+            assert (w >= 0).all() and inside(e, w).all() and not inside(e, w + 1).any()
+            # the offsets stop at the grid's height or at the first row with none
+            assert len(w) == rows or not inside(len(w), 0)
 
     def test_full_grid_erodes_from_its_edge(self):
         grid = RasterGrid((0.0, 0.0), 1.0, np.ones((10, 10), dtype=bool))
