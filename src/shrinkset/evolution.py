@@ -500,7 +500,10 @@ def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
     _subsets): their areas and perimeters from their kernels' vertices, and
     the fit, a support-number test since the sets are convex, in the
     1024-direction grid plus the normals of the kernel's and the locus's
-    edges, which hold every set's kernel normals."""
+    edges, which hold every set's kernel normals.  A row from T* on, read
+    when the trace has no T*, is the ball's centre at radius 0: area and
+    perimeter 0 and the support numbers of the centre, which every earlier
+    set holds, so it needs no case of its own."""
     require_finite("delta", delta, 0.0, strict=True)
     require_finite("tol", tol, 0.0)
     path = trace._path
@@ -522,16 +525,10 @@ def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
         return True
     times = np.linspace(0.0, t_end - delta, min(_ADMISSIBLE_CHECKS, len(trace.t)))
     n, t = len(times), np.concatenate((times, times + delta))
-    j, a, _, rho, straight = path.at(t)
+    j, _, _, rho, straight = path.at(t)
     kernel, prof = path.traj.kernel, path.traj.prof
     dirs = np.concatenate((_GRID_DIRECTIONS, kernel.edge_normals(), prof.locus.edge_normals()))
-    area, perim, h, live = _subsets(kernel, path.traj.c0 + t, path.kinds[j], rho, straight, dirs)
-    live &= a > 0.0
-    if not live.all():
-        # an empty set fits anywhere, and anything fits around it: no
-        # support number compares with nan
-        area[~live] = perim[~live] = 0.0
-        h[~live] = np.nan
+    area, perim, h, _ = _subsets(kernel, path.traj.c0 + t, path.kinds[j], rho, straight, dirs)
     # by Steiner's formula the delta-dilation of the set at t, of area a and
     # perimeter P, has area a + delta*P + pi*delta^2; at budget M it loses
     # M + pi*delta per unit time by t + delta, plus the step's mean of

@@ -1,9 +1,9 @@
 """Pixel-grid brute force for validating the exact geometry.
 
 A grid is its row runs: the operations take runs in and give runs out,
-and the bool mask is painted on first read.  `rasterize` gives the exact
-distance only to the cells between two chords of each row, in O(rows +
-boundary cells).  Dilation and erosion by r widen each row's runs by the
+and the bool mask is painted on first read.  `rasterize` walks the set's
+sides in O(rows + vertices), with exact distances only within rounding
+of a row's ends.  Dilation and erosion by r widen each row's runs by the
 disk's half-width on every row offset; touching runs in consecutive rows
 form pieces, and the work follows the pieces: a convex set is one, pixel
 noise, a piece for every few cells, is the slow case.  The disk is the
@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadConfigError, require_finite
-from .geometry import Point2, RoundedSet, cycled
+from .geometry import Point2, RoundedSet, _dot_rows, cycled
 
 
 def __getattr__(name: str):
@@ -92,13 +92,13 @@ def _dist_to_kernel(px: np.ndarray, py: np.ndarray, kernel) -> np.ndarray:
     """Euclidean distance from grid points to a convex polygon (0 inside)."""
     v = kernel.vertices
     n = len(v)
+    if not px.size:
+        return np.zeros_like(px)
     if n == 1:
         return np.hypot(px - v[0, 0], py - v[0, 1])
     dist = np.full(px.shape, np.inf)
     inside = np.ones(px.shape, dtype=bool) if n >= 3 else np.zeros(px.shape, bool)
-    for i in range(n if n >= 3 else n - 1):
-        a = v[i]
-        b = v[(i + 1) % n]
+    for a, b in list(zip(v, cycled(v)))[: n if n >= 3 else 1]:
         ex, ey = b[0] - a[0], b[1] - a[1]
         qx, qy = px - a[0], py - a[1]
         t = np.clip((qx * ex + qy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
@@ -108,65 +108,73 @@ def _dist_to_kernel(px: np.ndarray, py: np.ndarray, kernel) -> np.ndarray:
     return np.where(inside, 0.0, dist)
 
 
-def _chords(kernel, rho: float, ys: np.ndarray, x0: float, h: float, nx: int):
-    """Per row y, the cells [first, stop) of x0 + h * [0, nx) within rho
-    of the kernel (rho >= 0) or in the kernel eroded by -rho (rho < 0).
-
-    For rho >= 0 that set is Q and the vertex disks.  Q is cut by the edge
-    lines pushed out by rho and at each vertex by the line through the two
-    pushed edges' ends, which also caps a segment; its normal is the sum of
-    the edge normals or the difference of the edge directions, whichever
-    does not cancel.  For rho < 0 the edges pushed in give the eroded kernel."""
-    v = kernel.vertices
-    lo, hi = np.full(len(ys), np.inf), np.full(len(ys), -np.inf)
-    if len(v) >= (2 if rho >= 0.0 else 3):
-        nrm = kernel.edge_normals()
-        a, c = nrm, (nrm * v).sum(axis=1) + rho
-        if rho >= 0.0:
-            prev = cycled(nrm, -1)
-            turn = np.column_stack((nrm[:, 1] - prev[:, 1], prev[:, 0] - nrm[:, 0]))
-            b = np.where(((turn * turn).sum(axis=1) > 2.0)[:, None], turn, prev + nrm)
-            a = np.vstack((a, b))
-            c = np.concatenate((c, (b * v).sum(axis=1) + rho * (b * nrm).sum(axis=1)))
-        # a_x x <= slack on each row; the lines with a_x = 0 keep a row or drop it
-        slack = c - np.outer(ys, a[:, 1])
-        right, left = a[:, 0] > 0.0, a[:, 0] < 0.0
-        hi = (slack[:, right] / a[right, 0]).min(axis=1, initial=np.inf)
-        lo = (slack[:, left] / a[left, 0]).max(axis=1, initial=-np.inf)
-        empty = (lo > hi) | (slack[:, ~(right | left)] < 0.0).any(axis=1)
-        lo[empty], hi[empty] = np.inf, -np.inf
-    if rho >= 0.0:
-        dy = np.abs(ys[:, None] - v[:, 1])
-        half = np.sqrt(np.maximum(rho - dy, 0.0)) * np.sqrt(rho + dy)
-        hit = dy <= rho
-        lo = np.minimum(lo, np.where(hit, v[:, 0] - half, np.inf).min(axis=1))
-        hi = np.maximum(hi, np.where(hit, v[:, 0] + half, -np.inf).max(axis=1))
-    first = np.clip(np.ceil((lo - x0) / h), 0, nx)
-    return first.astype(np.intp), np.clip(np.floor((hi - x0) / h) + 1.0, 0, nx).astype(np.intp)
+def _right_ends(pts, nrm, rho, ys: np.ndarray, tol: float) -> np.ndarray:
+    """Per row y, the right chord ends at radii rho = (outer, inner) about
+    the kernels pts (NaN: none) of edge normals nrm, or -inf.  Piece 2j of
+    the right chain, lowest vertex first, is vertex j's arc, 2j + 1 edge j.
+    A row's piece comes from the outer bounds, off by under tol: a row
+    within tol of one takes the whole outer row, and within tol plus the
+    inner bounds' largest shift, no inner one."""
+    right = nrm[:, 0] > 0.0
+    # a point or level segment: one arc
+    first = np.argmax(right & ~cycled(right, -1)) if right.any() else np.argmax(pts[0, :, 0])
+    chain = (first + np.arange(np.count_nonzero(right) + 1)) % pts.shape[1]
+    k, edge, p = len(chain) - 1, nrm[chain[:-1]], pts[:, chain]
+    r, ny = np.array(rho)[:, None], np.concatenate(([-1], edge[:, 1], [1]))
+    b = p[:, :, 1].repeat(2, axis=1) + r * ny.repeat(2)[1:-1]
+    bound = np.maximum.accumulate(b[0])
+    # column q + 1: piece q's arc centre or edge offset and normal; bounds
+    t = np.full((8, 2 * k + 3), np.nan)
+    t[0:2, 1::2], t[2:4, 1::2], t[4:6, 2:-1:2] = p[:, :, 0], p[:, :, 1], edge.T
+    t[0:2, 2:-1:2] = edge[:, 0] * p[:, :-1, 0] + edge[:, 1] * p[:, :-1, 1] + r
+    t[6], t[7] = np.concatenate(([-np.inf], bound)), np.concatenate((bound, [np.inf]))
+    g = np.take(t, np.searchsorted(bound, ys, side="right"), axis=1)
+    dy = ys - g[2:4]
+    end = np.fmax(g[0:2] + np.sqrt(r - dy) * np.sqrt(r + dy), (g[0:2] - g[5] * ys) / g[4])
+    tol = np.array([[tol], [tol + np.abs(b[1] - b[0]).max()]])
+    near = (ys - g[6] < tol) | (g[7] - ys <= tol)
+    return np.where(near, [[np.inf], [-np.inf]], np.fmax(end, -np.inf))
 
 
 def rasterize(s: RoundedSet, h: float) -> RasterGrid:
     """The cells of pitch h, with a 2h margin, whose centres lie within the
-    radius of s's kernel.  On each row, the cells outside the chord at
-    radius + m are empty and those inside the chord at radius - m full,
-    where m is one cell and a rounding term for the coordinates' magnitude;
-    only the cells between get the distance from their own centre, so the
-    grid equals the cell-by-cell one."""
+    radius r of s's kernel.  A row's cells between its chords at r + m and
+    r - m get their centre's distance.  M = |x0| + |y0| + |x1| + |y1| bounds
+    every coordinate, and m = 64 eps M tops a distance's rounding, 16 eps M,
+    plus a chord end's with its cell's, 12 eps M.  Inside tests pass points
+    6 eps M |w| from the kernel at a vertex of velocity w, so the outer chord
+    is at r + m max |w|; for r < m the inner one is the kernel eroded by
+    m - r, none if an edge collapses."""
     require_finite("cell size", h, 0.0, strict=True)
     if s.is_empty:
         return RasterGrid(Point2(0.0, 0.0), h, np.zeros((0, 0), dtype=bool))
-    v = s.kernel.vertices
-    margin = s.radius + 2.5 * h
+    v, nrm, radius = s.kernel.vertices, s.kernel.edge_normals(), s.radius
+    margin = radius + 2.5 * h
     x0, y0 = v[:, 0].min() - margin, v[:, 1].min() - margin
     x1, y1 = v[:, 0].max() + margin, v[:, 1].max() + margin
     nx = int(math.ceil((x1 - x0) / h)) + 1
     ny = int(math.ceil((y1 - y0) / h)) + 1
-    m = h + 64 * np.finfo(float).eps * (abs(x0) + abs(y0) + abs(x1) + abs(y1))
+    m = 64 * np.finfo(float).eps * (abs(x0) + abs(y0) + abs(x1) + abs(y1))
     ys = y0 + h * np.arange(ny)
-    # a line nearly parallel to the rows may put a chord's end past the float range
-    with np.errstate(over="ignore"):
-        out0, out1 = _chords(s.kernel, s.radius + m, ys, x0, h, nx)
-        in0, in1 = _chords(s.kernel, s.radius - m, ys, x0, h, nx)
+    grow, inner, w = 1.0, v, v * np.nan
+    # turns of nearly pi and nearly level lines overflow
+    with np.errstate(all="ignore"):
+        if len(v) >= 3:
+            prev = cycled(nrm, -1)
+            w = (prev + nrm) / (1.0 + _dot_rows(prev, nrm))[:, None]
+            grow = np.sqrt(_dot_rows(w, w).max())
+        if radius < m:
+            inner = v + (radius - m) * w
+            if not (_dot_rows(cycled(inner) - inner, cycled(v) - v) > 0).all():
+                inner = v * np.nan
+        # no distance in the grid exceeds its width plus height
+        rho = (radius + np.fmin(m * grow, x1 - x0 + y1 - y0), max(radius - m, 0.0))
+        pts = np.stack((v, inner))
+        hi = _right_ends(pts, nrm, rho, ys, m / 8)
+        # the left chain is the right chain of the mirrored kernels
+        lo = -_right_ends(pts[:, ::-1] * [-1, 1], cycled(nrm[::-1]) * [-1, 1], rho, ys, m / 8)
+        out0, in0 = np.clip(np.ceil((lo - x0) / h), 0, nx).astype(np.intp)
+        out1, in1 = np.clip(np.floor((hi - x0) / h) + 1.0, 0, nx).astype(np.intp)
     full = in0 < in1
     in0[~full] = in1[~full] = out1[~full]
     # the cells between the chords: [out0, in0) and [in1, out1) on each row
@@ -174,7 +182,7 @@ def rasterize(s: RoundedSet, h: float) -> RasterGrid:
     count = np.maximum(np.concatenate((in0 - out0, out1 - in1)), 0)
     row = np.repeat(np.tile(np.arange(ny), 2), count)
     ix = np.arange(len(row)) - np.repeat(np.cumsum(count) - count - start, count)
-    hit = _dist_to_kernel(x0 + h * ix, y0 + h * row, s.kernel) <= s.radius
+    hit = _dist_to_kernel(x0 + h * ix, y0 + h * row, s.kernel) <= radius
     cell = row[hit] * (nx + 1) + ix[hit]
     base = np.flatnonzero(full) * (nx + 1)
     lo = np.concatenate((base + in0[full], cell))
@@ -213,30 +221,18 @@ def _cover(grid: RasterGrid, w: np.ndarray) -> RasterGrid:
     """The cells (y, x) of grid's frame with an occupied cell at (y + dy,
     x + dx), |dx| <= w[|dy|], for |dy| <= K = len(w) - 1.
 
-    In the order of (index of the run within its row, row), a run
-    continues the previous run's piece when it lies in the next row and
-    the two touch as 8-neighbours: start <= prev_end and prev_start <=
-    end.  (The index only brings one shape's runs together; any chain of
-    touching runs in consecutive rows is a piece.)  Touching runs widened
-    by half-widths >= 0 still meet, so on every target row a piece's
-    widened runs form one interval, [min(start - w[|dy|]), max(end +
-    w[|dy|])).  The envelopes are taken on a buffer where each piece is
-    followed by 2K empty slots, so no two pieces share a slot; a slot
-    holds a start and a negated end, and one np.minimum serves both.
-    As w does not increase with |dy|, the disk is the union of the
-    rectangles |dy| <= e, |dx| <= w[e] at its corners, each e with
-    w[e + 1] < w[e] and e = K: a slot's envelope is the least, over the
-    corners, of its window of 2e + 1 slots less w[e].  A window's least
-    value is two reads of a table of least values over 2^l slots, doubled
-    in place as e grows.  The pieces' intervals are merged into the
-    result's runs.
-
-    The cost is three passes over the R + 2K P slots for R runs in P
-    pieces per corner, about 0.59 K of them (89 at K = 150, against 2K + 1
-    = 301 row offsets), one per table level and a sort of the intervals.
-    A rasterized convex set and its dilation are one piece, an eroded
-    grid's padded complement two.  Pixel noise pays the 2K padding slots
-    for each of its thousands of pieces.
+    In the order of (index of the run within its row, row), a run continues
+    the previous run's piece when it lies in the next row and the two touch
+    as 8-neighbours (any chain of touching runs in consecutive rows is a
+    piece).  Widened by half-widths >= 0 they still meet, so on every target
+    row a piece's widened runs form one interval, [min(start - w[|dy|]),
+    max(end + w[|dy|])), taken on a buffer where each piece is followed by
+    2K empty slots; a slot holds a start and a negated end, and one
+    np.minimum serves both.  As w does not increase with |dy|, the disk is
+    the union of the rectangles |dy| <= e, |dx| <= w[e] at its corners, each
+    e with w[e + 1] < w[e] and e = K: a slot's envelope is the least, over
+    the corners, of its window of 2e + 1 slots less w[e], two reads of a
+    table of least values over 2^l slots, doubled in place as e grows.
     """
     ny, nx = grid.shape
     k = len(w) - 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from shrinkset import (
     rounded_area,
     rounded_perimeter,
 )
-from shrinkset import raster
+from shrinkset import cli, raster
 from edt_reference import edt_dilate, edt_erode, edt_opening
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -262,17 +263,24 @@ class TestTiledRasterize:
     @pytest.mark.parametrize("case", [SHARP_SQUARE, THIN_HULL], ids=["square", "thin-hull"])
     def test_exact_distances_only_near_the_boundary(self, case, monkeypatch):
         s, h = case
-        dist = raster._dist_to_kernel
-        points = []
+        points = _exact_points(monkeypatch)
+        rasterize(s, h)
+        # a centre gets its own distance only within rounding of a chord end,
+        # and no centre of these grids lies that near one
+        assert sum(points) == 0
 
-        def counted(px, py, kernel):
-            points.append(px.size)
-            return dist(px, py, kernel)
-
-        monkeypatch.setattr(raster, "_dist_to_kernel", counted)
-        ny, nx = rasterize(s, h).shape
-        # the cells between a row's two chords, a few per boundary crossing
-        assert 0 < sum(points) <= 16 * (nx + ny)
+    def test_exact_distances_decide_ties(self, monkeypatch):
+        # the unit square rounded by 1.25 cells of 2^-6: the centres of column
+        # 69 and of row 69 lie on its right and top sides, exactly at the
+        # radius, and only their own distances can place them
+        h = 2.0**-6
+        s = sq(1.25 * h)
+        points = _exact_points(monkeypatch)
+        grid = rasterize(s, h)
+        assert sum(points) > 0
+        assert np.array_equal(_mask_of(grid), _full_grid(s, h)[1])
+        occ = grid.occupancy
+        assert occ[4:68, 69].all() and occ[69, 4:68].all() and not occ[:, 70].any()
 
     def test_one_cover_pass_per_grid_and_radius(self, rng, monkeypatch):
         cover = raster._cover
@@ -303,6 +311,20 @@ class TestTiledRasterize:
         assert raster_area(raster_opening(grid, 0.15)) == pytest.approx(
             rounded_area(opening(sq(0.1), 0.15)), abs=5 * 0.01 * 4.0
         )
+
+
+def _exact_points(monkeypatch):
+    """The sizes of the point sets rasterize passes to _dist_to_kernel from
+    now on."""
+    dist = raster._dist_to_kernel
+    points = []
+
+    def counted(px, py, kernel):
+        points.append(px.size)
+        return dist(px, py, kernel)
+
+    monkeypatch.setattr(raster, "_dist_to_kernel", counted)
+    return points
 
 
 def _mask_of(grid):
@@ -488,6 +510,53 @@ class TestRunLengthCover:
         kept = raster_erode(RasterGrid((0.0, 0.0), 1.0, occ), 3.0).occupancy
         # the grid's other three edges bound it as well
         assert kept.sum() == 12 and kept[2:8, 2:4].all()
+
+
+def _digest(grids):
+    """sha256 of the grids' runs: each origin, shape, _lo and _hi."""
+    d = hashlib.sha256()
+    for g in grids:
+        d.update(np.array(g.origin, dtype=np.float64).tobytes())
+        for part in (g.shape, g._lo, g._hi):
+            d.update(np.asarray(part, dtype=np.int64).tobytes())
+    return d.hexdigest()
+
+
+class TestPinnedMasks:
+    """The runs of rasterize and of the three raster operations, pinned:
+    validate prints only PASS or FAIL, which a mask that moves within the
+    area tolerance leaves as it is."""
+
+    def test_validate_grids(self, tmp_path, monkeypatch):
+        # validate's five raster sets at seed 0: their grids and the grids of
+        # their dilation, erosion and opening, which it measures by area
+        grids = []
+        for name in ("rasterize", "raster_area"):
+            call = getattr(raster, name)
+            monkeypatch.setattr(raster, name, lambda *a, call=call: _kept(grids, call, a))
+        assert cli.main(["validate", "--out", str(tmp_path / "report.txt")]) == 0
+        assert len(grids) == 20
+        assert _digest(grids) == VALIDATE_GRIDS_DIGEST
+
+    def test_seeded_sets(self):
+        rng = np.random.default_rng(1)
+        grids = []
+        for _ in range(3):
+            s = random_rounded_set(rng)
+            grid, r = rasterize(s, 5e-3 * s.diameter), 0.15 * s.diameter
+            grids += [grid, raster_dilate(grid, r), raster_erode(grid, r), raster_opening(grid, r)]
+        assert _digest(grids) == SEEDED_GRIDS_DIGEST
+
+
+def _kept(grids, call, args):
+    """call(*args), keeping the grid it takes or gives in grids."""
+    out = call(*args)
+    grids.append(out if isinstance(out, RasterGrid) else args[0])
+    return out
+
+
+VALIDATE_GRIDS_DIGEST = "4f08429c193bd071897d2e3df825d96b8e7ec4c6b41cdf47ec39b7201862abfe"
+SEEDED_GRIDS_DIGEST = "f3dfa19bb2250cde4a15b6bf74f1655c4e7e52915aaf218eb59e6c067e802b5a"
 
 
 NAN, INF = float("nan"), float("inf")
