@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +65,10 @@ class ErosionProfile:
 
     The same kernel is queried repeatedly during an evolution while only the
     rounding radius grows (dilation leaves the kernel untouched), so all the
-    combinatorial work is done once per kernel (see _profile) and each query
-    is O(log #pieces).  A point or segment kernel has no pieces and is its
-    own locus.
+    combinatorial work is done once per kernel (see _profile).  A query
+    costs O(#pieces) at a radius other than the last one queried, which
+    sets up its bisection, and O(log #pieces) at the same radius.  A point
+    or segment kernel has no pieces and is its own locus.
 
     The build is an event queue over the kernel's edges, which traces the
     straight skeleton of a convex polygon (Aichholzer et al. 1995) in
@@ -88,6 +90,8 @@ class ErosionProfile:
         # a row (d0, d1, area0, perim0, tan_sum) per piece [d0, d1]: the eroded
         # polygon's area, perimeter and sum of tan(theta_i / 2) at d0
         self.pieces: list[tuple[float, float, float, float, float]] = []
+        # (c, the negated opening areas at radius c where pieces 1, 2, ... start)
+        self._starts: tuple[float, list[float]] = (math.nan, [])
         self.area0 = polygon_area(kernel)
         self.perim0 = polygon_perimeter(kernel)
         scale = kernel.diameter
@@ -286,40 +290,16 @@ class ErosionProfile:
         r = self.rbar(c)
         return 2.0 * r * self.locus_len + math.pi * r * r
 
-    def _opening_depth(self, c: float, a: float) -> tuple[float, float]:
-        """Erosion depth d with area(opening at rho=c+d) == a, and that area's
-        perimeter.  Valid for area_hat <= a <= area_full."""
-        pieces = self.pieces
-        if not pieces:
-            # degenerate kernel: opening is the whole set at every depth
-            return 0.0, self.perim0 + 2.0 * math.pi * c
-        # the opening area falls with depth: bisect for the first piece whose
-        # end, the next piece's start, has an area of at most a (or the last),
-        # keeping f0, the area where it starts (the whole set's for the first)
-        lo, hi, f0 = 0, len(pieces) - 1, self.area_full(c)
-        while lo < hi:
-            p = (lo + hi) // 2
-            d0, _, area0, perim0, _ = pieces[p + 1]
-            b = c + d0
-            f = area0 + b * perim0 + math.pi * b * b
-            if a >= f:
-                hi = p
-            else:
-                lo, f0 = p + 1, f
-        d0, d1, _, perim0, tan_sum = pieces[lo]
-        t = tan_sum - math.pi  # > 0: opening area strictly decreases
-        b = c + d0
-        x = -b + math.sqrt(max(b * b + (f0 - a) / t, 0.0))
-        x = min(max(x, 0.0), d1 - d0)
-        d = d0 + x
-        perim = perim0 - 2.0 * tan_sum * x + 2.0 * math.pi * (c + d)
-        return d, perim
-
     def query(self, c: float, a: float) -> tuple[float, str, float, float]:
         """(perimeter, regime, rho, straight length) of the least-perimeter
         subset with area a of the kernel rounded by c: the length is the
-        stadium's straight part, 0 in the other regimes."""
-        a_full = self.area_full(c)
+        stadium's straight part, 0 in the other regimes.
+
+        An opening answer finds its piece with bisect_left on the negated
+        opening areas at the pieces' starts, which the profile keeps for the
+        radius last queried: a query at a new radius pays O(#pieces) for
+        them, and each query at that radius then O(log #pieces) in C."""
+        a_full = self.area0 + c * self.perim0 + math.pi * c * c
         tol = _AREA_REL_TOL * a_full
         if not a > 0.0:
             require_finite("target area", a)
@@ -329,17 +309,39 @@ class ErosionProfile:
             raise AreaExceedsDomainError(
                 f"target area {a} exceeds domain area {a_full}"
             )
-        rbar = self.rbar(c)
+        rbar = c + self.d_max
         a_ball = math.pi * rbar * rbar
+        pieces = self.pieces
         if a >= a_full - tol:
             # plateau: largest rho whose opening still fills the set is c
             # (== rbar without pieces); a set that is one ball is reported
             # as a ball
-            regime = OPENING if self.pieces or self.locus_len > 0.0 else BALL
+            regime = OPENING if pieces or self.locus_len > 0.0 else BALL
             return self.perim0 + 2.0 * math.pi * c, regime, c, 0.0
-        if a >= self.area_hat(c) - tol:
-            d, perim = self._opening_depth(c, a)
-            return perim, OPENING, c + d, 0.0
+        if a >= 2.0 * rbar * self.locus_len + a_ball - tol:
+            if not pieces:
+                # degenerate kernel: opening is the whole set at every depth
+                # (depth 0.0, which turns a radius of -0.0 into 0.0)
+                return self.perim0 + 2.0 * math.pi * c, OPENING, c + 0.0, 0.0
+            # the opening area falls with depth: the first piece whose end,
+            # the next piece's start, has an area of at most a (or the last),
+            # and f0, the area where it starts (the whole set's for the first)
+            at, starts = self._starts
+            if at != c:
+                starts = [
+                    -(area0 + (b := c + d0) * perim0 + math.pi * b * b)
+                    for d0, _, area0, perim0, _ in pieces[1:]
+                ]
+                self._starts = c, starts
+            p = bisect_left(starts, -a)
+            f0 = -starts[p - 1] if p else a_full
+            d0, d1, _, perim0, tan_sum = pieces[p]
+            t = tan_sum - math.pi  # > 0: opening area strictly decreases
+            b = c + d0
+            x = -b + math.sqrt(max(b * b + (f0 - a) / t, 0.0))
+            x = min(max(x, 0.0), d1 - d0)
+            d = d0 + x
+            return perim0 - 2.0 * tan_sum * x + 2.0 * math.pi * (c + d), OPENING, c + d, 0.0
         if a >= a_ball - tol and self.locus_len > 0.0:
             length = max((a - a_ball) / (2.0 * rbar), 0.0)
             return 2.0 * length + 2.0 * math.pi * rbar, STADIUM, rbar, length

@@ -144,7 +144,10 @@ def rasterize(s: RoundedSet, h: float) -> RasterGrid:
     plus a chord end's with its cell's, 12 eps M.  Inside tests pass points
     6 eps M |w| from the kernel at a vertex of velocity w, so the outer chord
     is at r + m max |w|; for r < m the inner one is the kernel eroded by
-    m - r, none if an edge collapses."""
+    m - r, none if an edge collapses.  The grid's area is within a small
+    multiple of h * perimeter of the set's only when h exceeds the rounding
+    step of the coordinates: below it the centres x0 + h * ix round onto
+    fewer distinct values, and each cell is still marked by its own."""
     require_finite("cell size", h, 0.0, strict=True)
     if s.is_empty:
         return RasterGrid(Point2(0.0, 0.0), h, np.zeros((0, 0), dtype=bool))
@@ -233,8 +236,12 @@ def _cover(grid: RasterGrid, w: np.ndarray) -> RasterGrid:
     e with w[e + 1] < w[e] and e = K: a slot's envelope is the least, over
     the corners, of its window of 2e + 1 slots less w[e], two reads of a
     table of least values over 2^l slots, doubled in place as e grows.
+    The table and envelopes hold values in [-(nx + w[0]), max], so they
+    take int32 lanes when nx + w[0] fits in them and intp otherwise.
     """
     ny, nx = grid.shape
+    lane = np.int32 if nx + int(w[0]) <= 2**31 else np.intp
+    w = w.astype(lane)
     k = len(w) - 1
     y, start = np.divmod(grid._lo, nx + 1)
     end = grid._hi - y * (nx + 1)
@@ -251,12 +258,12 @@ def _cover(grid: RasterGrid, w: np.ndarray) -> RasterGrid:
     row = np.arange(size) + np.repeat(y[first] - k - base, np.diff(base, append=size))
     # every slot has a run within K rows, so the empty slots' value never
     # wins; slot s of the buffer is src slot 2K + s, after 2K empty slots
-    src = np.full((2 * k + size, 2), np.iinfo(np.intp).max, dtype=np.intp)
+    src = np.full((2 * k + size, 2), np.iinfo(lane).max, dtype=lane)
     slot = 2 * k + np.arange(len(y)) + 2 * k * (np.cumsum(new) - 1)
     src[slot] = np.column_stack((start, -end))
     # t becomes the table: t slot i holds the least src slot i ... i + span - 1
     t, span = src.ravel(), 1
-    env, part = np.full(2 * size, np.iinfo(np.intp).max), np.empty(2 * size, np.intp)
+    env, part = np.full(2 * size, np.iinfo(lane).max, lane), np.empty(2 * size, lane)
     for e in np.flatnonzero(np.diff(w, append=-1) < 0).tolist():
         # slot s's window, src slots s + K - e ... s + K + e, is two spans
         while 2 * span <= 2 * e + 1:

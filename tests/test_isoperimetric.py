@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import query_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
+from test_threshold import hulls
 
 from shrinkset import (
     AreaExceedsDomainError,
@@ -24,7 +29,7 @@ from shrinkset import (
     rounded_perimeter,
 )
 from shrinkset.geometry import ConvexPolygon, polygon_area, polygon_perimeter
-from shrinkset.morphology import _AREA_REL_TOL, _profile
+from shrinkset.morphology import _AREA_REL_TOL, ErosionProfile, _profile
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 RECT = [(0, 0), (2, 0), (2, 1), (0, 1)]
@@ -298,3 +303,67 @@ class TestStructure:
             shrunk = ConvexPolygon(centroid + lam * (poly.vertices - centroid))
             assert polygon_perimeter(shrunk) >= best.perimeter - 1e-9
             count += 1
+
+
+@st.composite
+def _one_step_sets(draw):
+    """Random hulls, and 1.5:1 ellipse n-gons at a random turn, rounded."""
+    if draw(st.booleans()):
+        return draw(hulls())
+    n, turn = draw(st.integers(3, 120)), draw(st.floats(0.0, 2.0 * math.pi))
+    t = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    c, s = math.cos(turn), math.sin(turn)
+    x, y = 1.5 * np.cos(t), np.sin(t)
+    return RoundedSet.from_polygon(np.stack([c * x - s * y, s * x + c * y], axis=1), draw(st.floats(0, 0.5)))
+
+
+def _bits(value):
+    """A result as bytes and strings, so that == compares floats bit for bit."""
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_bits, value))
+    if isinstance(value, (float, np.ndarray)):
+        return np.asarray(value, dtype=np.float64).tobytes()
+    return value
+
+
+def _answers(s: RoundedSet, a: float):
+    """Every one-step answer for s and a, or the error each raises."""
+
+    def subset():
+        sol = optimal_subset(s, a)
+        return sol.regime, sol.set.kernel.vertices, sol.set.radius, sol.perimeter, sol.rho
+
+    answers = []
+    for fn in (lambda: _profile(s.kernel).query(s.radius, a), lambda: perimeter_of_area(s, a),
+               subset, lambda: invert_opening_area(s, a)):
+        try:
+            answers.append(_bits(fn()))
+        except (NonpositiveAreaError, AreaExceedsDomainError, OutOfRegimeError) as err:
+            answers.append((type(err), str(err)))
+    return answers
+
+
+class TestQueryBitForBit:
+    """query and the functions that read it give the bits of the reference
+    bisection, which evaluates each probed piece's start area in place."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_one_step_sets(), st.floats(0.0, 2.0), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+    def test_matches_the_reference(self, s, radius, shares):
+        prof = _profile(s.kernel)
+        # c1, c2, c3, c1, c2: a list kept for the wrong radius would show
+        radii = [0.0, s.radius, radius]
+        for c in radii + radii[:2]:
+            grown = RoundedSet(s.kernel, c)
+            full = prof.area_full(c)
+            tol = _AREA_REL_TOL * full
+            areas = [x * full for x in shares] + [full - tol, full + tol, prof.area_hat(c) - tol]
+            # every piece's start, as the bisection's probes evaluate it
+            for d0, _, a0, p0, _ in prof.pieces:
+                b = c + d0
+                areas.append(a0 + b * p0 + math.pi * b * b)
+            for a in areas:
+                got = _answers(grown, a)
+                with mock.patch.object(ErosionProfile, "query", query_reference.query):
+                    want = _answers(grown, a)
+                assert got == want, (c, a)

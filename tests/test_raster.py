@@ -24,6 +24,7 @@ from shrinkset import (
     rounded_perimeter,
 )
 from shrinkset import cli, raster
+from cover_reference import cover as reference_cover
 from edt_reference import edt_dilate, edt_erode, edt_opening
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -498,6 +499,41 @@ class TestRunLengthCover:
             assert (w >= 0).all() and inside(e, w).all() and not inside(e, w + 1).any()
             # the offsets stop at the grid's height or at the first row with none
             assert len(w) == rows or not inside(len(w), 0)
+
+    @pytest.mark.parametrize(
+        "nx, lane",
+        [
+            (2**31 - 5, np.int32),  # -(nx + w[0]) is int32's least value
+            (2**31 - 4, np.intp),
+            (3 * 2**31, np.intp),
+        ],
+    )
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_wide_frames_match_the_intp_cover(self, nx, lane, strict, monkeypatch):
+        # runs only, from _grid, so no mask of nx columns is painted: runs at
+        # both edges and in the middle, in two pieces, widened by w[0] = 5
+        runs = [(3, 0, 3), (3, nx - 10, nx), (4, nx - 2, nx), (5, 2**30, 2**30 + 7)]
+        runs += [(20, nx - 1, nx), (21, 1, 2), (22, nx // 2, nx // 2 + 1)]
+        y, x0, x1 = (np.array(col, dtype=np.intp) for col in zip(*runs))
+        grid = raster._grid((0.0, 0.0), 1.0, (30, nx), y * (nx + 1) + x0, y * (nx + 1) + x1)
+        w = raster._half_widths(5.5, 1.0, strict, grid.shape)
+        assert w[0] == 5
+        full = np.full
+        lanes = []
+
+        def spied(shape, value, dtype=None):
+            lanes.append(np.dtype(dtype))
+            return full(shape, value, dtype)
+
+        monkeypatch.setattr(raster.np, "full", spied)
+        got = raster._cover(grid, w)
+        monkeypatch.undo()
+        assert lanes == [np.dtype(lane)] * 2
+        want = reference_cover(grid, w)
+        assert got.shape == want.shape
+        assert np.array_equal(got._lo, want._lo) and np.array_equal(got._hi, want._hi)
+        # the runs at the right edge widen up to it
+        assert (got._hi % (nx + 1) == nx).any()
 
     def test_full_grid_erodes_from_its_edge(self):
         grid = RasterGrid((0.0, 0.0), 1.0, np.ones((10, 10), dtype=bool))
