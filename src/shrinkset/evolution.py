@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadConfigError, DegenerateDomainError, OutOfRangeError, require_finite
-from .geometry import _GRID_DIRECTIONS, RoundedSet, rounded_area
-from .isoperimetric import _subset, _subsets
+from .geometry import _GRID_DIRECTIONS, RoundedSet
+from .isoperimetric import _directions, _subset, _subsets
 from .morphology import _ULP, BALL, OPENING, STADIUM, _profile
 
 # largest number of sample times check_admissible tests
@@ -48,6 +48,11 @@ _END_SLACK = 1e-12
 _BRANCH_SERIES = (1 / 204120, -139 / 5443200, 1 / 17010, 1 / 4320, -1 / 270, 1 / 36, 1 / 3, 1.0)
 # 1/16!, ..., 1/2!: (expm1(x) - x) / x^2 to an ulp on 0 <= x < 1/2
 _EXPM1_SERIES = tuple(1.0 / math.factorial(n) for n in range(16, 1, -1))
+# the largest piece table whose recurrences run in Python floats (see
+# _Trajectory): timed at 1 to 32 pieces, the scalar excess is the faster up
+# to about 10 pieces and the scalar phase table up to about 22, and
+# critical_budget's nine or so excesses and one phase table up to 12
+_SCALAR_PIECES = 12
 # past r0 + s = _FAR |M / k2|, |v| > 9900 on a live row of _radius: each step
 # of its fixed point gains four digits
 _FAR = 1e4
@@ -147,6 +152,15 @@ def _radius(k2: np.ndarray, M: float, r0: np.ndarray, s: np.ndarray) -> np.ndarr
     return rho
 
 
+def _big1(f, v: float) -> float:
+    """numpy's exp or expm1 at the float v, inf past the float range without
+    the overflow warning, which the array forms' np.errstate suppresses."""
+    if v < 709.0:
+        return float(f(v))
+    with np.errstate(over="ignore"):
+        return float(f(v))
+
+
 def _clip(v: float, lo: float, hi: float) -> float:
     return lo if v < lo else hi if v > hi else v  # np.clip's signed zeros
 
@@ -193,22 +207,39 @@ def _radius1(k2: float, M: float, r0: float, s: float) -> float:
 
 
 class _Trajectory:
-    """The budget-M evolution of one initial set, in closed form."""
+    """The budget-M evolution of one initial set, in closed form.
+
+    log_radii and phases run a recurrence over the erosion pieces in one of
+    two forms with the same bits: the array form (log_radii_array,
+    _starts_array) in numpy over the whole piece table, and the scalar form
+    (log_radii1, _starts1), which steps piece by piece in Python floats and
+    calls numpy's ufunc at one float wherever the array form calls it, as
+    _radius1 does for _radius.  `scalar` picks the form: a table of at most
+    _SCALAR_PIECES pieces takes the scalar form, where numpy's fixed cost
+    per call and per np.errstate is most of the array form's time, and a
+    longer table the array form, where the interpreted loop's cost per piece
+    is more."""
 
     def __init__(self, omega0: RoundedSet):
-        area = rounded_area(omega0)  # 0 for an empty set
-        if not area > 0.0:
+        if omega0.is_empty:
             raise DegenerateDomainError("domain has zero area")
         # not the set, which holds this trajectory: a cycle outlives its last use
         self.kernel = omega0.kernel
         self.prof = prof = _profile(omega0.kernel)
-        self.c0 = omega0.radius
+        self.c0 = c0 = omega0.radius
+        # rounded_area, from the profile's kernel area and perimeter
+        area = prof.area0 + c0 * prof.perim0 + math.pi * c0**2
+        if not math.isfinite(area):  # past about 1.3e154 across
+            raise BadConfigError("set area overflows")
+        if not area > 0.0:
+            raise DegenerateDomainError("domain has zero area")
         # rows d0, d1, area0, perim0, tan_sum; columns the pieces
         self.pieces = np.array(prof.pieces, float).reshape(-1, 5).T
         d0, d1, _, _, tan_sum = self.pieces
         self._k2 = k2 = 2.0 * (tan_sum - math.pi)
         self._log_k2 = np.log(k2)
-        self._growth = k2 * (d1 - d0)  # x * M per piece
+        self._depth = d1 - d0
+        self._growth = k2 * self._depth  # x * M per piece
         self._log_c0 = math.log(self.c0) if self.c0 > 0.0 else -math.inf
         self._two_l = 2.0 * prof.locus_len
         self.rbar = prof.rbar(self.c0)  # c0 + d_max
@@ -217,10 +248,29 @@ class _Trajectory:
         # here each phase's exponents sum to at most 1/2, so by Gronwall
         # R_b <= e * rbar <= M / 2pi: the set dies
         self.cap = 2.0 * max(self._two_l, float(self._growth.sum()), math.pi * math.e * self.rbar)
+        self.scalar = len(prof.pieces) <= _SCALAR_PIECES
 
-    def log_radii(self, M: float) -> np.ndarray:
+    @functools.cached_property
+    def _rows1(self) -> list[tuple[float, float, float, float]]:
+        # each piece's growth, ln k2, k2 and depth, as Python floats
+        columns = (self._growth, self._log_k2, self._k2, self._depth)
+        return list(zip(*(c.tolist() for c in columns)))
+
+    @functools.cached_property
+    def checks(self):
+        """check_admissible's directions, as _subsets reads them: the
+        1024-direction grid plus the normals of the kernel's and the
+        locus's edges."""
+        normals = (self.kernel.edge_normals(), self.prof.locus.edge_normals())
+        return _directions(self.kernel, np.concatenate((_GRID_DIRECTIONS, *normals)))
+
+    def log_radii(self, M: float):
         """ln rho at the start of the first piece and at the end of each;
-        the last is the radius at stadium entry."""
+        the last is the radius at stadium entry.  A list in the scalar form,
+        an array in the array form."""
+        return self.log_radii1(M) if self.scalar else self.log_radii_array(M)
+
+    def log_radii_array(self, M: float) -> np.ndarray:
         with np.errstate(over="ignore"):  # at a tiny M, an infinite exponent is the limit
             x = self._growth / M
         before = np.concatenate(([0.0], np.cumsum(x)))  # exponent up to each end
@@ -230,14 +280,72 @@ class _Trajectory:
             terms = math.log(M) - self._log_k2 + np.log(-np.expm1(-x)) - before[:-1]
         return before + np.logaddexp.accumulate(np.concatenate(([self._log_c0], terms)))
 
-    def excess(self, M: float, log_rho: np.ndarray | None = None) -> float:
+    def log_radii1(self, M: float) -> list[float]:
+        """log_radii_array in Python floats, with the same bits."""
+        M = float(M)
+        expm1, log, logaddexp = np.expm1, np.log, np.logaddexp
+        log_m, acc = math.log(M), self._log_c0
+        # before and total: the exponent up to the piece's start and end;
+        # -0.0 + x is x, so total is np.cumsum's first sum too
+        out, before, total = [0.0 + acc], 0.0, -0.0
+        for growth, log_k2, _, _ in self._rows1:
+            x = growth / M
+            gain = -float(expm1(-x))  # 0 for a zero-length piece: ln 0 = -inf
+            term = log_m - log_k2 + (float(log(gain)) if gain != 0.0 else -math.inf) - before
+            acc = float(logaddexp(acc, term))
+            total += x
+            before = total
+            out.append(before + acc)
+        return out
+
+    def excess(self, M: float, log_rho=None) -> float:
         """ln R_b - ln(M / 2pi), from log_radii(M) if given: negative iff the
         budget-M evolution dies."""
+        M = float(M)
         log_rho = self.log_radii(M) if log_rho is None else log_rho
         gap = float(log_rho[-1]) + self._two_l / M - math.log(M / (2.0 * math.pi))
         if math.isnan(gap):
             raise DegenerateDomainError(f"the excess at budget {M} is NaN")
         return gap
+
+    def _starts_array(self, M: float, log_rho) -> tuple[list[float], list[float]]:
+        """rho at each piece start, and the time of each piece start and of
+        stadium entry, from log_radii(M)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range
+            rho = np.exp(log_rho[:-1])  # at each piece start
+            rho[:1] = self.c0
+            # a piece lasts expm1(x) rho_start + (M/k2)(expm1(x) - x), where
+            # expm1(x) - x = x^2 (1/2! + x/3! + ...) cancels at small x
+            x = self._growth / M
+            e = np.expm1(x)
+            dd = self._depth
+            lasts = np.where(x < 0.5, dd * x * np.polyval(_EXPM1_SERIES, x), M / self._k2 * e - dd)
+            # e * rho is 0 at rho = 0, even where e is inf
+            lasts += np.where(rho > 0.0, e * rho, 0.0)
+            start = np.concatenate(([0.0], np.cumsum(lasts)))
+        return rho.tolist(), start.tolist()
+
+    def _starts1(self, M: float, log_rho) -> tuple[list[float], list[float]]:
+        """_starts_array in Python floats, with the same bits: np.polyval's
+        Horner steps, np.where's one branch and np.cumsum's order."""
+        exp, expm1 = np.exp, np.expm1
+        rho, start, total = [], [0.0], -0.0
+        for p, (growth, _, k2, dd) in enumerate(self._rows1):
+            r = _big1(exp, log_rho[p]) if p else self.c0
+            x = growth / M
+            e = _big1(expm1, x)
+            if x < 0.5:
+                poly = 0.0
+                for coef in _EXPM1_SERIES:
+                    poly = poly * x + coef
+                last = dd * x * poly
+            else:
+                last = M / k2 * e - dd
+            last += e * r if r > 0.0 else 0.0
+            total += last
+            rho.append(r)
+            start.append(total)
+        return rho, start
 
     def phases(self, M: float) -> tuple[tuple[str, int | None, float, float, float], ...]:
         """The budget-M evolution's phases (kind, piece, t_start, t_end,
@@ -249,25 +357,15 @@ class _Trajectory:
             # no control: the set is the whole grown domain, of radius c0 + t
             kind = OPENING if n else STADIUM if self._two_l > 0.0 else BALL
             return ((kind, 0 if n else None, 0.0, math.inf, self.c0),)
+        M = float(M)
         log_rho = self.log_radii(M)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range
-            rho = np.exp(log_rho[:-1])  # at each piece start
-            rho[:1] = self.c0
-            # a piece lasts expm1(x) rho_start + (M/k2)(expm1(x) - x), where
-            # expm1(x) - x = x^2 (1/2! + x/3! + ...) cancels at small x
-            x = self._growth / M
-            e = np.expm1(x)
-            dd = self.pieces[1] - self.pieces[0]  # each piece's depth
-            lasts = np.where(x < 0.5, dd * x * np.polyval(_EXPM1_SERIES, x), M / self._k2 * e - dd)
-            # e * rho is 0 at rho = 0, even where e is inf
-            lasts += np.where(rho > 0.0, e * rho, 0.0)
-            # each piece start, then stadium entry, where R = rbar + t
-            start = np.concatenate(([0.0], np.cumsum(lasts))).tolist()
-            r_stadium = self.rbar + start[-1]
-            # R grows by the factor e^(2L/M) on the stadium, and T† ends it
-            t_ball = t_star = start[-1] + (
-                float(r_stadium * np.expm1(self._two_l / M)) if self._two_l > 0.0 else 0.0
-            )
+        rho, start = (self._starts1 if self.scalar else self._starts_array)(M, log_rho)
+        # each piece start, then stadium entry, where R = rbar + t
+        r_stadium = self.rbar + start[-1]
+        # R grows by the factor e^(2L/M) on the stadium, and T† ends it
+        t_ball = t_star = start[-1] + (
+            r_stadium * _big1(np.expm1, self._two_l / M) if self._two_l > 0.0 else 0.0
+        )
         gap = self.excess(M, log_rho)
         try:
             # R_b from the excess, so it lies on the side of r* that T* says
@@ -286,7 +384,7 @@ class _Trajectory:
             t_star = math.inf
         kinds = (OPENING,) * n + (STADIUM, BALL)
         starts, ends = [*start, t_ball], [*start[1:], t_ball, t_star]
-        radii = [*rho.tolist(), r_stadium, r_ball]
+        radii = [*rho, r_stadium, r_ball]
         return tuple(
             (kind, p if p < n else None, t0, t1, r0)
             for p, (kind, t0, t1, r0) in enumerate(zip(kinds, starts, ends, radii))
@@ -500,7 +598,8 @@ def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
     _subsets): their areas and perimeters from their kernels' vertices, and
     the fit, a support-number test since the sets are convex, in the
     1024-direction grid plus the normals of the kernel's and the locus's
-    edges, which hold every set's kernel normals.  A row from T* on, read
+    edges, which hold every set's kernel normals (_Trajectory.checks, set
+    up once per trajectory).  A row from T* on, read
     when the trace has no T*, is the ball's centre at radius 0: area and
     perimeter 0 and the support numbers of the centre, which every earlier
     set holds, so it needs no case of its own."""
@@ -526,9 +625,9 @@ def check_admissible(trace: EvolutionTrace, delta: float, tol: float) -> bool:
     times = np.linspace(0.0, t_end - delta, min(_ADMISSIBLE_CHECKS, len(trace.t)))
     n, t = len(times), np.concatenate((times, times + delta))
     j, _, _, rho, straight = path.at(t)
-    kernel, prof = path.traj.kernel, path.traj.prof
-    dirs = np.concatenate((_GRID_DIRECTIONS, kernel.edge_normals(), prof.locus.edge_normals()))
-    area, perim, h, _ = _subsets(kernel, path.traj.c0 + t, path.kinds[j], rho, straight, dirs)
+    traj = path.traj
+    c = traj.c0 + t
+    area, perim, h, _ = _subsets(traj.kernel, c, path.kinds[j], rho, straight, traj.checks)
     # by Steiner's formula the delta-dilation of the set at t, of area a and
     # perimeter P, has area a + delta*P + pi*delta^2; at budget M it loses
     # M + pi*delta per unit time by t + delta, plus the step's mean of

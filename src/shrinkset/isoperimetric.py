@@ -122,35 +122,46 @@ def _subset_kernels(kernel: ConvexPolygon, c, regime, rho, length):
     return radius, center, half, live, rows, polygon
 
 
-def _subsets(kernel: ConvexPolygon, c, regime, rho, length, dirs: np.ndarray):
+def _directions(kernel: ConvexPolygon, dirs: np.ndarray):
+    """What _subsets reads of the unit directions dirs (a row each) that
+    depends on the kernel alone: (u, slot), u the rows ux, uy, 1 and |e.u|
+    of c.u + r + half |e.u| (e the locus direction), and slot each
+    direction's polygon slot."""
+    e = np.array(_profile(kernel).locus_dir)
+    u = np.vstack((dirs.T, np.ones(len(dirs)), np.abs(dirs @ e)))
+    # a polygon's farthest vertex in direction u starts the first edge
+    # whose normal is u or after it counterclockwise: its slot, on every
+    # row; the angles are turns from the first edge's normal.  A point has
+    # no edges: its one vertex
+    slot = np.zeros(len(dirs), np.intp)
+    normals = kernel.edge_normals()
+    if len(normals):
+        angle = np.arctan2(normals[:, 1], normals[:, 0])
+        turn = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]) - angle[0], 2.0 * math.pi)
+        slot = np.searchsorted(np.mod(angle - angle[0], 2.0 * math.pi), turn) % len(angle)
+    return u, slot
+
+
+def _subsets(kernel: ConvexPolygon, c, regime, rho, length, table):
     """(area, perimeter, support, live) of the sets _subset gives at the
     rows of the arrays c, regime, rho and length, without building one:
     Steiner's area and perimeter from each kernel's vertices (a shoelace
-    and the edge lengths), the support numbers in the unit directions dirs
-    (a column each), and whether the set is nonempty; an empty set's
-    numbers mean nothing."""
+    and the edge lengths), the support numbers in the unit directions of
+    table (see _directions; a column each), and whether the set is
+    nonempty; an empty set's numbers mean nothing."""
     r, center, half, live, rows, v = _subset_kernels(kernel, c, regime, rho, length)
+    u, slot = table
     # a segment is the closed 2-gon: its perimeter is twice its length
     area, perim = np.zeros(len(c)), 4.0 * half
-    # c.u + r + half |e.u| in one product, e the locus direction
-    e = np.array(_profile(kernel).locus_dir)
-    u = np.vstack((dirs.T, np.ones(len(dirs)), np.abs(dirs @ e)))
     support = np.column_stack((center, r, half)) @ u
     if len(v):
         d = v - v[:, :1]  # about the first vertex, as polygon_area
         area[rows] = 0.5 * cross2(d[:, 1:-1], d[:, 2:]).sum(axis=1)
         step = np.concatenate((v[:, 1:], v[:, :1]), axis=1) - v
         perim[rows] = np.hypot(step[..., 0], step[..., 1]).sum(axis=1)
-        # a polygon's farthest vertex in direction u starts the first edge
-        # whose normal is u or after it counterclockwise: its slot, on
-        # every row; the angles are turns from the first edge's normal
-        normals = kernel.edge_normals()
-        angle = np.arctan2(normals[:, 1], normals[:, 0])
-        turn = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]) - angle[0], 2.0 * math.pi)
-        slot = np.searchsorted(np.mod(angle - angle[0], 2.0 * math.pi), turn) % len(angle)
         # v[:, slot]: take copies the (x, y) pairs about 13 times faster
         w = np.take(v, slot, axis=1)
-        support[rows] += w[..., 0] * dirs[:, 0] + w[..., 1] * dirs[:, 1]
+        support[rows] += w[..., 0] * u[0] + w[..., 1] * u[1]
     return area + r * perim + math.pi * r**2, perim + 2.0 * math.pi * r, support, live
 
 

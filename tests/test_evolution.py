@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from rk4_oracle import area_rate, rk4_to_ball
-from test_threshold import hulls
+from test_threshold import _ellipse, hulls
 
 from shrinkset import (
     BadConfigError,
@@ -721,7 +721,8 @@ class TestAdmissibility:
         trace = simulate(sq(), 4.0, horizon=5.0)
         t = reference.check_times(trace, 1e-4)
         j, _, _, rho, straight = trace._path.at(t)
-        args = (sq().kernel, t, trace._path.kinds[j], rho, straight, _GRID_DIRECTIONS)
+        table = isoperimetric._directions(sq().kernel, _GRID_DIRECTIONS)
+        args = (sq().kernel, t, trace._path.kinds[j], rho, straight, table)
         kernels = isoperimetric._subset_kernels
 
         def drifting(kernel, c, regime, rho, length):
@@ -767,7 +768,8 @@ def _agrees_with_reference(trace, delta):
     j, a, _, rho, straight = path.at(t)
     dirs = _check_dirs(trace)
     area, perim, h, live = isoperimetric._subsets(
-        path.traj.kernel, path.traj.c0 + t, path.kinds[j], rho, straight, dirs
+        path.traj.kernel, path.traj.c0 + t, path.kinds[j], rho, straight,
+        isoperimetric._directions(path.traj.kernel, dirs),
     )
     sets = reference.sets_at(trace, t)
     assert (live & (a > 0.0)).tolist() == [not s.is_empty for s in sets]
@@ -905,6 +907,89 @@ class TestOneTimeRead:
         trace = simulate(unit_ball(), 3.0, 5.0, 0.1)
         m = 3.0 / (-2.0 * math.pi)
         assert np.all(1.0 + trace.rho / m < 0.0)
+
+
+def _outcome(run):
+    """run()'s value as its repr, which tells every float's bits and type
+    apart, or the error it raises."""
+    try:
+        return repr(run())
+    except Exception as exc:  # both forms must raise alike
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+def _assert_forms_agree(traj, budgets):
+    """The scalar and the array form of log_radii, excess and phases give
+    the same bits at each budget, in Python floats."""
+    for M in budgets:
+        scalar, array = traj.log_radii1(M), traj.log_radii_array(M)
+        assert repr(scalar) == repr(array.tolist()), M
+        assert repr(traj.excess(M, scalar)) == repr(traj.excess(M, array.tolist())), M
+        assert _outcome(lambda: traj._starts1(M, scalar)) == _outcome(
+            lambda: traj._starts_array(M, array)
+        ), M
+        got = {}
+        for form in (True, False):
+            traj.scalar = form
+            got[form] = [_outcome(lambda: traj.phases(M)), _outcome(lambda: traj.excess(M))]
+        assert got[True] == got[False], M
+        assert "np.float64" not in got[True][0] + got[True][1]
+
+
+class TestScalarForm:
+    """_Trajectory's recurrences in Python floats (log_radii1, _starts1)
+    against the numpy ones over the whole piece table."""
+
+    @staticmethod
+    def _budgets(traj, m0):
+        return [
+            1e-300, 1e-10, traj.floor, m0, math.nextafter(m0, 0.0),
+            math.nextafter(m0, math.inf), 2.0 * m0, traj.cap, 1e300,
+        ]
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(20261022)
+        for _ in range(200):
+            s = random_rounded_set(rng)
+            traj = evolution._Trajectory(s)
+            assert traj.scalar
+            _assert_forms_agree(traj, self._budgets(traj, critical_budget(s)))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_at_the_cut_off(self, extra):
+        # the 1.5:1 ellipse n-gons with exactly _SCALAR_PIECES pieces and one
+        # more: the first takes the scalar form, the second the array form
+        pieces = evolution._SCALAR_PIECES + extra
+        for n in range(4, 200):
+            s = RoundedSet.from_polygon(_ellipse(n))
+            if evolution._Trajectory(s).pieces.shape[1] == pieces:
+                break
+        traj = evolution._Trajectory(s)
+        assert traj.pieces.shape[1] == pieces and traj.scalar == (extra == 0)
+        _assert_forms_agree(traj, self._budgets(traj, critical_budget(s)))
+
+    @pytest.mark.parametrize("omega", [sq(), unit_ball(), RoundedSet.from_polygon(RECTANGLE, 0.1)])
+    def test_python_floats_for_a_numpy_budget(self, omega):
+        traj = evolution._Trajectory(omega)
+        M = np.float64(critical_budget(omega))
+        for form in (True, False):
+            traj.scalar = form
+            assert type(traj.excess(M)) is float
+            for phase in traj.phases(M):
+                assert all(type(v) is float for v in phase[2:])
+
+    def test_zero_length_piece(self):
+        # a piece of zero depth adds ln 0 = -inf to the log-sum, without a
+        # warning in either form
+        traj = evolution._Trajectory(sq())
+        traj.pieces = np.column_stack((traj.pieces, traj.pieces[:, -1:]))
+        traj.pieces[0, -1] = traj.pieces[1, -1]
+        d0, d1, _, _, tan_sum = traj.pieces
+        traj._k2 = 2.0 * (tan_sum - math.pi)
+        traj._log_k2, traj._depth = np.log(traj._k2), d1 - d0
+        traj._growth = traj._k2 * traj._depth
+        assert traj._growth[-1] == 0.0
+        _assert_forms_agree(traj, [1e-300, 1.0, 4.0, 1e300])
 
 
 class TestRowMemo:

@@ -293,6 +293,66 @@ class TestRoot:
             critical_budget(sq())
 
 
+# critical_budget(full_output=True) of the 2x1 rectangle rounded by 0.1 and
+# of random_rounded_set(default_rng(34))'s hulls 2, 8 and 15 (3, 5 and 6
+# erosion pieces), as hex floats: M0, the bracket, and the root log's
+# (M, excess) in order
+PINNED_ROOTS = [
+    ("0x1.739637fb27e07p+2", "0x1.739637fb27e08p+2", [
+        ("0x1.7006e806749a5p+2", "0x1.c4ab97a7a1410p-7"),
+        ("0x1.47ed00d86fef1p+3", "-0x1.82deba6006af0p-1"),
+        ("0x1.7531d5d3c2226p+2", "-0x1.9538245021ca0p-8"),
+        ("0x1.7398caa00cff7p+2", "-0x1.451ca1f18b800p-15"),
+        ("0x1.739637f8f6101p+2", "0x1.1552148000000p-31"),
+        ("0x1.739637fb27e30p+2", "-0x1.4100000000000p-47"),
+        ("0x1.739637fb27e07p+2", "0x0.0p+0"),
+    ]),
+    ("0x1.82fb6e0c6e319p+2", "0x1.82fb6e0c6e31ap+2", [
+        ("0x1.81c9c6adf727dp+2", "0x1.e0cff4fa88180p-9"),
+        ("0x1.b57a6a3cbdc42p+3", "-0x1.d69edc5b647ecp-1"),
+        ("0x1.83bb8d1a0f2d1p+2", "-0x1.2d5661496fa10p-9"),
+        ("0x1.82fbc6369d3d7p+2", "-0x1.14e11de852000p-18"),
+        ("0x1.82fb6e0c66294p+2", "0x1.939b400000000p-38"),
+        ("0x1.82fb6e0c6e319p+2", "0x0.0p+0"),
+    ]),
+    ("0x1.4a6c7d6d91993p+2", "0x1.4a6c7d6d91994p+2", [
+        ("0x1.496b86b23a047p+2", "0x1.d4ab8b153b480p-9"),
+        ("0x1.7a0474ccd684dp+3", "-0x1.d9ca811d79f36p-1"),
+        ("0x1.4b0fe7d20e3c9p+2", "-0x1.293240d292c40p-9"),
+        ("0x1.4a6cc6bc5aeefp+2", "-0x1.0af0728a70000p-18"),
+        ("0x1.4a6c7d6d8b2a1p+2", "0x1.76d9800000000p-38"),
+        ("0x1.4a6c7d6d91992p+2", "0x1.c000000000000p-52"),
+        ("0x1.4a6c7d6d91994p+2", "-0x1.e000000000000p-52"),
+        ("0x1.4a6c7d6d91993p+2", "0x1.0000000000000p-54"),
+    ]),
+    ("0x1.5a1cbb32ed2e4p+2", "0x1.5a1cbb32ed2e5p+2", [
+        ("0x1.58bc51063de1bp+2", "0x1.4e7b191da09c0p-8"),
+        ("0x1.640e86865dfe7p+3", "-0x1.bae47d3efcc1ap-1"),
+        ("0x1.5ae3f69376dc8p+2", "-0x1.78c02385e5600p-9"),
+        ("0x1.5a1d371861dbep+2", "-0x1.d5389271f0000p-18"),
+        ("0x1.5a1cbb32d9fe3p+2", "0x1.22abc00000000p-36"),
+        ("0x1.5a1cbb32ed2e4p+2", "0x0.0p+0"),
+    ]),
+]
+
+
+def _pinned_sets():
+    rng = np.random.default_rng(34)
+    hulls = [random_rounded_set(rng) for _ in range(16)]
+    return [RoundedSet.from_polygon(RECT, 0.1), hulls[2], hulls[8], hulls[15]]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_ROOTS)))
+def test_root_log_pinned(index):
+    # every evaluation of the excess keeps its bits, and so Brent's path
+    s = _pinned_sets()[index]
+    assert len(_profile(s.kernel).pieces) == [1, 3, 5, 6][index]
+    m0, (lo, hi), roots = critical_budget(s, full_output=True)
+    want_m0, want_hi, want_roots = PINNED_ROOTS[index]
+    assert (m0.hex(), lo.hex(), hi.hex()) == (want_m0, want_m0, want_hi)
+    assert [(M.hex(), f.hex()) for M, f, _ in roots] == want_roots
+
+
 class TestAgainstRK4:
     @pytest.mark.parametrize("index", range(11))
     def test_critical_budget_matches_bisection_over_simulate(self, index):
